@@ -151,6 +151,40 @@ let socket_arg =
   Arg.(value & opt string "/tmp/clara.sock"
        & info [ "socket" ] ~docv:"PATH" ~doc:"Unix domain socket path.")
 
+(* Shared by the client verbs (query, rollout, quality, flight): the
+   retrying client's budget, as a [(retries, timeout_s)] pair. *)
+let client_arg ?(timeout_s = 10.0) () =
+  let retries =
+    Arg.(value & opt int 4
+         & info [ "retries" ] ~docv:"N"
+             ~doc:"Retry budget for overloaded replies and transient I/O errors (jittered \
+                   exponential backoff).")
+  in
+  let timeout_s =
+    Arg.(value & opt float timeout_s
+         & info [ "timeout" ] ~docv:"SECONDS" ~doc:"Per-attempt round-trip timeout.")
+  in
+  Term.(const (fun r t -> (r, t)) $ retries $ timeout_s)
+
+(* One request through the retrying client, which owns the failure
+   modes: connect errors, timeouts, disconnects and overloaded replies
+   are re-attempted with jittered backoff.  When it still fails, log
+   [what] and exit 1. *)
+let request_or_exit ~socket ~what (retries, timeout_s) fields =
+  let client = Serve.Client.create ~timeout_s ~retries ~socket_path:socket () in
+  let outcome = Serve.Client.request client fields in
+  Serve.Client.close client;
+  match outcome with
+  | Ok j -> j
+  | Error err ->
+    Obs.Log.error
+      ~fields:
+        [ ("socket", Obs.Log.Str socket);
+          ("error", Obs.Log.Str (Serve.Client.error_to_string err));
+          ("attempts", Obs.Log.Int (Serve.Client.attempts client)) ]
+      what;
+    exit 1
+
 (* Shared by the daemon verbs (serve, router). *)
 let log_file_arg =
   Arg.(value & opt (some string) None
@@ -453,62 +487,49 @@ let serve_cmd =
 (* -- query -- *)
 
 let query_cmd =
-  let run socket name wname deadline_ms retries timeout_s =
-    (* The retrying client owns the failure modes: connect errors,
-       timeouts, disconnects and overloaded replies are re-attempted with
-       jittered backoff before we give up. *)
-    let client = Serve.Client.create ~timeout_s ~retries ~socket_path:socket () in
+  let run socket name wname deadline_ms client =
     let fields =
       Serve.Jsonl.
         [ ("cmd", Str "analyze"); ("nf", Str name); ("workload", Str wname) ]
       @ match deadline_ms with Some ms -> [ ("deadline_ms", Serve.Jsonl.Num ms) ] | None -> []
     in
-    let outcome = Serve.Client.request client fields in
-    Serve.Client.close client;
-    match outcome with
-    | Error err ->
-      Obs.Log.error
-        ~fields:
-          [ ("socket", Obs.Log.Str socket);
-            ("error", Obs.Log.Str (Serve.Client.error_to_string err));
-            ("attempts", Obs.Log.Int (Serve.Client.attempts client)) ]
-        "query failed (is 'clara serve' running?)";
+    let j =
+      request_or_exit ~socket ~what:"query failed (is 'clara serve' running?)" client fields
+    in
+    match Serve.Jsonl.member "ok" j with
+    | Some (Serve.Jsonl.Bool true) ->
+      (match Serve.Jsonl.str_member "report" j with
+      | Some report -> print_string report
+      | None -> print_endline (Serve.Jsonl.to_string j));
+      (match Serve.Jsonl.member "cached" j with
+      | Some (Serve.Jsonl.Bool c) ->
+        let via =
+          match Serve.Jsonl.str_member "path" j with
+          | Some p -> Printf.sprintf " via the %s path" p
+          | None -> ""
+        in
+        Printf.printf "\n; served %s%s\n"
+          (if c then "from cache" else "freshly analyzed")
+          via
+      | _ -> ())
+    | _ ->
+      let msg =
+        Option.value (Serve.Jsonl.str_member "error" j)
+          ~default:(Serve.Jsonl.to_string j)
+      in
+      let valid =
+        match Serve.Jsonl.member "valid" j with
+        | Some (Serve.Jsonl.Arr names) ->
+          [ ("valid",
+             Obs.Log.Str
+               (String.concat ", "
+                  (List.filter_map
+                     (function Serve.Jsonl.Str s -> Some s | _ -> None)
+                     names))) ]
+        | _ -> []
+      in
+      Obs.Log.error ~fields:(("error", Obs.Log.Str msg) :: valid) "server error";
       exit 1
-    | Ok j -> (
-      match Serve.Jsonl.member "ok" j with
-      | Some (Serve.Jsonl.Bool true) ->
-        (match Serve.Jsonl.str_member "report" j with
-        | Some report -> print_string report
-        | None -> print_endline (Serve.Jsonl.to_string j));
-        (match Serve.Jsonl.member "cached" j with
-        | Some (Serve.Jsonl.Bool c) ->
-          let via =
-            match Serve.Jsonl.str_member "path" j with
-            | Some p -> Printf.sprintf " via the %s path" p
-            | None -> ""
-          in
-          Printf.printf "\n; served %s%s\n"
-            (if c then "from cache" else "freshly analyzed")
-            via
-        | _ -> ())
-      | _ ->
-        let msg =
-          Option.value (Serve.Jsonl.str_member "error" j)
-            ~default:(Serve.Jsonl.to_string j)
-        in
-        let valid =
-          match Serve.Jsonl.member "valid" j with
-          | Some (Serve.Jsonl.Arr names) ->
-            [ ("valid",
-               Obs.Log.Str
-                 (String.concat ", "
-                    (List.filter_map
-                       (function Serve.Jsonl.Str s -> Some s | _ -> None)
-                       names))) ]
-          | _ -> []
-        in
-        Obs.Log.error ~fields:(("error", Obs.Log.Str msg) :: valid) "server error";
-        exit 1)
   in
   let wname =
     Arg.(value & opt string "mixed"
@@ -519,18 +540,8 @@ let query_cmd =
          & info [ "deadline-ms" ] ~docv:"MS"
              ~doc:"Per-request time budget; the server answers deadline_exceeded when it runs out.")
   in
-  let retries =
-    Arg.(value & opt int 4
-         & info [ "retries" ] ~docv:"N"
-             ~doc:"Retry budget for overloaded replies and transient I/O errors (jittered \
-                   exponential backoff).")
-  in
-  let timeout_s =
-    Arg.(value & opt float 10.0
-         & info [ "timeout" ] ~docv:"SECONDS" ~doc:"Per-attempt round-trip timeout.")
-  in
   Cmd.v (Cmd.info "query" ~doc:"Query a running insight service for one NF")
-    Term.(const run $ socket_arg $ nf_arg $ wname $ deadline_ms $ retries $ timeout_s)
+    Term.(const run $ socket_arg $ nf_arg $ wname $ deadline_ms $ client_arg ())
 
 (* -- router -- *)
 
@@ -701,8 +712,7 @@ let router_cmd =
 (* -- rollout -- *)
 
 let rollout_cmd =
-  let run socket action bundle fraction seed retries timeout_s =
-    let client = Serve.Client.create ~timeout_s ~retries ~socket_path:socket () in
+  let run socket action bundle fraction seed client =
     let fields =
       match action with
       | "start" -> (
@@ -724,21 +734,11 @@ let rollout_cmd =
           "unknown action (start|promote|rollback|status)";
         exit 1
     in
-    let outcome = Serve.Client.request client fields in
-    Serve.Client.close client;
-    match outcome with
-    | Error err ->
-      Obs.Log.error
-        ~fields:
-          [ ("socket", Obs.Log.Str socket);
-            ("error", Obs.Log.Str (Serve.Client.error_to_string err)) ]
-        "rollout failed (is 'clara router' running?)";
-      exit 1
-    | Ok j -> (
-      print_endline (Serve.Jsonl.to_string j);
-      match Serve.Jsonl.member "ok" j with
-      | Some (Serve.Jsonl.Bool true) -> ()
-      | _ -> exit 1)
+    let j =
+      request_or_exit ~socket ~what:"rollout failed (is 'clara router' running?)" client fields
+    in
+    print_endline (Serve.Jsonl.to_string j);
+    match Serve.Jsonl.member "ok" j with Some (Serve.Jsonl.Bool true) -> () | _ -> exit 1
   in
   let action =
     Arg.(value & pos 0 string "status"
@@ -757,98 +757,62 @@ let rollout_cmd =
     Arg.(value & opt (some int) None
          & info [ "seed" ] ~docv:"N" ~doc:"Canary-draw seed (default: the router's).")
   in
-  let retries =
-    Arg.(value & opt int 4
-         & info [ "retries" ] ~docv:"N" ~doc:"Retry budget for transient failures.")
-  in
-  let timeout_s =
-    Arg.(value & opt float 30.0
-         & info [ "timeout" ] ~docv:"SECONDS"
-             ~doc:"Per-attempt timeout (reloads recompile serving lanes; allow headroom).")
-  in
+  (* reloads recompile serving lanes: allow timeout headroom *)
+  let client = client_arg ~timeout_s:30.0 () in
   Cmd.v
     (Cmd.info "rollout"
        ~doc:"Drive a zero-downtime canary rollout against a running router")
-    Term.(const run $ socket_arg $ action $ bundle $ fraction $ seed $ retries $ timeout_s)
+    Term.(const run $ socket_arg $ action $ bundle $ fraction $ seed $ client)
 
 (* -- quality -- *)
 
 let quality_cmd =
-  let run socket retries timeout_s =
-    let client = Serve.Client.create ~timeout_s ~retries ~socket_path:socket () in
-    let outcome = Serve.Client.request client [ ("cmd", Serve.Jsonl.Str "quality") ] in
-    Serve.Client.close client;
-    match outcome with
-    | Error err ->
+  let run socket client =
+    let j =
+      request_or_exit ~socket ~what:"quality query failed (is 'clara serve' running?)" client
+        [ ("cmd", Serve.Jsonl.Str "quality") ]
+    in
+    match Serve.Jsonl.str_member "quality" j with
+    | Some q -> print_endline q
+    | None ->
       Obs.Log.error
-        ~fields:
-          [ ("socket", Obs.Log.Str socket);
-            ("error", Obs.Log.Str (Serve.Client.error_to_string err));
-            ("attempts", Obs.Log.Int (Serve.Client.attempts client)) ]
-        "quality query failed (is 'clara serve' running?)";
+        ~fields:[ ("reply", Obs.Log.Str (Serve.Jsonl.to_string j)) ]
+        "server did not return quality telemetry";
       exit 1
-    | Ok j -> (
-      match Serve.Jsonl.str_member "quality" j with
-      | Some q -> print_endline q
-      | None ->
-        Obs.Log.error
-          ~fields:[ ("reply", Obs.Log.Str (Serve.Jsonl.to_string j)) ]
-          "server did not return quality telemetry";
-        exit 1)
-  in
-  let retries =
-    Arg.(value & opt int 4
-         & info [ "retries" ] ~docv:"N"
-             ~doc:"Retry budget for overloaded replies and transient I/O errors.")
-  in
-  let timeout_s =
-    Arg.(value & opt float 10.0
-         & info [ "timeout" ] ~docv:"SECONDS" ~doc:"Per-attempt round-trip timeout.")
   in
   Cmd.v
     (Cmd.info "quality"
        ~doc:"Fetch prediction-quality telemetry (error sketches, drift, SLO burn rates) from a \
              running service")
-    Term.(const run $ socket_arg $ retries $ timeout_s)
+    Term.(const run $ socket_arg $ client_arg ())
 
 (* -- flight -- *)
 
 let flight_cmd =
-  let run socket dump retries timeout_s =
-    let client = Serve.Client.create ~timeout_s ~retries ~socket_path:socket () in
+  let run socket dump client =
     let fields =
       ("cmd", Serve.Jsonl.Str "flight")
       :: (match dump with Some path -> [ ("dump", Serve.Jsonl.Str path) ] | None -> [])
     in
-    let outcome = Serve.Client.request client fields in
-    Serve.Client.close client;
-    match outcome with
-    | Error err ->
+    let j =
+      request_or_exit ~socket ~what:"flight query failed (is 'clara serve' running?)" client
+        fields
+    in
+    match Serve.Jsonl.str_member "flight" j with
+    | Some doc -> (
+      print_endline doc;
+      match (Serve.Jsonl.str_member "dumped" j, Serve.Jsonl.str_member "dump_error" j) with
+      | Some path, _ ->
+        Obs.Log.info ~fields:[ ("path", Obs.Log.Str path) ] "server wrote flight dump"
+      | None, Some msg ->
+        Obs.Log.error ~fields:[ ("error", Obs.Log.Str msg) ] "server could not write dump";
+        exit 1
+      | None, None -> ())
+    | None ->
       Obs.Log.error
-        ~fields:
-          [ ("socket", Obs.Log.Str socket);
-            ("error", Obs.Log.Str (Serve.Client.error_to_string err));
-            ("attempts", Obs.Log.Int (Serve.Client.attempts client)) ]
-        "flight query failed (is 'clara serve' running?)";
+        ~fields:[ ("reply", Obs.Log.Str (Serve.Jsonl.to_string j)) ]
+        "server did not return a flight snapshot";
       exit 1
-    | Ok j -> (
-      match Serve.Jsonl.str_member "flight" j with
-      | Some doc -> (
-        print_endline doc;
-        match
-          (Serve.Jsonl.str_member "dumped" j, Serve.Jsonl.str_member "dump_error" j)
-        with
-        | Some path, _ ->
-          Obs.Log.info ~fields:[ ("path", Obs.Log.Str path) ] "server wrote flight dump"
-        | None, Some msg ->
-          Obs.Log.error ~fields:[ ("error", Obs.Log.Str msg) ] "server could not write dump";
-          exit 1
-        | None, None -> ())
-      | None ->
-        Obs.Log.error
-          ~fields:[ ("reply", Obs.Log.Str (Serve.Jsonl.to_string j)) ]
-          "server did not return a flight snapshot";
-        exit 1)
   in
   let dump =
     Arg.(value & opt (some string) None
@@ -856,20 +820,11 @@ let flight_cmd =
              ~doc:"Also have the server write its rings as a JSONL dump to PATH (server-side \
                    path; feed it to 'clara replay').")
   in
-  let retries =
-    Arg.(value & opt int 4
-         & info [ "retries" ] ~docv:"N"
-             ~doc:"Retry budget for overloaded replies and transient I/O errors.")
-  in
-  let timeout_s =
-    Arg.(value & opt float 10.0
-         & info [ "timeout" ] ~docv:"SECONDS" ~doc:"Per-attempt round-trip timeout.")
-  in
   Cmd.v
     (Cmd.info "flight"
        ~doc:"Fetch a running service's flight-recorder snapshot (and optionally dump it to a \
              file for 'clara replay')")
-    Term.(const run $ socket_arg $ dump $ retries $ timeout_s)
+    Term.(const run $ socket_arg $ dump $ client_arg ())
 
 (* -- replay -- *)
 
@@ -999,26 +954,19 @@ let profile_cmd =
     | None -> (
       (* No NF named: fetch the continuous profiler of a running service
          and print the collapsed flamegraph text (or the JSON document). *)
-      let client = Serve.Client.create ~timeout_s:10.0 ~retries:4 ~socket_path:socket () in
-      let outcome = Serve.Client.request client [ ("cmd", Serve.Jsonl.Str "profile") ] in
-      Serve.Client.close client;
-      match outcome with
-      | Error err ->
+      let j =
+        request_or_exit ~socket
+          ~what:"profile query failed (name an NF, or start 'clara serve --profile HZ')"
+          (4, 10.0)
+          [ ("cmd", Serve.Jsonl.Str "profile") ]
+      in
+      match Serve.Jsonl.str_member (if json then "profile" else "folded") j with
+      | Some doc -> print_string doc
+      | None ->
         Obs.Log.error
-          ~fields:
-            [ ("socket", Obs.Log.Str socket);
-              ("error", Obs.Log.Str (Serve.Client.error_to_string err)) ]
-          "profile query failed (name an NF, or start 'clara serve --profile HZ')";
-        exit 1
-      | Ok j -> (
-        let key = if json then "profile" else "folded" in
-        match Serve.Jsonl.str_member key j with
-        | Some doc -> print_string doc
-        | None ->
-          Obs.Log.error
-            ~fields:[ ("reply", Obs.Log.Str (Serve.Jsonl.to_string j)) ]
-            "server did not return profiler state";
-          exit 1))
+          ~fields:[ ("reply", Obs.Log.Str (Serve.Jsonl.to_string j)) ]
+          "server did not return profiler state";
+        exit 1)
   in
   let nf_opt =
     Arg.(value & pos 0 (some string) None

@@ -34,15 +34,13 @@ type t = {
   cb : callbacks;
   mutable conns : conn list;  (** accept order, newest last *)
   mutable n_conns : int;
-  mutable accepting : bool;
+  mutable listening : bool;  (** listener open and polled *)
   chunk : Bytes.t;
 }
 
 let create ~listener ~max_clients cb =
-  { listener; max_clients; cb; conns = []; n_conns = 0; accepting = true; chunk = Bytes.create 65536 }
-
-let clients t = t.n_conns
-let stop_accepting t = t.accepting <- false
+  { listener; max_clients; cb; conns = []; n_conns = 0; listening = true;
+    chunk = Bytes.create 65536 }
 
 let drop t c =
   if not c.dead then begin
@@ -164,7 +162,7 @@ let read_conn t c acc =
 let poll t ~timeout_s =
   let rfds =
     let conn_fds = List.filter_map (fun c -> if c.dead || c.closing then None else Some c.fd) t.conns in
-    if t.accepting then t.listener :: conn_fds else conn_fds
+    if t.listening then t.listener :: conn_fds else conn_fds
   in
   let wfds = List.filter_map (fun c -> if (not c.dead) && pending c then Some c.fd else None) t.conns in
   match Unix.select rfds wfds [] timeout_s with
@@ -173,7 +171,7 @@ let poll t ~timeout_s =
     List.iter
       (fun c -> if (not c.dead) && List.memq c.fd writable then flush_conn t c)
       t.conns;
-    if t.accepting && List.memq t.listener readable then accept_one t;
+    if t.listening && List.memq t.listener readable then accept_one t;
     let batches =
       List.fold_left
         (fun acc c ->
@@ -182,3 +180,111 @@ let poll t ~timeout_s =
         [] t.conns
     in
     `Round (List.rev batches)
+
+(* -- the serving skeleton -- *)
+
+type control = { mutable stop : bool; mutable drain : bool }
+
+let control () = { stop = false; drain = false }
+let request_stop c = c.stop <- true
+let request_drain c = c.drain <- true
+let draining c = c.drain
+
+(* Bounds how late a flag set from another domain is noticed; a signal
+   wakes the wait at once through EINTR. *)
+let poll_timeout_s = 0.25
+
+(* Every complete line of a round goes to [handle_batch] as one batch,
+   so independent clients share the pool fan-out (and the admission
+   bound applies across them); each connection then gets its replies
+   back in order, coalesced into one flush. *)
+let answer t handle_batch batches =
+  if batches <> [] then begin
+    let replies = ref (handle_batch (List.concat_map snd batches)) in
+    List.iter
+      (fun (conn, lines) ->
+        List.iter
+          (fun _ ->
+            match !replies with
+            | reply :: rest ->
+              replies := rest;
+              send conn reply
+            | [] -> ())
+          lines)
+      batches;
+    flush t
+  end
+
+(* Connection-level shedding: tell the client it is the load, not the
+   request, then hang up. *)
+let reject_with reject fd =
+  let reply = reject () ^ "\n" in
+  (try
+     if Obs.Fault.fire "serve.write" then
+       raise (Unix.Unix_error (Unix.EPIPE, "write", "injected fault: serve.write"));
+     let sent = ref 0 in
+     while !sent < String.length reply do
+       sent := !sent + Unix.write_substring fd reply !sent (String.length reply - !sent)
+     done
+   with Unix.Unix_error _ -> ());
+  try Unix.close fd with Unix.Unix_error _ -> ()
+
+(* SIGTERM requests a graceful drain; the previous handler comes back on
+   the way out so one process can run several loops in turn. *)
+let with_sigterm c f =
+  if Sys.os_type <> "Unix" then f ()
+  else begin
+    (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
+    let old =
+      try Some (Sys.signal Sys.sigterm (Sys.Signal_handle (fun _ -> request_drain c)))
+      with Invalid_argument _ | Sys_error _ -> None
+    in
+    Fun.protect f ~finally:(fun () ->
+        match old with
+        | Some h -> ( try Sys.set_signal Sys.sigterm h with Invalid_argument _ | Sys_error _ -> ())
+        | None -> ())
+  end
+
+let serve ~name ~socket_path ~max_clients ~control:c ~handle_batch ~on_tick ~reject
+    ~on_disconnect ~on_error =
+  with_sigterm c @@ fun () ->
+  (try Unix.unlink socket_path with Unix.Unix_error _ -> ());
+  let listener = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind listener (Unix.ADDR_UNIX socket_path);
+  Unix.listen listener 16;
+  let t =
+    create ~listener ~max_clients { on_reject = reject_with reject; on_disconnect; on_error }
+  in
+  (* Runs at most once: a second close could hit a reused fd number. *)
+  let teardown_listener () =
+    if t.listening then begin
+      t.listening <- false;
+      (try Unix.close listener with Unix.Unix_error _ -> ());
+      try Unix.unlink socket_path with Unix.Unix_error _ -> ()
+    end
+  in
+  while not (c.stop || c.drain) do
+    on_tick ();
+    match poll t ~timeout_s:poll_timeout_s with
+    | `Eintr -> ()
+    | `Round batches -> answer t handle_batch batches
+  done;
+  (* Graceful drain: the listener goes first, so new connections fail
+     fast while buffered requests still get real answers.  In-flight
+     clients get a short grace window; an idle 50ms round means nothing
+     more is coming and the drain completes early. *)
+  if not c.stop then begin
+    Obs.Log.info ~fields:[ ("clients", Obs.Log.Int t.n_conns) ] (name ^ ".drain");
+    teardown_listener ();
+    let drain_until = Obs.Clock.now_s () +. 0.5 in
+    let quiescent = ref false in
+    while (not !quiescent) && (not c.stop) && t.n_conns > 0 && Obs.Clock.now_s () < drain_until do
+      on_tick ();
+      match poll t ~timeout_s:0.05 with
+      | `Eintr -> ()
+      | `Round [] -> if not (has_pending t) then quiescent := true
+      | `Round batches -> answer t handle_batch batches
+    done
+  end;
+  close_all t;
+  teardown_listener ()

@@ -1,56 +1,64 @@
-(** Level-triggered poll loop with per-connection state machines — the
-    serving layer's replacement for its inline select-per-round loop.
+(** The serving skeleton shared by {!Serve.Server.run} and
+    [Router.Front.run]: a level-triggered poll loop with per-connection
+    state machines, plus the listener, signal and drain handling around
+    it.
 
     The abstraction is epoll-style even though the backend is
     [Unix.select] (portable, and the fd counts here are bounded by
-    [max_clients]): each {!poll} is one level-triggered round that
-    flushes writable connections, accepts at most one new client, batches
-    every complete request line that arrived, and returns the batches for
-    the caller to answer via {!send} (coalesced into one write per
-    connection per round).
+    [max_clients]): each round flushes writable connections, accepts at
+    most one new client, and batches every complete request line that
+    arrived, in connection-accept order.  The round's lines go to the
+    caller's [handle_batch] in one call; each connection gets its replies
+    back in order, coalesced into one flush per round.
 
     Connection lifecycle: [Reading] (contributing lines to rounds) →
     [Closing] (peer half-closed with a final unterminated line or
     undrained replies; only flushes) → [Dead] (closed, detached).
 
     Fault points: [serve.accept], [serve.read] and [serve.write] fire
-    inside the corresponding syscall wrappers, surfacing as the matching
-    [Unix_error]s ([EMFILE]/[ECONNRESET]/[EPIPE]) routed through the
-    callbacks — identical to the pre-event-loop server's behavior.
+    inside the corresponding syscall wrappers (and [serve.write] on the
+    rejected-connection reply), surfacing as the matching [Unix_error]s
+    ([EMFILE]/[ECONNRESET]/[EPIPE]) routed through the callbacks.
     Disconnecting peers (EPIPE/ECONNRESET) go to [on_disconnect]; other
-    I/O errors to [on_error] with a log-context string; a connection
-    beyond [max_clients] is handed to [on_reject] (which owns the fd). *)
+    I/O errors to [on_error] with a log-context string. *)
 
-type conn
+(** Stop/drain flags, safe to set from a signal handler or another
+    domain. *)
+type control
 
-type callbacks = {
-  on_reject : Unix.file_descr -> unit;
-  on_disconnect : fn:string -> Unix.error -> unit;
-  on_error : ctx:string -> fn:string -> Unix.error -> unit;
-}
+val control : unit -> control
 
-type t
+(** Return from {!serve} after the current round, without a drain. *)
+val request_stop : control -> unit
 
-val create : listener:Unix.file_descr -> max_clients:int -> callbacks -> t
+(** Stop accepting, answer what is buffered within a short grace
+    window, then return from {!serve}.  What SIGTERM does. *)
+val request_drain : control -> unit
 
-val clients : t -> int
+(** Has a drain been requested? *)
+val draining : control -> bool
 
-(** Stop accepting (drain phase); existing connections keep being served. *)
-val stop_accepting : t -> unit
+(** Bind [socket_path] (unlinking any stale socket), then serve rounds
+    until [control] asks for a stop or a drain.  Around the loop: SIGPIPE
+    is ignored and SIGTERM calls {!request_drain} (the previous handler
+    is restored on return).  [on_tick] runs before every poll, in the
+    serving and the drain phase alike; a flag set from another domain is
+    noticed within one poll timeout (0.25s), a signal at once.
 
-(** One round: flush, accept, read.  Returns the complete request lines
-    per connection, in connection-accept order, or [`Eintr] if the wait
-    was interrupted by a signal. *)
-val poll : t -> timeout_s:float -> [ `Eintr | `Round of (conn * string list) list ]
-
-(** Queue one reply line (newline appended) on the connection's write
-    buffer; actually written on the next flush. *)
-val send : conn -> string -> unit
-
-(** Attempt a write on every connection with queued output. *)
-val flush : t -> unit
-
-(** Any connection still holding unwritten replies? *)
-val has_pending : t -> bool
-
-val close_all : t -> unit
+    A connection beyond [max_clients] is sent the one line [reject ()]
+    returns and closed.  A drain logs [<name>.drain] with the client
+    count, closes the listener and unlinks the socket, then keeps serving
+    the held connections for up to 0.5s, ending early after an idle 50ms
+    round.  On return every connection and the listener are closed and
+    the socket file is gone. *)
+val serve :
+  name:string ->
+  socket_path:string ->
+  max_clients:int ->
+  control:control ->
+  handle_batch:(string list -> string list) ->
+  on_tick:(unit -> unit) ->
+  reject:(unit -> string) ->
+  on_disconnect:(fn:string -> Unix.error -> unit) ->
+  on_error:(ctx:string -> fn:string -> Unix.error -> unit) ->
+  unit

@@ -1,10 +1,10 @@
 (** Sharded flow table (see shards.mli). *)
 
-(* One shard is the stamp-LRU idiom of [Serve.Lru], guarded by its own
-   mutex: [find] promotes by bumping a per-shard logical clock, eviction
-   drops the minimum stamp.  Keys are spread by FNV-1a over the key
-   string — a pure function of the bytes, so shard assignment never
-   depends on CLARA_JOBS, domain count or insertion order. *)
+(* One shard is a stamp LRU guarded by its own mutex: [find] promotes
+   by bumping a per-shard logical clock, eviction drops the minimum
+   stamp.  Keys are spread by FNV-1a over the key string — a pure
+   function of the bytes, so shard assignment never depends on
+   CLARA_JOBS, domain count or insertion order. *)
 
 type 'a entry = { value : 'a; mutable stamp : int }
 

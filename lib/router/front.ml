@@ -43,8 +43,7 @@ type t = {
   mutable canary_count : int;
   mutable failover_count : int;
   mutable trace_counter : int;
-  mutable stop_requested : bool;
-  mutable drain_requested : bool;
+  control : Fastpath.Evloop.control;  (* shutdown / drain flags *)
   healthz_cache : string Atomic.t;
 }
 
@@ -123,7 +122,7 @@ let create ?(vnodes = 64) ?(tenant_quota = 0) ?(forward_timeout_s = 5.0)
       ring = Chash.create ~vnodes []; canary_ring = Chash.create ~vnodes [];
       rollout = Idle; served_count = 0; forwarded_count = 0; conn_shed_count = 0;
       unavailable_count = 0; canary_count = 0; failover_count = 0; trace_counter = 0;
-      stop_requested = false; drain_requested = false; healthz_cache = Atomic.make "{}" }
+      control = Fastpath.Evloop.control (); healthz_cache = Atomic.make "{}" }
   in
   rebuild_rings t;
   t
@@ -549,7 +548,7 @@ let shutdown_reply t ~trace id =
   Array.iter
     (fun w -> if w.w_up then ignore (worker_request t w ~timeout_s:1.0 line))
     t.workers;
-  t.stop_requested <- true;
+  Fastpath.Evloop.request_stop t.control;
   ok_reply ~trace id [ ("stopping", Jsonl.Bool true) ]
 
 type decision = Local of string | Forward of route
@@ -669,36 +668,12 @@ let shed t = Quota.shed t.quota + t.conn_shed_count
 let unavailable t = t.unavailable_count
 let canaried t = t.canary_count
 let failovers t = t.failover_count
-let request_drain t = t.drain_requested <- true
+let request_drain t = Fastpath.Evloop.request_drain t.control
 let close t = Array.iter close_conn t.workers
 
-(* -- the event loop (same shape as Serve.Server.run) -- *)
-
-let really_write fd s =
-  let n = String.length s in
-  let sent = ref 0 in
-  while !sent < n do
-    sent := !sent + Unix.write_substring fd s !sent (n - !sent)
-  done
+(* -- the socket service -- *)
 
 let run t ~socket_path =
-  (if Sys.os_type = "Unix" then
-     try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let old_sigterm =
-    if Sys.os_type = "Unix" then
-      try Some (Sys.signal Sys.sigterm (Sys.Signal_handle (fun _ -> request_drain t)))
-      with Invalid_argument _ | Sys_error _ -> None
-    else None
-  in
-  Fun.protect ~finally:(fun () ->
-      match old_sigterm with
-      | Some h -> ( try Sys.set_signal Sys.sigterm h with Invalid_argument _ | Sys_error _ -> ())
-      | None -> ())
-  @@ fun () ->
-  (try Unix.unlink socket_path with Unix.Unix_error _ -> ());
-  let listener = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind listener (Unix.ADDR_UNIX socket_path);
-  Unix.listen listener 16;
   probe t;
   Obs.Log.info
     ~fields:
@@ -709,88 +684,26 @@ let run t ~socket_path =
         ("health_period_s", Obs.Log.Num t.health_period_s);
         ("max_clients", Obs.Log.Int t.max_clients) ]
     "router.start";
-  let callbacks =
-    { Fastpath.Evloop.on_reject =
-        (fun fd ->
-          t.conn_shed_count <- t.conn_shed_count + 1;
-          let reply =
-            err_reply ~trace:(fresh_trace t) Jsonl.Null
-              (Printf.sprintf "overloaded: router at its %d-connection limit" t.max_clients)
-              ~extra:[ ("overloaded", Jsonl.Bool true) ]
-          in
-          (try really_write fd (reply ^ "\n") with Unix.Unix_error _ -> ());
-          (try Unix.close fd with Unix.Unix_error _ -> ()));
-      on_disconnect =
-        (fun ~fn err ->
-          Obs.Log.info
-            ~fields:
-              [ ("fn", Obs.Log.Str fn); ("error", Obs.Log.Str (Unix.error_message err)) ]
-            "router.client_disconnected");
-      on_error =
-        (fun ~ctx ~fn err ->
-          Obs.Log.warn
-            ~fields:
-              [ ("fn", Obs.Log.Str fn); ("error", Obs.Log.Str (Unix.error_message err)) ]
-            ctx)
-    }
-  in
-  let loop = Fastpath.Evloop.create ~listener ~max_clients:t.max_clients callbacks in
-  let service_round batches =
-    let all_lines = List.concat_map snd batches in
-    if all_lines <> [] then begin
-      let replies = ref (route_batch t all_lines) in
-      List.iter
-        (fun (conn, lines) ->
-          List.iter
-            (fun _ ->
-              match !replies with
-              | reply :: rest ->
-                replies := rest;
-                Fastpath.Evloop.send conn reply
-              | [] -> ())
-            lines)
-        batches;
-      Fastpath.Evloop.flush loop
-    end
-  in
   let next_health = ref (Obs.Clock.now_s () +. t.health_period_s) in
-  let maybe_probe () =
-    let now = Obs.Clock.now_s () in
-    if now >= !next_health then begin
+  let on_tick () =
+    if Obs.Clock.now_s () >= !next_health then begin
       probe t;
       next_health := Obs.Clock.now_s () +. t.health_period_s
     end
   in
-  while not (t.stop_requested || t.drain_requested) do
-    maybe_probe ();
-    match Fastpath.Evloop.poll loop ~timeout_s:0.25 with
-    | `Eintr -> ()
-    | `Round batches -> service_round batches
-  done;
-  if t.drain_requested && not t.stop_requested then begin
-    Obs.Log.info
-      ~fields:[ ("clients", Obs.Log.Int (Fastpath.Evloop.clients loop)) ]
-      "router.drain";
-    Fastpath.Evloop.stop_accepting loop;
-    (try Unix.close listener with Unix.Unix_error _ -> ());
-    (try Unix.unlink socket_path with Unix.Unix_error _ -> ());
-    let drain_until = Obs.Clock.now_s () +. 0.5 in
-    let quiescent = ref false in
-    while
-      (not !quiescent)
-      && (not t.stop_requested)
-      && Fastpath.Evloop.clients loop > 0
-      && Obs.Clock.now_s () < drain_until
-    do
-      match Fastpath.Evloop.poll loop ~timeout_s:0.05 with
-      | `Eintr -> ()
-      | `Round [] -> if not (Fastpath.Evloop.has_pending loop) then quiescent := true
-      | `Round batches -> service_round batches
-    done
-  end;
-  Fastpath.Evloop.close_all loop;
-  (try Unix.close listener with Unix.Unix_error _ -> ());
-  (try Unix.unlink socket_path with Unix.Unix_error _ -> ());
+  let io_fields ~fn err =
+    [ ("fn", Obs.Log.Str fn); ("error", Obs.Log.Str (Unix.error_message err)) ]
+  in
+  Fastpath.Evloop.serve ~name:"router" ~socket_path ~max_clients:t.max_clients
+    ~control:t.control ~handle_batch:(route_batch t) ~on_tick
+    ~reject:(fun () ->
+      t.conn_shed_count <- t.conn_shed_count + 1;
+      err_reply ~trace:(fresh_trace t) Jsonl.Null
+        (Printf.sprintf "overloaded: router at its %d-connection limit" t.max_clients)
+        ~extra:[ ("overloaded", Jsonl.Bool true) ])
+    ~on_disconnect:(fun ~fn err ->
+      Obs.Log.info ~fields:(io_fields ~fn err) "router.client_disconnected")
+    ~on_error:(fun ~ctx ~fn err -> Obs.Log.warn ~fields:(io_fields ~fn err) ctx);
   close t;
   Obs.Log.info
     ~fields:
@@ -798,5 +711,5 @@ let run t ~socket_path =
         ("forwarded", Obs.Log.Int t.forwarded_count);
         ("unavailable", Obs.Log.Int t.unavailable_count);
         ("failovers", Obs.Log.Int t.failover_count);
-        ("drained", Obs.Log.Bool t.drain_requested) ]
+        ("drained", Obs.Log.Bool (Fastpath.Evloop.draining t.control)) ]
     "router.stop"

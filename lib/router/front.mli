@@ -3,8 +3,8 @@
 
     Speaks the same line-delimited JSON protocol as a single server, on
     the same kind of Unix socket — [clara query] works unchanged against
-    a router socket.  Per round ({!Fastpath.Evloop} level-triggered, as
-    in the server):
+    a router socket.  Per round (the {!Fastpath.Evloop.serve} loop the
+    server runs too):
 
     - {b Placement.}  Each forwarded line is keyed — [analyze] requests
       by ["nf|workload"] (so a key's flow-cache entry warms exactly one
@@ -132,8 +132,11 @@ val request_drain : t -> unit
 val close : t -> unit
 
 (** Bind [socket_path] and serve until [shutdown] or a drain is
-    requested (SIGTERM / {!request_drain}).  Same event-loop shape as
-    {!Serve.Server.run}: batched rounds, coalesced writes, graceful
-    drain window; plus a health sweep every [health_period_s].  Worker
+    requested (SIGTERM / {!request_drain}).  The loop is
+    {!Fastpath.Evloop.serve}, the same one {!Serve.Server.run} uses
+    (batched rounds, coalesced writes, graceful drain window), answering
+    each round's lines with one {!route_batch} call.  The router adds a
+    {!probe} sweep once at start and then, checked before every poll,
+    whenever [health_period_s] has elapsed since the last one.  Worker
     connections are closed on the way out. *)
 val run : t -> socket_path:string -> unit

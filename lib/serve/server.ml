@@ -24,8 +24,7 @@ type t = {
   flight : Obs.Flight.t;  (* always-on postmortem rings (capacity 0 disables) *)
   mutable served_count : int;
   mutable shed_count : int;
-  mutable stop_requested : bool;
-  mutable drain_requested : bool;
+  control : Fastpath.Evloop.control;  (* shutdown / drain flags *)
   mutable flight_dump_requested : bool;  (* set by the SIGQUIT handler *)
 }
 
@@ -63,7 +62,7 @@ let create ?(cache_capacity = 64) ?(shards = 8) ?slow_threshold_s ?deadline_ms
     quality = Quality.create ?rate:shadow_rate ?seed:shadow_seed ~shards ();
     slow_s; deadline_s; max_pending; max_clients; fast_buf = Buffer.create 1024;
     flight = Obs.Flight.create ~shards ?capacity:flight_capacity ?dir:flight_dir ();
-    served_count = 0; shed_count = 0; stop_requested = false; drain_requested = false;
+    served_count = 0; shed_count = 0; control = Fastpath.Evloop.control ();
     flight_dump_requested = false }
 
 let served t = t.served_count
@@ -71,8 +70,8 @@ let shed t = t.shed_count
 let version t = t.version
 let cache_hits t = Fastpath.Shards.hits t.flows
 let cache_misses t = Fastpath.Shards.misses t.flows
-let request_drain t = t.drain_requested <- true
-let draining t = t.drain_requested
+let request_drain t = Fastpath.Evloop.request_drain t.control
+let draining t = Fastpath.Evloop.draining t.control
 let shard_count t = Fastpath.Shards.shard_count t.flows
 let flight t = t.flight
 let flight_json t = Obs.Flight.to_json_string t.flight
@@ -627,7 +626,7 @@ let plan_line_slow t ~now line =
       Ready
         (ok_reply ~trace id
            [ ("version", Jsonl.Str t.version);
-             ("draining", Jsonl.Bool t.drain_requested);
+             ("draining", Jsonl.Bool (draining t));
              ("pid", Jsonl.Num (float_of_int (Unix.getpid ())));
              ("served", Jsonl.Num (float_of_int t.served_count));
              ("shed", Jsonl.Num (float_of_int t.shed_count)) ])
@@ -657,7 +656,7 @@ let plan_line_slow t ~now line =
            [ ("profile", Jsonl.Str (Obs.Prof.to_json_string ()));
              ("folded", Jsonl.Str (Obs.Prof.folded ())) ])
     | Some "shutdown" ->
-      t.stop_requested <- true;
+      Fastpath.Evloop.request_stop t.control;
       Ready (ok_reply ~trace id [ ("stopping", Jsonl.Bool true) ])
     | Some "analyze" -> plan_analyze t ~now ~trace id req
     | Some other -> Ready (err_reply ~trace id (Printf.sprintf "unknown cmd %S" other))
@@ -940,78 +939,13 @@ let handle_request t line =
     reply
   | _ -> assert false
 
-(* -- I/O -- *)
-
-(* A peer that vanished mid-conversation is the client's lifecycle, not a
-   server fault: count it, log it at info, move on.  Anything else on a
-   client socket still warns. *)
-let is_disconnect = function Unix.EPIPE | Unix.ECONNRESET -> true | _ -> false
-
-let log_client_disconnect ~fn err =
-  Obs.Metrics.inc m_disconnects;
-  Obs.Log.info
-    ~fields:[ ("error", Obs.Log.Str (Unix.error_message err)); ("fn", Obs.Log.Str fn) ]
-    "serve.client_disconnected"
-
-let really_write fd s =
-  if Obs.Fault.fire "serve.write" then
-    raise (Unix.Unix_error (Unix.EPIPE, "write", "injected fault: serve.write"));
-  let n = String.length s in
-  let sent = ref 0 in
-  while !sent < n do
-    sent := !sent + Unix.write_substring fd s !sent (n - !sent)
-  done
-
-(* Split off the complete lines accumulated in [buf], keeping any trailing
-   partial line buffered. *)
-let take_lines buf =
-  let data = Buffer.contents buf in
-  match String.rindex_opt data '\n' with
-  | None -> []
-  | Some last ->
-    Buffer.clear buf;
-    Buffer.add_substring buf data (last + 1) (String.length data - last - 1);
-    String.split_on_char '\n' (String.sub data 0 last)
-    |> List.filter (fun l -> String.trim l <> "")
-
-let reply_all t fd lines =
-  if lines <> [] then
-    List.iter (fun reply -> really_write fd (reply ^ "\n")) (process_batch t lines)
-
-let serve_until_eof t fd =
-  let buf = Buffer.create 1024 in
-  let chunk = Bytes.create 4096 in
-  let rec loop () =
-    let n = Unix.read fd chunk 0 (Bytes.length chunk) in
-    if n = 0 then begin
-      (* peer half-closed: flush any unterminated final line *)
-      let rest = String.trim (Buffer.contents buf) in
-      if rest <> "" then reply_all t fd [ rest ]
-    end
-    else begin
-      Buffer.add_subbytes buf chunk 0 n;
-      reply_all t fd (take_lines buf);
-      loop ()
-    end
-  in
-  try loop ()
-  with Unix.Unix_error (err, fn, _) when is_disconnect err -> log_client_disconnect ~fn err
+(* -- the socket service -- *)
 
 let run t ~socket_path =
-  (if Sys.os_type = "Unix" then
-     try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  (* SIGTERM requests a graceful drain: stop accepting, answer what is
-     already buffered, log the final counters, exit [run].  The previous
-     handler is restored on the way out so tests can run several servers
-     in one process. *)
-  let old_sigterm =
-    if Sys.os_type = "Unix" then
-      try Some (Sys.signal Sys.sigterm (Sys.Signal_handle (fun _ -> request_drain t)))
-      with Invalid_argument _ | Sys_error _ -> None
-    else None
-  in
   (* SIGQUIT is the classic black-box trigger: dump the flight rings on
-     the next loop turn (EINTR wakes the select) and keep serving. *)
+     the next loop turn (EINTR wakes the select) and keep serving.  The
+     previous handler is restored on the way out so tests can run
+     several servers in one process. *)
   let old_sigquit =
     if Sys.os_type = "Unix" then
       try
@@ -1021,17 +955,10 @@ let run t ~socket_path =
     else None
   in
   Fun.protect ~finally:(fun () ->
-      (match old_sigterm with
-      | Some h -> ( try Sys.set_signal Sys.sigterm h with Invalid_argument _ | Sys_error _ -> ())
-      | None -> ());
       match old_sigquit with
       | Some h -> ( try Sys.set_signal Sys.sigquit h with Invalid_argument _ | Sys_error _ -> ())
       | None -> ())
   @@ fun () ->
-  (try Unix.unlink socket_path with Unix.Unix_error _ -> ());
-  let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind listener (Unix.ADDR_UNIX socket_path);
-  Unix.listen listener 16;
   Obs.Log.info
     ~fields:
       [ ("socket", Obs.Log.Str socket_path);
@@ -1048,10 +975,8 @@ let run t ~socket_path =
         ("shadow_rate", Obs.Log.Num (Quality.rate t.quality));
         ("tracing", Obs.Log.Bool (Obs.Span.enabled ())) ]
     "serve.start";
-  let log_unix_error ~ctx err fn =
-    Obs.Log.warn
-      ~fields:[ ("error", Obs.Log.Str (Unix.error_message err)); ("fn", Obs.Log.Str fn) ]
-      ctx
+  let io_fields ~fn err =
+    [ ("error", Obs.Log.Str (Unix.error_message err)); ("fn", Obs.Log.Str fn) ]
   in
   (* An error or disconnect while a serve-side fault point is armed is an
      armed-fault hit: ask the black box for a (rate-limited) dump. *)
@@ -1061,60 +986,11 @@ let run t ~socket_path =
       || Obs.Fault.armed "serve.accept"
     then ignore (Obs.Flight.trigger t.flight "fault")
   in
-  let callbacks =
-    { Fastpath.Evloop.on_reject =
-        (fun fd ->
-          (* Connection-level shedding: tell the client it is the load,
-             not the request, then hang up. *)
-          t.shed_count <- t.shed_count + 1;
-          let reply =
-            err_reply ~overloaded:true ~trace:(fresh_trace ()) Jsonl.Null
-              (Printf.sprintf "overloaded: server at its %d-connection limit" t.max_clients)
-          in
-          (try really_write fd (reply ^ "\n") with Unix.Unix_error _ -> ());
-          (try Unix.close fd with Unix.Unix_error _ -> ()));
-      on_disconnect =
-        (fun ~fn err ->
-          maybe_fault_trigger ();
-          log_client_disconnect ~fn err);
-      on_error =
-        (fun ~ctx ~fn err ->
-          maybe_fault_trigger ();
-          log_unix_error ~ctx err fn)
-    }
-  in
-  let loop = Fastpath.Evloop.create ~listener ~max_clients:t.max_clients callbacks in
-  (* Answer every complete line of a round as one batch, so independent
-     clients share the pool fan-out (and the admission bound applies
-     across them); replies are distributed back per connection and
-     coalesced into one flush. *)
-  let service_round batches =
-    let all_lines = List.concat_map snd batches in
-    if all_lines <> [] then begin
-      let replies = ref (process_batch t all_lines) in
-      List.iter
-        (fun (conn, lines) ->
-          List.iter
-            (fun _ ->
-              match !replies with
-              | reply :: rest ->
-                replies := rest;
-                Fastpath.Evloop.send conn reply
-              | [] -> ())
-            lines)
-        batches;
-      Fastpath.Evloop.flush loop;
-      (* Shadow evaluation runs strictly after the replies left: ground
-         truth is cheap but not free, and the client should not wait
-         on it. *)
-      if Quality.enabled t.quality then drain_quality t
-    end
-  in
-  (* An exception escaping a service round is a server bug: dump the
-     black box (its last records are the requests in flight) before the
-     crash propagates. *)
-  let service batches =
-    try service_round batches
+  (* An exception escaping a batch is a server bug: dump the black box
+     (its last records are the requests in flight) before the crash
+     propagates. *)
+  let handle_batch lines =
+    try process_batch t lines
     with e ->
       let bt = Printexc.get_raw_backtrace () in
       (match Obs.Flight.dump_now t.flight ~trigger:"exception" with
@@ -1129,57 +1005,40 @@ let run t ~socket_path =
           "serve.exception");
       Printexc.raise_with_backtrace e bt
   in
-  let flush_flight_dump () =
+  (* Before every poll, so after the previous round's flush: shadow
+     evaluation runs strictly after the replies left (ground truth is
+     cheap but not free, and the client should not wait on it). *)
+  let on_tick () =
     if t.flight_dump_requested then begin
       t.flight_dump_requested <- false;
       match Obs.Flight.dump_now t.flight ~trigger:"sigquit" with
       | Some path -> Obs.Log.info ~fields:[ ("dump", Obs.Log.Str path) ] "serve.flight_dump"
       | None -> ()
-    end
+    end;
+    if Quality.enabled t.quality then drain_quality t
   in
-  while not (t.stop_requested || t.drain_requested) do
-    flush_flight_dump ();
-    match Fastpath.Evloop.poll loop ~timeout_s:1.0 with
-    (* EINTR: a signal (e.g. SIGTERM / SIGQUIT) interrupted the wait;
-       re-check the flags it may have set. *)
-    | `Eintr -> ()
-    | `Round batches -> service batches
-  done;
-  flush_flight_dump ();
-  (* Graceful drain: the listener goes first, so new connections fail fast
-     while buffered requests still get real answers.  In-flight clients
-     get a short grace window; an idle 50ms round means nothing more is
-     coming and the drain completes early. *)
-  if t.drain_requested && not t.stop_requested then begin
-    Obs.Log.info
-      ~fields:[ ("clients", Obs.Log.Int (Fastpath.Evloop.clients loop)) ]
-      "serve.drain";
-    Fastpath.Evloop.stop_accepting loop;
-    (try Unix.close listener with Unix.Unix_error _ -> ());
-    (try Unix.unlink socket_path with Unix.Unix_error _ -> ());
-    let drain_until = Obs.Clock.now_s () +. 0.5 in
-    let quiescent = ref false in
-    while
-      (not !quiescent)
-      && (not t.stop_requested)
-      && Fastpath.Evloop.clients loop > 0
-      && Obs.Clock.now_s () < drain_until
-    do
-      match Fastpath.Evloop.poll loop ~timeout_s:0.05 with
-      | `Eintr -> ()
-      | `Round [] ->
-        if not (Fastpath.Evloop.has_pending loop) then quiescent := true
-      | `Round batches -> service batches
-    done
-  end;
-  Fastpath.Evloop.close_all loop;
-  (try Unix.close listener with Unix.Unix_error _ -> ());
-  (try Unix.unlink socket_path with Unix.Unix_error _ -> ());
+  Fastpath.Evloop.serve ~name:"serve" ~socket_path ~max_clients:t.max_clients
+    ~control:t.control ~handle_batch ~on_tick
+    ~reject:(fun () ->
+      t.shed_count <- t.shed_count + 1;
+      err_reply ~overloaded:true ~trace:(fresh_trace ()) Jsonl.Null
+        (Printf.sprintf "overloaded: server at its %d-connection limit" t.max_clients))
+    (* A peer that vanished mid-conversation is the client's lifecycle,
+       not a server fault: count it, log it at info, move on.  Anything
+       else on a client socket still warns. *)
+    ~on_disconnect:(fun ~fn err ->
+      maybe_fault_trigger ();
+      Obs.Metrics.inc m_disconnects;
+      Obs.Log.info ~fields:(io_fields ~fn err) "serve.client_disconnected")
+    ~on_error:(fun ~ctx ~fn err ->
+      maybe_fault_trigger ();
+      Obs.Log.warn ~fields:(io_fields ~fn err) ctx);
+  on_tick ();
   Obs.Log.info
     ~fields:
       [ ("served", Obs.Log.Int t.served_count);
         ("shed", Obs.Log.Int t.shed_count);
-        ("drained", Obs.Log.Bool t.drain_requested);
+        ("drained", Obs.Log.Bool (draining t));
         ("cache_hits", Obs.Log.Int (Fastpath.Shards.hits t.flows));
         ("cache_misses", Obs.Log.Int (Fastpath.Shards.misses t.flows)) ]
     "serve.stop"

@@ -226,17 +226,17 @@ val flight : t -> Obs.Flight.t
     [GET /flight.json] return. *)
 val flight_json : t -> string
 
-(** Serve one already-connected stream (e.g. a socketpair end) until the
-    peer half-closes — the in-process test harness.  A disconnecting peer
-    (EPIPE/ECONNRESET) ends the conversation quietly instead of raising. *)
-val serve_until_eof : t -> Unix.file_descr -> unit
-
 (** Bind [socket_path] (unlinking any stale socket), accept clients, and
     serve until a [shutdown] request arrives or a drain is requested
-    (SIGTERM / {!request_drain}).  Single-threaded event loop
-    ({!Fastpath.Evloop}: level-triggered rounds, per-connection state
-    machines, batched reads, coalesced writes); analysis parallelism
-    comes from {!process_batch}.  Logs its effective config
-    ([serve.start]) and accept/read/write errors through {!Obs.Log}
-    rather than dying or swallowing them. *)
+    (SIGTERM / {!request_drain}).  The loop is {!Fastpath.Evloop.serve}
+    (level-triggered rounds, per-connection state machines, batched
+    reads, coalesced writes), answering each round's lines with one
+    {!process_batch} call; analysis parallelism comes from there.  The
+    server adds its own pieces: SIGQUIT dumps the flight rings on the
+    next loop turn; before every poll (so after the previous round's
+    replies left) it writes a requested flight dump and evaluates pending
+    shadow tasks; an exception escaping a batch dumps the flight rings
+    before propagating.  Logs its effective config ([serve.start]),
+    accept/read/write errors and final counters ([serve.stop]) through
+    {!Obs.Log} rather than dying or swallowing them. *)
 val run : t -> socket_path:string -> unit

@@ -81,21 +81,30 @@ let test_per_shard_eviction () =
     (fun i _ -> if i <> shard then
         Alcotest.(check int) "other shards untouched" 0 (Fastpath.Shards.shard_length t i))
     [ (); (); (); () ];
-  (* LRU within the shard: a find promotes, the unpromoted entry goes *)
-  let t : string Fastpath.Shards.t = Fastpath.Shards.create ~shards:1 ~capacity:2 () in
-  Fastpath.Shards.install t "a" "A";
-  Fastpath.Shards.install t "b" "B";
-  Alcotest.(check (option string)) "promote a" (Some "A") (Fastpath.Shards.find t "a");
-  Fastpath.Shards.install t "c" "C";
-  Alcotest.(check (option string)) "b was evicted" None (Fastpath.Shards.probe t "b");
-  Alcotest.(check (option string)) "a survived its promotion" (Some "A")
-    (Fastpath.Shards.probe t "a");
-  (* re-install refreshes recency and value *)
-  Fastpath.Shards.install t "a" "A2";
-  Fastpath.Shards.install t "d" "D";
-  Alcotest.(check (option string)) "refreshed entry survives" (Some "A2")
-    (Fastpath.Shards.probe t "a");
-  Alcotest.(check (option string)) "stale entry evicted" None (Fastpath.Shards.probe t "c")
+  (* LRU within one shard: a find promotes, so the unpromoted entry goes;
+     a re-install refreshes recency and value.  At capacity 1 every new
+     key evicts the one before it. *)
+  List.iter
+    (fun (capacity, expected) ->
+      let t : string Fastpath.Shards.t = Fastpath.Shards.create ~shards:1 ~capacity () in
+      let seen = ref [] in
+      let look lookup key = seen := lookup t key :: !seen in
+      Fastpath.Shards.install t "a" "A";
+      Fastpath.Shards.install t "b" "B";
+      look Fastpath.Shards.find "a";
+      Fastpath.Shards.install t "c" "C";
+      look Fastpath.Shards.probe "b";
+      look Fastpath.Shards.probe "a";
+      Fastpath.Shards.install t "a" "A2";
+      Fastpath.Shards.install t "d" "D";
+      List.iter (look Fastpath.Shards.probe) [ "a"; "c"; "d" ];
+      Alcotest.(check (list (option string)))
+        (Printf.sprintf "capacity %d: find a, probe b, a, a, c, d" capacity)
+        expected (List.rev !seen);
+      Alcotest.(check int) (Printf.sprintf "capacity %d stays bounded" capacity) capacity
+        (Fastpath.Shards.length t))
+    [ (2, [ Some "A"; None; Some "A"; Some "A2"; None; Some "D" ]);
+      (1, [ None; None; None; None; None; Some "D" ]) ]
 
 let test_degenerate_and_counters () =
   let t : int Fastpath.Shards.t = Fastpath.Shards.create ~shards:4 ~capacity:0 () in

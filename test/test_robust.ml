@@ -1,7 +1,9 @@
 (** Adversarial tests for the hardened service: the Obs.Fault registry
     itself, fuzzed Jsonl parsing, deadlines, load shedding, fault-injected
     analyses, client-disconnect handling, graceful drain, and the retrying
-    {!Serve.Client} against misbehaving stub servers.
+    {!Serve.Client} against misbehaving stub servers.  Connection-limit
+    shedding and drain run through the real serving loop of both the
+    server and the router.
 
     Runs (via dune rules) under both CLARA_JOBS=1 and CLARA_JOBS=4: every
     outcome here must be identical in both ambient modes. *)
@@ -293,43 +295,7 @@ let test_shedding_beyond_max_pending () =
   Alcotest.(check int) "shed counter" 3 (Serve.Server.shed s);
   Alcotest.(check int) "every line counted as served" 5 (Serve.Server.served s)
 
-(* A client that vanishes mid-reply (EPIPE) is logged at info — not warn,
-   not error — and does not count as a server error. *)
-let test_disconnect_logged_at_info () =
-  let captured = ref [] in
-  Obs.Log.set_sink (Obs.Log.Custom (fun line -> captured := line :: !captured));
-  Fun.protect ~finally:(fun () -> Obs.Log.set_sink Obs.Log.Stderr) @@ fun () ->
-  let errors_before =
-    Obs.Metrics.counter_value (Obs.Metrics.counter "clara_serve_errors_total")
-  in
-  let s = Serve.Server.create ~cache_capacity:8 (Lazy.force models) in
-  let server_fd, client_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let req = {|{"id":1,"cmd":"ping"}|} ^ "\n" in
-  ignore (Unix.write_substring client_fd req 0 (String.length req));
-  Unix.shutdown client_fd Unix.SHUTDOWN_SEND;
-  with_fault ~point:"serve.write" ~prob:1.0 (fun () ->
-      (* must return quietly, not raise the injected EPIPE *)
-      Serve.Server.serve_until_eof s server_fd);
-  Unix.close server_fd;
-  Unix.close client_fd;
-  let has_sub sub line =
-    let n = String.length line and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub line i m = sub || go (i + 1)) in
-    go 0
-  in
-  let disconnect_lines = List.filter (has_sub "serve.client_disconnected") !captured in
-  Alcotest.(check bool) "disconnect logged" true (disconnect_lines <> []);
-  List.iter
-    (fun line ->
-      Alcotest.(check bool) "logged at info" true (has_sub {|"level":"info"|} line))
-    disconnect_lines;
-  let errors_after =
-    Obs.Metrics.counter_value (Obs.Metrics.counter "clara_serve_errors_total")
-  in
-  Alcotest.(check (float 0.0)) "no server-error metric for a disconnect" errors_before
-    errors_after
-
-(* -- graceful drain -- *)
+(* -- the real serving loop: both callers of Fastpath.Evloop.serve -- *)
 
 let connect_with_retry path =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -351,14 +317,159 @@ let client_round path request =
   Unix.close fd;
   line
 
-let test_programmatic_drain () =
-  let s = Serve.Server.create ~cache_capacity:8 (Lazy.force models) in
-  Serve.Server.request_drain s;
-  let path = Filename.temp_file "clara_robust_drain" ".sock" in
+let write_line fd s =
+  let s = s ^ "\n" in
+  ignore (Unix.write_substring fd s 0 (String.length s))
+
+let fresh_socket_path tag =
+  let path = Filename.temp_file tag ".sock" in
   Sys.remove path;
-  (* run must notice the pre-set drain flag and return promptly *)
-  Serve.Server.run s ~socket_path:path;
-  Alcotest.(check bool) "socket removed after drain" false (Sys.file_exists path)
+  path
+
+(* A stand-in worker for one router connection: answers every request
+   line with a healthy [health] reply until the router hangs up.  Joining
+   it says whether that hang-up (EOF) came within 10s. *)
+let stub_worker path =
+  let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind listener (Unix.ADDR_UNIX path);
+  Unix.listen listener 8;
+  Domain.spawn (fun () ->
+      let ready fd = match Unix.select [ fd ] [] [] 10.0 with [], _, _ -> false | _ -> true in
+      let saw_eof =
+        ready listener
+        &&
+        let fd, _ = Unix.accept listener in
+        let buf = Bytes.create 4096 in
+        let rec answer () =
+          ready fd
+          &&
+          match Unix.read fd buf 0 (Bytes.length buf) with
+          | 0 -> true
+          | n ->
+            for i = 0 to n - 1 do
+              if Bytes.get buf i = '\n' then
+                write_line fd {|{"id":"hc","ok":true,"version":"stub","draining":false,"pid":1}|}
+            done;
+            answer ()
+        in
+        let eof = answer () in
+        Unix.close fd;
+        eof
+      in
+      Unix.close listener;
+      (try Sys.remove path with Sys_error _ -> ());
+      saw_eof)
+
+(* What a case needs of a serving process, so one body covers both
+   [Serve.Server.run] and [Router.Front.run].  [finish] runs after [run]
+   has returned and checks what the process had to release. *)
+type frontend = {
+  run : socket_path:string -> unit;
+  request_drain : unit -> unit;
+  shed : unit -> int;
+  finish : unit -> unit;
+}
+
+let server_frontend ?max_clients () =
+  let s = Serve.Server.create ~cache_capacity:8 ?max_clients (Lazy.force models) in
+  { run = Serve.Server.run s;
+    request_drain = (fun () -> Serve.Server.request_drain s);
+    shed = (fun () -> Serve.Server.shed s);
+    finish = ignore }
+
+(* A one-worker router over [stub_worker]; its startup probe opens the
+   persistent worker connection that [finish] checks was closed. *)
+let router_frontend ?max_clients () =
+  let worker_path = fresh_socket_path "clara_robust_worker" in
+  let worker = stub_worker worker_path in
+  let f = Router.Front.create ?max_clients ~workers:[ ("w0", worker_path) ] () in
+  { run = Router.Front.run f;
+    request_drain = (fun () -> Router.Front.request_drain f);
+    shed = (fun () -> Router.Front.shed f);
+    finish =
+      (fun () ->
+        Alcotest.(check bool) "router closed its worker connection" true (Domain.join worker)) }
+
+(* Run [fe] in its own domain for the duration of [body path]; a drain
+   stops it. *)
+let with_running fe body =
+  let path = fresh_socket_path "clara_robust_loop" in
+  let loop = Domain.spawn (fun () -> fe.run ~socket_path:path) in
+  Fun.protect ~finally:(fun () ->
+      fe.request_drain ();
+      Domain.join loop)
+    (fun () -> body path);
+  fe.finish ()
+
+(* A client that vanishes mid-reply (EPIPE) is logged at info — not warn,
+   not error — and does not count as a server error.  The injected
+   serve.write fault makes the loop's own flush see the EPIPE. *)
+let test_disconnect_logged_at_info () =
+  let captured = ref [] in
+  Obs.Log.set_sink (Obs.Log.Custom (fun line -> captured := line :: !captured));
+  Fun.protect ~finally:(fun () -> Obs.Log.set_sink Obs.Log.Stderr) @@ fun () ->
+  let errors_before =
+    Obs.Metrics.counter_value (Obs.Metrics.counter "clara_serve_errors_total")
+  in
+  with_fault ~point:"serve.write" ~prob:1.0 (fun () ->
+      with_running (server_frontend ()) (fun path ->
+          let fd = connect_with_retry path in
+          write_line fd {|{"id":1,"cmd":"ping"}|};
+          (* the failed flush drops the connection: the client sees EOF *)
+          (match input_line (Unix.in_channel_of_descr fd) with
+          | line -> Alcotest.failf "no reply can get past the fault, got %s" line
+          | exception End_of_file -> ());
+          Unix.close fd));
+  let has_sub sub line =
+    let n = String.length line and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub line i m = sub || go (i + 1)) in
+    go 0
+  in
+  let disconnect_lines = List.filter (has_sub "serve.client_disconnected") !captured in
+  Alcotest.(check bool) "disconnect logged" true (disconnect_lines <> []);
+  List.iter
+    (fun line ->
+      Alcotest.(check bool) "logged at info" true (has_sub {|"level":"info"|} line))
+    disconnect_lines;
+  let errors_after =
+    Obs.Metrics.counter_value (Obs.Metrics.counter "clara_serve_errors_total")
+  in
+  Alcotest.(check (float 0.0)) "no server-error metric for a disconnect" errors_before
+    errors_after
+
+(* A connection beyond max_clients gets exactly one overloaded line, then
+   EOF, and counts as one shed. *)
+let test_connection_limit_shed (make : ?max_clients:int -> unit -> frontend) () =
+  let fe = make ~max_clients:1 () in
+  with_running fe (fun path ->
+      let shed_before = fe.shed () in
+      let first = connect_with_retry path in
+      (* a completed round trip proves the loop holds [first] *)
+      write_line first {|{"id":1,"cmd":"ping"}|};
+      Alcotest.(check bool) "first client served" true
+        (is_ok (parse_reply (input_line (Unix.in_channel_of_descr first))));
+      let second = connect_with_retry path in
+      let ic = Unix.in_channel_of_descr second in
+      let reply = parse_reply (input_line ic) in
+      Alcotest.(check bool) "ok:false" false (is_ok reply);
+      Alcotest.(check bool) "overloaded flag" true (flag "overloaded" reply);
+      (match input_line ic with
+      | line -> Alcotest.failf "expected EOF after the overloaded line, got %s" line
+      | exception End_of_file -> ());
+      Alcotest.(check int) "one connection shed" (shed_before + 1) (fe.shed ());
+      Unix.close second;
+      Unix.close first)
+
+(* -- graceful drain -- *)
+
+(* run must notice the pre-set drain flag and return promptly. *)
+let test_programmatic_drain (make : ?max_clients:int -> unit -> frontend) () =
+  let fe = make () in
+  fe.request_drain ();
+  let path = fresh_socket_path "clara_robust_drain" in
+  fe.run ~socket_path:path;
+  Alcotest.(check bool) "socket removed after drain" false (Sys.file_exists path);
+  fe.finish ()
 
 let test_sigterm_drain () =
   let s = Serve.Server.create ~cache_capacity:8 (Lazy.force models) in
@@ -381,10 +492,6 @@ let test_sigterm_drain () =
   Alcotest.(check int) "served the one request" 1 (Serve.Server.served s)
 
 (* -- Serve.Client against stub servers -- *)
-
-let write_line fd s =
-  let s = s ^ "\n" in
-  ignore (Unix.write_substring fd s 0 (String.length s))
 
 (* The caller unlinks [path] before spawning a stub, so the socket file
    reappearing means the stub's [bind] completed — after this, a client
@@ -548,9 +655,16 @@ let () =
           Alcotest.test_case "shedding beyond max_pending" `Quick
             test_shedding_beyond_max_pending;
           Alcotest.test_case "disconnects logged at info" `Quick
-            test_disconnect_logged_at_info ] );
+            test_disconnect_logged_at_info;
+          Alcotest.test_case "connection limit sheds through the loop" `Quick
+            (test_connection_limit_shed server_frontend) ] );
+      ( "router",
+        [ Alcotest.test_case "connection limit sheds through the loop" `Quick
+            (test_connection_limit_shed router_frontend);
+          Alcotest.test_case "programmatic drain" `Quick
+            (test_programmatic_drain router_frontend) ] );
       ( "drain",
-        [ Alcotest.test_case "programmatic drain" `Quick test_programmatic_drain;
+        [ Alcotest.test_case "programmatic drain" `Quick (test_programmatic_drain server_frontend);
           Alcotest.test_case "SIGTERM drains gracefully" `Slow test_sigterm_drain ] );
       ( "client",
         [ Alcotest.test_case "retries overloaded with one id" `Quick

@@ -1,7 +1,7 @@
-(** Tests for the insight service: the hand-rolled JSON, the LRU report
-    cache, the request handler (valid / unknown-NF / malformed / inline
-    p4lite), batched pipelining over a socketpair, and a real 8-client
-    burst against the socket server with a 4-domain pool. *)
+(** Tests for the insight service: the hand-rolled JSON, the request
+    handler (valid / unknown-NF / malformed / inline p4lite), a pipelined
+    batch through the socket server, and a real 8-client burst against it
+    with a 4-domain pool. *)
 
 let with_jobs n f =
   let saved = Util.Pool.jobs () in
@@ -35,73 +35,6 @@ let test_json_roundtrip () =
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "%S should not parse" bad)
     [ ""; "{"; "[1,]"; "{\"a\"}"; "tru"; "\"unterminated"; "1 2" ]
-
-(* -- Lru -- *)
-
-let test_lru_semantics () =
-  let c = Serve.Lru.create ~capacity:2 in
-  Serve.Lru.add c "a" 1;
-  Serve.Lru.add c "b" 2;
-  Alcotest.(check (option int)) "hit a" (Some 1) (Serve.Lru.find c "a");
-  Serve.Lru.add c "c" 3;
-  (* "b" was least recently used (the find refreshed "a") *)
-  Alcotest.(check (option int)) "b evicted" None (Serve.Lru.peek c "b");
-  Alcotest.(check (option int)) "a survives" (Some 1) (Serve.Lru.peek c "a");
-  Alcotest.(check (option int)) "c present" (Some 3) (Serve.Lru.peek c "c");
-  Alcotest.(check int) "bounded" 2 (Serve.Lru.length c);
-  (* peek must not perturb statistics; find must count them *)
-  let h0, m0 = (Serve.Lru.hits c, Serve.Lru.misses c) in
-  ignore (Serve.Lru.peek c "a");
-  ignore (Serve.Lru.peek c "nope");
-  Alcotest.(check (pair int int)) "peek is invisible" (h0, m0)
-    (Serve.Lru.hits c, Serve.Lru.misses c);
-  ignore (Serve.Lru.find c "nope");
-  Alcotest.(check int) "find counts misses" (m0 + 1) (Serve.Lru.misses c)
-
-let test_lru_boundaries () =
-  (* capacity 0: a legal degenerate cache — never stores, still counts *)
-  let z = Serve.Lru.create ~capacity:0 in
-  Serve.Lru.add z "a" 1;
-  Alcotest.(check int) "capacity-0 stores nothing" 0 (Serve.Lru.length z);
-  Alcotest.(check (option int)) "capacity-0 always misses" None (Serve.Lru.find z "a");
-  Alcotest.(check int) "capacity-0 still counts misses" 1 (Serve.Lru.misses z);
-  Alcotest.(check int) "capacity-0 never hits" 0 (Serve.Lru.hits z);
-  (match Serve.Lru.create ~capacity:(-1) with
-  | _ -> Alcotest.fail "negative capacity must be rejected"
-  | exception Invalid_argument _ -> ());
-  (* capacity 1: every insert evicts the previous entry *)
-  let one = Serve.Lru.create ~capacity:1 in
-  Serve.Lru.add one "a" 1;
-  Serve.Lru.add one "b" 2;
-  Alcotest.(check (option int)) "capacity-1 evicts the old entry" None (Serve.Lru.peek one "a");
-  Alcotest.(check (option int)) "capacity-1 keeps the new entry" (Some 2)
-    (Serve.Lru.peek one "b");
-  Alcotest.(check int) "capacity-1 stays bounded" 1 (Serve.Lru.length one)
-
-let test_lru_reinsert_promotes () =
-  let c = Serve.Lru.create ~capacity:2 in
-  Serve.Lru.add c "a" 1;
-  Serve.Lru.add c "b" 2;
-  (* re-inserting "a" must refresh its recency (and overwrite its value),
-     making "b" the eviction victim *)
-  Serve.Lru.add c "a" 10;
-  Serve.Lru.add c "c" 3;
-  Alcotest.(check (option int)) "re-insert overwrote the value" (Some 10)
-    (Serve.Lru.peek c "a");
-  Alcotest.(check (option int)) "re-insert promoted: b evicted" None (Serve.Lru.peek c "b");
-  Alcotest.(check (option int)) "new entry present" (Some 3) (Serve.Lru.peek c "c");
-  Alcotest.(check int) "still bounded" 2 (Serve.Lru.length c)
-
-let test_lru_eviction_order_after_hit () =
-  let c = Serve.Lru.create ~capacity:2 in
-  Serve.Lru.add c "a" 1;
-  Serve.Lru.add c "b" 2;
-  ignore (Serve.Lru.find c "a");
-  (* the hit made "b" least recently used *)
-  Serve.Lru.add c "c" 3;
-  Alcotest.(check (option int)) "hit entry survives" (Some 1) (Serve.Lru.peek c "a");
-  Alcotest.(check (option int)) "unhit entry evicted" None (Serve.Lru.peek c "b");
-  Alcotest.(check (option int)) "new entry present" (Some 3) (Serve.Lru.peek c "c")
 
 (* -- salvage_member: scalar extraction from malformed request lines -- *)
 
@@ -253,41 +186,6 @@ let test_handle_p4lite () =
   in
   Alcotest.(check bool) "bad field rejected" false (is_ok badfield)
 
-(* -- batched pipelining over a socketpair (single process, no real
-   socket file) -- *)
-
-let test_batch_over_socketpair () =
-  with_jobs 4 (fun () ->
-      let s = fresh_server () in
-      let server_fd, client_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      let requests =
-        String.concat ""
-          (List.map
-             (fun (id, nf) ->
-               Printf.sprintf {|{"id":%d,"cmd":"analyze","nf":"%s","workload":"mixed"}|} id nf
-               ^ "\n")
-             [ (1, "tcpack"); (2, "udpipencap"); (3, "tcpack"); (4, "anonipaddr") ])
-      in
-      let n = Unix.write_substring client_fd requests 0 (String.length requests) in
-      Alcotest.(check int) "whole batch written" (String.length requests) n;
-      Unix.shutdown client_fd Unix.SHUTDOWN_SEND;
-      Serve.Server.serve_until_eof s server_fd;
-      Unix.close server_fd;
-      let ic = Unix.in_channel_of_descr client_fd in
-      let replies = List.init 4 (fun _ -> input_line ic) |> List.map parse_reply in
-      close_in ic;
-      List.iteri
-        (fun i r ->
-          Alcotest.(check bool) (Printf.sprintf "reply %d ok" (i + 1)) true (is_ok r);
-          Alcotest.(check (option (float 0.0)))
-            (Printf.sprintf "reply %d keeps its id" (i + 1))
-            (Some (float_of_int (i + 1)))
-            (Serve.Jsonl.num_member "id" r))
-        replies;
-      (* requests 1 and 3 share a key: one analysis, identical reports *)
-      let report i = Serve.Jsonl.str_member "report" (List.nth replies i) in
-      Alcotest.(check (option string)) "duplicate keys share one report" (report 0) (report 2))
-
 (* -- 8 concurrent clients against the real socket server -- *)
 
 let connect_with_retry path =
@@ -309,6 +207,48 @@ let client_round path request =
   let line = input_line (Unix.in_channel_of_descr fd) in
   Unix.close fd;
   line
+
+(* -- a pipelined batch through the real serving loop -- *)
+
+let test_pipelined_batch () =
+  with_jobs 4 (fun () ->
+      let s = fresh_server () in
+      let path = Filename.temp_file "clara_serve_test" ".sock" in
+      Sys.remove path;
+      let srv = Domain.spawn (fun () -> Serve.Server.run s ~socket_path:path) in
+      let replies =
+        Fun.protect ~finally:(fun () ->
+            Serve.Server.request_drain s;
+            Domain.join srv)
+        @@ fun () ->
+        let fd = connect_with_retry path in
+        let requests =
+          String.concat ""
+            (List.map
+               (fun (id, nf) ->
+                 Printf.sprintf {|{"id":%d,"cmd":"analyze","nf":"%s","workload":"mixed"}|} id nf
+                 ^ "\n")
+               [ (1, "tcpack"); (2, "udpipencap"); (3, "tcpack"); (4, "anonipaddr") ])
+        in
+        let n = Unix.write_substring fd requests 0 (String.length requests) in
+        Alcotest.(check int) "whole batch written" (String.length requests) n;
+        Unix.shutdown fd Unix.SHUTDOWN_SEND;
+        let ic = Unix.in_channel_of_descr fd in
+        let replies = List.init 4 (fun _ -> input_line ic) |> List.map parse_reply in
+        close_in ic;
+        replies
+      in
+      List.iteri
+        (fun i r ->
+          Alcotest.(check bool) (Printf.sprintf "reply %d ok" (i + 1)) true (is_ok r);
+          Alcotest.(check (option (float 0.0)))
+            (Printf.sprintf "reply %d keeps its id" (i + 1))
+            (Some (float_of_int (i + 1)))
+            (Serve.Jsonl.num_member "id" r))
+        replies;
+      (* requests 1 and 3 share a key: one analysis, identical reports *)
+      let report i = Serve.Jsonl.str_member "report" (List.nth replies i) in
+      Alcotest.(check (option string)) "duplicate keys share one report" (report 0) (report 2))
 
 let test_concurrent_burst () =
   with_jobs 4 (fun () ->
@@ -366,16 +306,11 @@ let () =
     [ ( "jsonl",
         [ Alcotest.test_case "print/parse round-trip" `Quick test_json_roundtrip;
           Alcotest.test_case "salvage_member on malformed lines" `Quick test_salvage_member ] );
-      ( "lru",
-        [ Alcotest.test_case "eviction and stats" `Quick test_lru_semantics;
-          Alcotest.test_case "capacity 0 and 1 boundaries" `Quick test_lru_boundaries;
-          Alcotest.test_case "re-insert promotes" `Quick test_lru_reinsert_promotes;
-          Alcotest.test_case "eviction order after a hit" `Quick test_lru_eviction_order_after_hit ] );
       ( "server",
         [ Alcotest.test_case "valid query and cache hit" `Quick test_handle_valid_and_cached;
           Alcotest.test_case "error replies" `Quick test_handle_errors;
           Alcotest.test_case "id echo on errors" `Quick test_id_echo_on_errors;
           Alcotest.test_case "op alias and metrics" `Quick test_op_alias_and_metrics;
           Alcotest.test_case "inline p4lite program" `Quick test_handle_p4lite;
-          Alcotest.test_case "pipelined batch over socketpair" `Quick test_batch_over_socketpair;
+          Alcotest.test_case "pipelined batch through run" `Quick test_pipelined_batch;
           Alcotest.test_case "8-client concurrent burst" `Slow test_concurrent_burst ] ) ]
