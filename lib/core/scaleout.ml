@@ -56,33 +56,27 @@ let default_specs () =
 
 (** Build training samples: synthesized NFs x workload specs, labeled with
     the simulator's optimal core count (the paper's automated pipeline of
-    deploy-and-benchmark).
-
-    The trace of each spec is generated once and replayed against every
-    program as fresh packet copies — workload generation is a pure
-    function of the spec, so benchmarking [n_programs] programs does not
-    need [n_programs] re-generations of the same (expensive, 256k-flow)
-    trace.  Samples are identical to the regenerate-per-pair path
+    deploy-and-benchmark).  {!Workload.generate} memoizes each spec's
+    trace, so benchmarking [n_programs] programs does not regenerate the
+    same (expensive, 256k-flow) trace [n_programs] times.  Samples are
+    identical to the regenerate-per-pair path
     ({!training_samples_reference}). *)
 let training_samples ?(n_programs = 40) ?(seed = 1301) ?(specs : Workload.spec list option) () =
   Obs.Span.with_ ~cat:"pipeline" "scaleout.samples" @@ fun () ->
   let specs = match specs with Some s -> s | None -> default_specs () in
   let programs = Synth.Generator.batch ~seed n_programs in
-  let traces = List.map (fun spec -> (spec, Workload.generate spec)) specs in
   (* each program x spec deploy-and-benchmark is independent: fan the
      programs out on the domain pool, keeping sample order *)
   Util.Pool.parallel_concat_map_list ~chunk:1 ~cost:10_000.0
     (fun elt ->
       List.filter_map
-        (fun (spec, trace) ->
-          match
-            Nicsim.Nic.port ~packets:(List.map Nf_lang.Packet.copy trace) elt spec
-          with
+        (fun spec ->
+          match Nicsim.Nic.port elt spec with
           | ported ->
             let d = ported.Nicsim.Nic.demand in
             Some { x = features d; optimal = float_of_int (Nicsim.Multicore.optimal_cores d) }
           | exception _ -> None)
-        traces)
+        specs)
     programs
 
 (** The pre-optimization sampling path, retained as the baseline

@@ -36,11 +36,9 @@ let state_sizes (elt : Ast.element) =
 (** Lower, compile, profile and assemble the demand of an element under a
     porting configuration and workload.
 
-    [packets] lets a caller that benchmarks many elements under one spec
-    generate the trace once and replay it (pass fresh
-    {!Nf_lang.Packet.copy} copies — the interpreter mutates packets).
-    The list must be the trace [Workload.generate spec] would produce;
-    omitted, it is generated here. *)
+    [packets] must be the trace [Workload.generate spec] would produce,
+    as fresh packets (the interpreter mutates them); omitted, it is taken
+    from [Workload.generate], which memoizes each spec's trace. *)
 let port ?(config = naive_port) ?packets (elt : Ast.element) (spec : Workload.spec) : ported =
   let ir = Nf_frontend.Lower.lower_element elt in
   let nfcc_config = Accel.accel_config config.accel_apis in

@@ -24,40 +24,41 @@ let send_lines fd lines =
 
 let read_lines fd ~residue ~n ~timeout_s =
   let deadline = Unix.gettimeofday () +. timeout_s in
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf residue;
   let chunk = Bytes.create 8192 in
-  let lines = ref [] and got = ref 0 and scanned = ref 0 in
-  let rec take () =
-    (* Scan only bytes not yet scanned: the buffer grows monotonically. *)
-    let data = Buffer.contents buf in
-    match String.index_from_opt data !scanned '\n' with
+  (* [line] holds the bytes after the last newline consumed: the current
+     partial line while lines are still wanted, then the new residue.
+     Each received byte is scanned once and copied into [line] once. *)
+  let line = Buffer.create 512 in
+  let lines = ref [] and got = ref 0 in
+  let rec consume s start =
+    match String.index_from_opt s start '\n' with
     | Some i when !got < n ->
-      lines := String.sub data !scanned (i - !scanned) :: !lines;
+      Buffer.add_substring line s start (i - start);
+      lines := Buffer.contents line :: !lines;
+      Buffer.clear line;
       incr got;
-      scanned := i + 1;
-      take ()
-    | _ ->
-      if !got >= n then begin
-        let data = Buffer.contents buf in
-        Ok (List.rev !lines, String.sub data !scanned (String.length data - !scanned))
-      end
-      else begin
-        let remaining = deadline -. Unix.gettimeofday () in
-        if remaining <= 0.0 then Error "timed out awaiting worker reply"
-        else
-          match Unix.select [ fd ] [] [] remaining with
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> take ()
-          | exception Unix.Unix_error (err, fn, _) -> Error (unix_msg fn err)
-          | [], _, _ -> Error "timed out awaiting worker reply"
-          | _ -> (
-            match Unix.read fd chunk 0 (Bytes.length chunk) with
-            | 0 -> Error "worker closed the connection"
-            | r ->
-              Buffer.add_subbytes buf chunk 0 r;
-              take ()
-            | exception Unix.Unix_error (err, fn, _) -> Error (unix_msg fn err))
-      end
+      consume s (i + 1)
+    | _ -> Buffer.add_substring line s start (String.length s - start)
+  in
+  consume residue 0;
+  let rec take () =
+    if !got >= n then Ok (List.rev !lines, Buffer.contents line)
+    else begin
+      let remaining = deadline -. Unix.gettimeofday () in
+      if remaining <= 0.0 then Error "timed out awaiting worker reply"
+      else
+        match Unix.select [ fd ] [] [] remaining with
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> take ()
+        | exception Unix.Unix_error (err, fn, _) -> Error (unix_msg fn err)
+        | [], _, _ -> Error "timed out awaiting worker reply"
+        | _ -> (
+          match Unix.read fd chunk 0 (Bytes.length chunk) with
+          | 0 -> Error "worker closed the connection"
+          | r ->
+            consume (Bytes.sub_string chunk 0 r) 0;
+            take ()
+          | exception Unix.Unix_error (err, fn, _) -> Error (unix_msg fn err))
+    end
   in
   take ()
 

@@ -121,13 +121,14 @@ let generate_with ~sampler (spec : spec) : Nf_lang.Packet.t list =
       let cdf = Util.Rng.cdf_of_weights weights in
       fun rng -> Util.Rng.weighted_index_cdf rng cdf
   in
-  let seen = Hashtbl.create (Array.length flows) in
+  (* a byte per flow, not a table sized to 256k flows for a short trace *)
+  let seen = Bytes.make (Array.length flows) '\000' in
   let plans = Array.make (max 0 spec.n_packets) None in
   for k = 0 to spec.n_packets - 1 do
     let fi = draw_flow rng in
     let flow = flows.(fi) in
-    let first = not (Hashtbl.mem seen fi) in
-    if first then Hashtbl.replace seen fi ();
+    let first = Bytes.get seen fi = '\000' in
+    if first then Bytes.set seen fi '\001';
     let ip_id = Util.Rng.int rng 0x10000 in
     let seq = flow.next_seq in
     flow.next_seq <- (flow.next_seq + spec.payload_len) land 0xffffffff;
@@ -156,13 +157,34 @@ let generate_with ~sampler (spec : spec) : Nf_lang.Packet.t list =
          p)
        plans)
 
-let generate spec = generate_with ~sampler:`Cdf spec
+(** [generate_with ~sampler:`Cdf], memoized: callers ask for a handful of
+    specs over and over (every uncached serving analysis uses one of
+    three), so one template trace per spec is kept and each call returns
+    fresh {!Nf_lang.Packet.copy} copies — the interpreter mutates packets.
+    A miss generates outside the lock (generation uses the domain pool)
+    and publishes under it; the table is cleared when full. *)
+let generate =
+  let capacity = 8 in
+  let memo : (spec, Nf_lang.Packet.t list) Hashtbl.t = Hashtbl.create capacity in
+  let lock = Mutex.create () in
+  fun spec ->
+    let template =
+      match Mutex.protect lock (fun () -> Hashtbl.find_opt memo spec) with
+      | Some t -> t
+      | None ->
+        let t = generate_with ~sampler:`Cdf spec in
+        Mutex.protect lock (fun () ->
+            if Hashtbl.length memo >= capacity then Hashtbl.reset memo;
+            Hashtbl.replace memo spec t);
+        t
+    in
+    List.map Nf_lang.Packet.copy template
 
 (** The retained pre-optimization generator, pinned verbatim from the seed
     revision (like {!Mlkit.Naive}): O(n_flows) linear-scan flow draws,
     per-byte payload fill, uncached Zipf weights.  It produces the
     identical packet list for every spec (the equivalence suite asserts
-    it) and is what `bench/main.exe parallel` times {!generate} against. *)
+    it) and is what `bench/main.exe parallel` times {!generate_with} against. *)
 let generate_reference (spec : spec) : Nf_lang.Packet.t list =
   let zipf_weights n s = Array.init n (fun i -> 1.0 /. (float_of_int (i + 1) ** s)) in
   let rng = Util.Rng.create spec.seed in

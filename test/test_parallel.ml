@@ -195,16 +195,18 @@ let test_predictor_train_equivalent () =
   let a, b = serial_vs_parallel run in
   Alcotest.(check (list (float 0.0))) "end-to-end predictor bit-identical" a b
 
+let trace_fingerprint packets =
+  List.map
+    (fun (p : Nf_lang.Packet.t) ->
+      ( Nf_lang.Packet.flow_key p, p.Nf_lang.Packet.ip_id, p.Nf_lang.Packet.tcp_seq,
+        p.Nf_lang.Packet.tcp_flags, Bytes.to_string p.Nf_lang.Packet.payload ))
+    packets
+
 let test_workload_equivalent () =
   let spec = { Workload.large_flows with Workload.n_packets = 700; Workload.payload_len = 32 } in
-  let fingerprint p =
-    ( Nf_lang.Packet.flow_key p,
-      p.Nf_lang.Packet.ip_id,
-      p.Nf_lang.Packet.tcp_seq,
-      p.Nf_lang.Packet.tcp_flags,
-      Bytes.to_string p.Nf_lang.Packet.payload )
-  in
-  let run () = List.map fingerprint (Workload.generate spec) in
+  (* the uncached generator: [Workload.generate] would serve the second
+     run from its memo instead of regenerating under four domains *)
+  let run () = trace_fingerprint (Workload.generate_with ~sampler:`Cdf spec) in
   let a, b = serial_vs_parallel run in
   Alcotest.(check bool) "packet stream bit-identical" true (a = b);
   Alcotest.(check int) "expected packet count" 700 (List.length a)
@@ -312,19 +314,62 @@ let test_synthesize_matches_reference () =
     (a.Clara.Predictor.examples = b.Clara.Predictor.examples);
   Alcotest.(check bool) "dataset non-empty" true (Array.length a.Clara.Predictor.examples > 0)
 
+let check_trace_matches_reference what spec packets =
+  Alcotest.(check bool)
+    (spec.Workload.name ^ " " ^ what ^ " identical to reference")
+    true
+    (trace_fingerprint packets = trace_fingerprint (Workload.generate_reference spec))
+
 let test_workload_matches_reference () =
   List.iter
-    (fun spec ->
-      let fingerprint (p : Nf_lang.Packet.t) =
-        ( Nf_lang.Packet.flow_key p, p.Nf_lang.Packet.ip_id, p.Nf_lang.Packet.tcp_seq,
-          p.Nf_lang.Packet.tcp_flags, Bytes.to_string p.Nf_lang.Packet.payload )
-      in
-      let a = List.map fingerprint (Workload.generate spec) in
-      let b = List.map fingerprint (Workload.generate_reference spec) in
-      Alcotest.(check bool) (spec.Workload.name ^ " identical to reference") true (a = b))
+    (fun spec -> check_trace_matches_reference "trace" spec (Workload.generate spec))
     [ { Workload.default with Workload.n_packets = 400 };
       { Workload.large_flows with Workload.n_packets = 400 };
       { Workload.small_flows with Workload.n_packets = 200 } ]
+
+(* -- the per-spec trace memo inside [Workload.generate] -- *)
+
+(* More distinct specs than the memo holds (8): generating them all forces
+   at least one reset, evicting whatever was cached before. *)
+let memo_flood () =
+  List.init 10 (fun i ->
+      { Workload.default with
+        Workload.name = Printf.sprintf "flood-%d" i;
+        Workload.n_packets = 20 + i;
+        Workload.seed = 900 + i })
+
+let test_memo_copies_are_private () =
+  let spec = { Workload.large_flows with Workload.n_packets = 300 } in
+  List.iter
+    (fun (p : Nf_lang.Packet.t) ->
+      p.Nf_lang.Packet.ip_src <- 0;
+      p.Nf_lang.Packet.tcp_flags <- 0xff;
+      p.Nf_lang.Packet.tcp_seq <- p.Nf_lang.Packet.tcp_seq + 1;
+      Bytes.fill p.Nf_lang.Packet.payload 0 (Bytes.length p.Nf_lang.Packet.payload) 'x')
+    (Workload.generate spec);
+  check_trace_matches_reference "after mutating a returned trace" spec (Workload.generate spec)
+
+let test_memo_survives_reset () =
+  let specs = memo_flood () in
+  List.iter (fun spec -> check_trace_matches_reference "first visit" spec (Workload.generate spec)) specs;
+  let first = List.hd specs in
+  check_trace_matches_reference "revisit after reset" first (Workload.generate first);
+  (* concurrent lookups and publishes from pool domains *)
+  let traces = Util.Pool.parallel_map_list Workload.generate (specs @ specs) in
+  List.iter2 (check_trace_matches_reference "concurrent") (specs @ specs) traces
+
+let test_memo_port_demand () =
+  let spec = { Workload.small_flows with Workload.n_packets = 800 } in
+  let elt = Nf_lang.Corpus.find "cmsketch" in
+  let expected =
+    (Nicsim.Nic.port ~packets:(Workload.generate_reference spec) elt spec).Nicsim.Nic.demand
+  in
+  List.iter (fun s -> ignore (Workload.generate s)) (memo_flood ());
+  List.iter
+    (fun what ->
+      Alcotest.(check bool) ("small-flows demand on memo " ^ what) true
+        ((Nicsim.Nic.port elt spec).Nicsim.Nic.demand = expected))
+    [ "miss"; "hit" ]
 
 let test_scaleout_matches_reference () =
   let specs = [ { Workload.large_flows with Workload.n_packets = 50 } ] in
@@ -401,6 +446,10 @@ let () =
           Alcotest.test_case "flat gbdt vs naive" `Quick test_flat_gbdt_matches_naive;
           Alcotest.test_case "synthesize vs reference" `Slow test_synthesize_matches_reference;
           Alcotest.test_case "workload vs reference" `Quick test_workload_matches_reference;
+          Alcotest.test_case "workload memo copies are private" `Quick
+            test_memo_copies_are_private;
+          Alcotest.test_case "workload memo survives reset" `Quick test_memo_survives_reset;
+          Alcotest.test_case "port demand on memo miss and hit" `Quick test_memo_port_demand;
           Alcotest.test_case "scale-out vs reference" `Slow test_scaleout_matches_reference ] );
       ( "chunking",
         [ Alcotest.test_case "cost cutoff policy" `Quick test_cost_cutoff_policy;

@@ -152,6 +152,59 @@ let test_quota () =
     Alcotest.(check bool) "no limit" true (Router.Quota.admit unlimited ~tenant:"a")
   done
 
+(* -- upstream line reader over a socketpair -- *)
+
+let test_upstream_read_lines () =
+  let reply i =
+    let pad = if i mod 3 = 0 then 5000 + (i * 37) else 10 + i in
+    Printf.sprintf {|{"id":%d,"report":"%s"}|} i (String.init pad (fun k -> Char.chr (97 + ((i + k) mod 26))))
+  in
+  let replies = List.init 12 reply in
+  let partial = {|{"id":12,"repo|} in
+  let payload = String.concat "" (List.map (fun l -> l ^ "\n") replies) in
+  (* the tail of the last reply and the partial line go in one write, so
+     the read that completes the batch also carries the residue *)
+  let split = String.length payload - 9 in
+  let tail = String.sub payload split 9 ^ partial in
+  let r, w = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let writer =
+    Domain.spawn (fun () ->
+        let sizes = [| 1; 7; 13; 4099; 3; 977; 8193 |] in
+        let pos = ref 0 and k = ref 0 in
+        while !pos < split do
+          let len = min sizes.(!k mod Array.length sizes) (split - !pos) in
+          ignore (Unix.write_substring w payload !pos len);
+          pos := !pos + len;
+          incr k;
+          Unix.sleepf 0.0005
+        done;
+        ignore (Unix.write_substring w tail 0 (String.length tail)))
+  in
+  let first, residue =
+    match Router.Upstream.read_lines r ~residue:"" ~n:5 ~timeout_s:10.0 with
+    | Ok x -> x
+    | Error e -> Alcotest.failf "first batch: %s" e
+  in
+  let second, residue =
+    match Router.Upstream.read_lines r ~residue ~n:7 ~timeout_s:10.0 with
+    | Ok x -> x
+    | Error e -> Alcotest.failf "second batch: %s" e
+  in
+  Domain.join writer;
+  Alcotest.(check (list string)) "lines byte-identical" replies (first @ second);
+  Alcotest.(check string) "trailing partial line is the residue" partial residue;
+  (* complete lines already in the residue are served without a read *)
+  (match Router.Upstream.read_lines r ~residue:"a\n\nb\nc" ~n:2 ~timeout_s:10.0 with
+   | Ok (ls, rest) ->
+     Alcotest.(check (list string)) "lines from residue" [ "a"; "" ] ls;
+     Alcotest.(check string) "rest of residue kept" "b\nc" rest
+   | Error e -> Alcotest.failf "residue-only read: %s" e);
+  Unix.close w;
+  (match Router.Upstream.read_lines r ~residue:partial ~n:1 ~timeout_s:10.0 with
+   | Error e -> Alcotest.(check string) "EOF is an error" "worker closed the connection" e
+   | Ok _ -> Alcotest.fail "EOF mid-line must not yield a line");
+  Unix.close r
+
 (* -- front, no live workers (sockets that do not exist) -- *)
 
 let dead_front ?tenant_quota () =
@@ -529,6 +582,8 @@ let () =
           Alcotest.test_case "canary draw pure and seeded" `Quick test_canary_draw ] );
       ( "quota",
         [ Alcotest.test_case "per-tenant per-round admission" `Quick test_quota ] );
+      ( "upstream",
+        [ Alcotest.test_case "fragmented replies and residue" `Quick test_upstream_read_lines ] );
       ( "front",
         [ Alcotest.test_case "placement and local commands" `Quick test_target_routing;
           Alcotest.test_case "dead worker is typed unavailable" `Quick
