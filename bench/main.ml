@@ -275,7 +275,7 @@ let parallel_kernels () =
       fun () -> ignore (Clara.Scaleout.training_samples_reference ~n_programs:8 ()) );
     ( "workload_generate_20k", 5,
       (* the uncached generator: [Workload.generate] would time memo copies *)
-      (fun () -> ignore (Workload.generate_with ~sampler:`Cdf wspec)),
+      (fun () -> ignore (Workload.generate_with wspec)),
       fun () -> ignore (Workload.generate_reference wspec) ) ]
 
 let parallel_jobs_levels = [ 1; 2; 4 ]

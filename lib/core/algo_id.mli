@@ -23,12 +23,12 @@ val opcode_seq : Nf_lang.Ast.element -> int array
 (** Canonical string key of an opcode n-gram. *)
 val gram_key : int list -> string
 
-(** Multiset of the [n]-grams of a sequence, keyed by {!gram_key}. *)
-val grams_of_seq : int array -> int -> (string, int) Hashtbl.t
-
-(** Mine up to [top] discriminative n-grams: support >= 0.5 among
-    positives and confidence >= 0.7 against negatives (§4.1's
-    high-support / high-confidence criteria). *)
+(** Mine up to [top] discriminative n-grams of the opcode-index
+    sequences: support >= 0.5 among positives and confidence >= 0.7
+    against negatives (§4.1's high-support / high-confidence criteria).
+    Each sequence's grams are counted once; score ties keep {!gram_key}
+    order.  @raise Invalid_argument on a length in [ns] outside 1..12 or
+    a value that is not an opcode index. *)
 val mine_grams :
   ?ns:int list ->
   ?top:int ->
@@ -54,12 +54,10 @@ type feature_mode = [ `Both | `Manual_only | `Spe_only ]
 
 type t = { models : model list; mode : feature_mode }
 
-(** Feature vector of an element against a gram set. *)
-val feature_vector :
-  ?mode:feature_mode -> (string * int) list -> Nf_lang.Ast.element -> float array
-
 (** Train the per-class SVMs.  The corpus is expanded to component level so
-    training matches what {!detect} classifies. *)
+    training matches what {!detect} classifies.  Training and inference
+    compute each component's opcode sequence, gram counts and manual
+    features once and score every class model from them. *)
 val train :
   ?mode:feature_mode ->
   ?corpus:(Nf_lang.Ast.element * Algo_corpus.label) list ->

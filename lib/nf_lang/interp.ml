@@ -8,9 +8,16 @@
     - per-global read/write counts attributed to statements (access vectors
       for memory coalescing, access frequencies for state placement);
     - hash-map probe counts in either Click or NIC data-structure mode;
-    - API call counts and packet verdicts. *)
+    - API call counts and packet verdicts.
 
-open Ast
+    {!create} resolves the element once, into closures: locals become
+    slots of an int array, state names become their {!State} cells, and
+    every profiled key (statement, loop condition, (global, statement)
+    pair, API name, map) becomes a dense counter index.  Execution counts
+    into int arrays; when {!run} or {!push} returns or raises, the counts
+    are flushed into the profile's tables, new keys in first-touch order,
+    so every table holds the same bindings in the same iteration order as
+    if each event had been recorded in it as it happened. *)
 
 type action = Emitted of int | Dropped
 
@@ -42,8 +49,6 @@ let new_profile () =
     dropped = 0;
   }
 
-let bump tbl key = Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
-
 let stmt_count p sid = Option.value ~default:0 (Hashtbl.find_opt p.stmt_counts sid)
 let cond_count p sid = Option.value ~default:0 (Hashtbl.find_opt p.cond_counts sid)
 
@@ -65,205 +70,405 @@ let mean_probes p map =
   | Some (ops, probes) when !ops > 0 -> float_of_int !probes /. float_of_int !ops
   | Some _ | None -> 1.0
 
-type t = {
-  elt : element;
-  state : State.t;
-  profile : profile;
-  mutable time : int;  (** virtual clock: packet sequence number *)
+(* -- dense counters -- *)
+
+(* One profile table's keys, numbered as [create] meets them, with their
+   counts since the last flush and the indices touched since then, in
+   first-touch order (a count of 0 means untouched). *)
+type 'k counter = {
+  index : ('k, int) Hashtbl.t;
+  mutable rev_keys : 'k list;
+  mutable keys : 'k array;
+  mutable counts : int array;
+  mutable order : int array;
+  mutable touched : int;
+}
+
+let counter () =
+  { index = Hashtbl.create 32; rev_keys = []; keys = [||]; counts = [||]; order = [||]; touched = 0 }
+
+let intern c k =
+  match Hashtbl.find_opt c.index k with
+  | Some i -> i
+  | None ->
+    let i = Hashtbl.length c.index in
+    Hashtbl.add c.index k i;
+    c.rev_keys <- k :: c.rev_keys;
+    i
+
+(* Size the arrays once every key is interned. *)
+let seal c =
+  c.keys <- Array.of_list (List.rev c.rev_keys);
+  c.counts <- Array.make (Array.length c.keys) 0;
+  c.order <- Array.make (Array.length c.keys) 0
+
+let[@inline] bump c i =
+  let n = c.counts.(i) in
+  if n = 0 then begin
+    c.order.(c.touched) <- i;
+    c.touched <- c.touched + 1
+  end;
+  c.counts.(i) <- n + 1
+
+let flush_counts c tbl =
+  for k = 0 to c.touched - 1 do
+    let i = c.order.(k) in
+    let key = c.keys.(i) in
+    Hashtbl.replace tbl key (c.counts.(i) + Option.value ~default:0 (Hashtbl.find_opt tbl key));
+    c.counts.(i) <- 0
+  done;
+  c.touched <- 0
+
+(* -- the resolved element -- *)
+
+(* A state name resolved at [create]; a name the store lacks fails only
+   when executed, through the same {!State} lookup as before. *)
+type 'a cell = Found of 'a | Missing of string
+
+let scalar st = function Found r -> r | Missing name -> State.scalar_ref st name
+let array st = function Found a -> a | Missing name -> State.array_of st name
+let map st = function Found m -> m | Missing name -> State.map_of st name
+let vec st = function Found v -> v | Missing name -> State.vec_of st name
+
+(* What one packet's execution reads besides the element's state. *)
+type frame = { locals : int array; pkt : Packet.t; time : int }
+
+type prog = {
+  handler : frame -> unit;
+  slots : int array;  (** the locals, cleared per packet: a read before any write sees 0 *)
+  action : int;  (** slot of the verdict local *)
+  stmts : int counter;
+  conds : int counter;
+  reads : (string * int) counter;
+  writes : (string * int) counter;
+  apis : string counter;
+  map_ops : string counter;
+  probes : int array;  (** per map, beside [map_ops] *)
 }
 
 exception Handler_return
 exception Fuel_exhausted of string
 
-let create ?(mode = State.Host) elt =
-  { elt; state = State.create ~mode elt.state; profile = new_profile (); time = 0 }
-
 let loop_fuel = 100_000
-
-let record_map_op t map probes =
-  let ops, total =
-    match Hashtbl.find_opt t.profile.map_ops map with
-    | Some pair -> pair
-    | None ->
-      let pair = (ref 0, ref 0) in
-      Hashtbl.replace t.profile.map_ops map pair;
-      pair
-  in
-  incr ops;
-  total := !total + probes
 
 let truth v = v <> 0
 
-let rec eval t (locals : (string, int) Hashtbl.t) (pkt : Packet.t) ~sid e =
-  let ev e = eval t locals pkt ~sid e in
-  match e with
-  | Int n -> n
-  | Local v -> (
-    (* locals are function-scope stack slots in the lowering; a read before
-       any write sees a zero-initialized slot *)
-    match Hashtbl.find_opt locals v with Some x -> x | None -> 0)
-  | Global v ->
-    bump t.profile.global_reads (v, sid);
-    !(State.scalar_ref t.state v)
-  | Hdr f -> Packet.get_field pkt f
-  | Payload_byte off -> Packet.get_payload_byte pkt (ev off)
-  | Packet_len -> Packet.length pkt
-  | Bin (op, a, b) ->
-    let x = ev a and y = ev b in
-    (match op with
-    | Add -> (x + y) land 0xffffffff
-    | Sub -> (x - y) land 0xffffffff
-    | Mul -> x * y land 0xffffffff
-    | BAnd -> x land y
-    | BOr -> x lor y
-    | BXor -> x lxor y
-    | Shl -> x lsl (y land 31) land 0xffffffff
-    | Shr -> (x land 0xffffffff) lsr (y land 31))
-  | Cmp (op, a, b) ->
-    let x = ev a and y = ev b in
-    let r =
+(* Each closure keeps the shape of the tree walk it replaces, down to the
+   argument positions of the calls it makes, so effects happen in the same
+   order. *)
+let compile (elt : Ast.element) (st : State.t) =
+  let stmts = counter () and conds = counter () and reads = counter () and writes = counter () in
+  let apis = counter () and map_ops = counter () and locals = counter () in
+  let action = intern locals "__action" and probes = ref [||] in
+  let cell tbl name = match Hashtbl.find_opt tbl name with Some x -> Found x | None -> Missing name in
+  let scalars = st.State.scalars and arrays = st.State.arrays in
+  let maps = st.State.maps and vectors = st.State.vectors in
+  let record ops n =
+    bump map_ops ops;
+    !probes.(ops) <- !probes.(ops) + n
+  in
+  let rec expr sid (e : Ast.expr) : frame -> int =
+    let ex = expr sid in
+    match e with
+    | Ast.Int n -> fun _ -> n
+    | Ast.Local v ->
+      let s = intern locals v in
+      fun f -> f.locals.(s)
+    | Ast.Global v ->
+      let r = intern reads (v, sid) and c = cell scalars v in
+      fun _ ->
+        bump reads r;
+        !(scalar st c)
+    | Ast.Hdr h -> fun f -> Packet.get_field f.pkt h
+    | Ast.Payload_byte off ->
+      let off = ex off in
+      fun f -> Packet.get_payload_byte f.pkt (off f)
+    | Ast.Packet_len -> fun f -> Packet.length f.pkt
+    | Ast.Bin (op, a, b) -> (
+      let a = ex a and b = ex b in
       match op with
-      | Eq -> x = y
-      | Ne -> x <> y
-      | Lt -> x < y
-      | Le -> x <= y
-      | Gt -> x > y
-      | Ge -> x >= y
-    in
-    if r then 1 else 0
-  | Not a -> if truth (ev a) then 0 else 1
-  | And_also (a, b) -> if truth (ev a) then ev b else 0
-  | Or_else (a, b) -> if truth (ev a) then 1 else ev b
-  | Arr_get (name, idx) ->
-    bump t.profile.global_reads (name, sid);
-    let arr = State.array_of t.state name in
-    let j = ev idx in
-    if j >= 0 && j < Array.length arr then arr.(j) else 0
-  | Vec_len name ->
-    bump t.profile.global_reads (name, sid);
-    State.vec_length (State.vec_of t.state name)
-  | Api_expr (name, args) ->
-    bump t.profile.api_counts name;
-    Api.eval_expr ~time:t.time pkt name (List.map ev args)
+      | Ast.Add -> fun f -> let x = a f and y = b f in (x + y) land 0xffffffff
+      | Ast.Sub -> fun f -> let x = a f and y = b f in (x - y) land 0xffffffff
+      | Ast.Mul -> fun f -> let x = a f and y = b f in x * y land 0xffffffff
+      | Ast.BAnd -> fun f -> let x = a f and y = b f in x land y
+      | Ast.BOr -> fun f -> let x = a f and y = b f in x lor y
+      | Ast.BXor -> fun f -> let x = a f and y = b f in x lxor y
+      | Ast.Shl -> fun f -> let x = a f and y = b f in x lsl (y land 31) land 0xffffffff
+      | Ast.Shr -> fun f -> let x = a f and y = b f in (x land 0xffffffff) lsr (y land 31))
+    | Ast.Cmp (op, a, b) -> (
+      let a = ex a and b = ex b in
+      let cmp r = if r then 1 else 0 in
+      match op with
+      | Ast.Eq -> fun f -> let x = a f and y = b f in cmp (x = y)
+      | Ast.Ne -> fun f -> let x = a f and y = b f in cmp (x <> y)
+      | Ast.Lt -> fun f -> let x = a f and y = b f in cmp (x < y)
+      | Ast.Le -> fun f -> let x = a f and y = b f in cmp (x <= y)
+      | Ast.Gt -> fun f -> let x = a f and y = b f in cmp (x > y)
+      | Ast.Ge -> fun f -> let x = a f and y = b f in cmp (x >= y))
+    | Ast.Not a ->
+      let a = ex a in
+      fun f -> if truth (a f) then 0 else 1
+    | Ast.And_also (a, b) ->
+      let a = ex a and b = ex b in
+      fun f -> if truth (a f) then b f else 0
+    | Ast.Or_else (a, b) ->
+      let a = ex a and b = ex b in
+      fun f -> if truth (a f) then 1 else b f
+    | Ast.Arr_get (name, idx) ->
+      let r = intern reads (name, sid) and c = cell arrays name and idx = ex idx in
+      fun f ->
+        bump reads r;
+        let arr = array st c in
+        let j = idx f in
+        if j >= 0 && j < Array.length arr then arr.(j) else 0
+    | Ast.Vec_len name ->
+      let r = intern reads (name, sid) and c = cell vectors name in
+      fun _ ->
+        bump reads r;
+        State.vec_length (vec st c)
+    | Ast.Api_expr (name, args) ->
+      let a = intern apis name and args = List.map ex args in
+      fun f ->
+        bump apis a;
+        Api.eval_expr ~time:f.time f.pkt name (List.map (fun arg -> arg f) args)
+  in
+  (* the first definition of a name wins, as in a lookup by name *)
+  let subs =
+    List.fold_left
+      (fun acc (name, body) -> if List.mem_assoc name acc then acc else (name, (ref ignore, body)) :: acc)
+      [] elt.Ast.subs
+  in
+  let rec stmt (s : Ast.stmt) : frame -> unit =
+    let sid = s.Ast.sid in
+    let ex = expr sid in
+    let read name = intern reads (name, sid) and write name = intern writes (name, sid) in
+    let map_api m api = (intern apis api, cell maps m) and vec_api name api = (intern apis api, cell vectors name) in
+    let evals es = Array.of_list (List.map ex es) in
+    match s.Ast.node with
+    | Ast.Let (v, e) ->
+      let s = intern locals v and e = ex e in
+      fun f -> f.locals.(s) <- e f
+    | Ast.Set_global (v, e) ->
+      let w = write v and c = cell scalars v and e = ex e in
+      fun f ->
+        bump writes w;
+        scalar st c := e f
+    | Ast.Set_hdr (h, e) ->
+      let e = ex e in
+      fun f -> Packet.set_field f.pkt h (e f)
+    | Ast.Set_payload (off, v) ->
+      let off = ex off and v = ex v in
+      fun f -> Packet.set_payload_byte f.pkt (off f) (v f)
+    | Ast.Arr_set (name, idx, v) ->
+      let w = write name and c = cell arrays name and idx = ex idx and v = ex v in
+      fun f ->
+        bump writes w;
+        let arr = array st c in
+        let j = idx f in
+        if j >= 0 && j < Array.length arr then arr.(j) <- v f
+    | Ast.Map_find (m, key, dst) ->
+      let r = read m and a, c = map_api m "map_find" and ops = intern map_ops m in
+      let key = evals key and d = intern locals dst in
+      fun f ->
+        bump reads r;
+        bump apis a;
+        let m = map st c in
+        let found, probes = State.find m (Array.map (fun k -> k f) key) in
+        record ops probes;
+        f.locals.(d) <- (if found then 1 else 0)
+    | Ast.Map_read (m, field, dst) ->
+      let r = read m and a, c = map_api m "map_read" and d = intern locals dst in
+      fun f ->
+        bump reads r;
+        bump apis a;
+        f.locals.(d) <- State.read (map st c) field
+    | Ast.Map_write (m, field, e) ->
+      let w = write m and a, c = map_api m "map_write" and e = ex e in
+      fun f ->
+        bump writes w;
+        bump apis a;
+        State.write (map st c) field (e f)
+    | Ast.Map_insert (m, key, vals) ->
+      let w = write m and a, c = map_api m "map_insert" and ops = intern map_ops m in
+      let key = evals key and vals = evals vals in
+      fun f ->
+        bump writes w;
+        bump apis a;
+        let m = map st c in
+        let probes = State.insert m (Array.map (fun k -> k f) key) (Array.map (fun v -> v f) vals) in
+        record ops probes
+    | Ast.Map_erase m ->
+      let w = write m and a, c = map_api m "map_erase" in
+      fun _ ->
+        bump writes w;
+        bump apis a;
+        State.erase (map st c)
+    | Ast.Vec_append (name, e) ->
+      let w = write name and a, c = vec_api name "vec_append" and e = ex e in
+      fun f ->
+        bump writes w;
+        bump apis a;
+        State.vec_append (vec st c) (e f)
+    | Ast.Vec_get (name, idx, dst) ->
+      let r = read name and a, c = vec_api name "vec_get" and idx = ex idx in
+      let d = intern locals dst in
+      fun f ->
+        bump reads r;
+        bump apis a;
+        f.locals.(d) <- State.vec_get (vec st c) (idx f)
+    | Ast.Vec_set (name, idx, e) ->
+      let w = write name and a, c = vec_api name "vec_set" and idx = ex idx and e = ex e in
+      fun f ->
+        bump writes w;
+        bump apis a;
+        State.vec_set (vec st c) (idx f) (e f)
+    | Ast.If (c, th, el) ->
+      let c = ex c and th = block th and el = block el in
+      fun f -> (if truth (c f) then th else el) f
+    | Ast.While (c, body) ->
+      let at = intern conds sid and c = ex c and body = block body in
+      fun f ->
+        let fuel = ref loop_fuel in
+        while
+          bump conds at;
+          truth (c f)
+        do
+          decr fuel;
+          if !fuel <= 0 then raise (Fuel_exhausted elt.Ast.name);
+          body f
+        done
+    | Ast.For (v, lo, hi, body) ->
+      let at = intern conds sid and s = intern locals v in
+      let lo = ex lo and hi = ex hi and body = block body in
+      fun f ->
+        let lo_v = lo f and hi_v = hi f in
+        let fuel = ref loop_fuel in
+        let i = ref lo_v in
+        while
+          bump conds at;
+          !i < hi_v
+        do
+          decr fuel;
+          if !fuel <= 0 then raise (Fuel_exhausted elt.Ast.name);
+          f.locals.(s) <- !i;
+          body f;
+          (* the body may rebind the loop variable; the increment reads it
+             back, matching C semantics *)
+          i := 1 + f.locals.(s)
+        done
+    | Ast.Api_stmt (name, args) ->
+      let a = intern apis name and args = List.map ex args in
+      fun f ->
+        bump apis a;
+        Api.exec_stmt f.pkt name (List.map (fun arg -> arg f) args)
+    | Ast.Emit port ->
+      let a = intern apis "send" in
+      fun f ->
+        bump apis a;
+        f.locals.(action) <- 1000 + port;
+        raise Handler_return
+    | Ast.Drop ->
+      let a = intern apis "kill" in
+      fun f ->
+        bump apis a;
+        f.locals.(action) <- -1;
+        raise Handler_return
+    | Ast.Call_sub name -> (
+      match List.assoc_opt name subs with
+      | Some (body, _) -> fun f -> !body f
+      | None ->
+        fun _ -> failwith (Printf.sprintf "Interp: %s: unknown subroutine %s" elt.Ast.name name))
+    | Ast.Return -> fun _ -> raise Handler_return
+  and block body =
+    let ats = Array.of_list (List.map (fun (s : Ast.stmt) -> intern stmts s.Ast.sid) body) in
+    let run = Array.of_list (List.map stmt body) in
+    fun f ->
+      for k = 0 to Array.length run - 1 do
+        bump stmts ats.(k);
+        run.(k) f
+      done
+  in
+  let handler = block elt.Ast.handler in
+  List.iter (fun (_, (run, body)) -> run := block body) subs;
+  List.iter seal [ stmts; conds ];
+  List.iter seal [ reads; writes ];
+  List.iter seal [ apis; map_ops ];
+  probes := Array.make (Array.length map_ops.keys) 0;
+  {
+    handler;
+    slots = Array.make (Hashtbl.length locals.index) 0;
+    action;
+    stmts;
+    conds;
+    reads;
+    writes;
+    apis;
+    map_ops;
+    probes = !probes;
+  }
 
-and exec t locals pkt (s : stmt) =
-  bump t.profile.stmt_counts s.sid;
-  let sid = s.sid in
-  let ev e = eval t locals pkt ~sid e in
-  match s.node with
-  | Let (v, e) -> Hashtbl.replace locals v (ev e)
-  | Set_global (v, e) ->
-    bump t.profile.global_writes (v, sid);
-    State.scalar_ref t.state v := ev e
-  | Set_hdr (f, e) -> Packet.set_field pkt f (ev e)
-  | Set_payload (off, v) -> Packet.set_payload_byte pkt (ev off) (ev v)
-  | Arr_set (name, idx, v) ->
-    bump t.profile.global_writes (name, sid);
-    let arr = State.array_of t.state name in
-    let j = ev idx in
-    if j >= 0 && j < Array.length arr then arr.(j) <- ev v
-  | Map_find (map, key, dst) ->
-    bump t.profile.global_reads (map, sid);
-    bump t.profile.api_counts "map_find";
-    let m = State.map_of t.state map in
-    let found, probes = State.find m (Array.of_list (List.map ev key)) in
-    record_map_op t map probes;
-    Hashtbl.replace locals dst (if found then 1 else 0)
-  | Map_read (map, field, dst) ->
-    bump t.profile.global_reads (map, sid);
-    bump t.profile.api_counts "map_read";
-    Hashtbl.replace locals dst (State.read (State.map_of t.state map) field)
-  | Map_write (map, field, e) ->
-    bump t.profile.global_writes (map, sid);
-    bump t.profile.api_counts "map_write";
-    State.write (State.map_of t.state map) field (ev e)
-  | Map_insert (map, key, vals) ->
-    bump t.profile.global_writes (map, sid);
-    bump t.profile.api_counts "map_insert";
-    let m = State.map_of t.state map in
-    let probes =
-      State.insert m (Array.of_list (List.map ev key)) (Array.of_list (List.map ev vals))
-    in
-    record_map_op t map probes
-  | Map_erase map ->
-    bump t.profile.global_writes (map, sid);
-    bump t.profile.api_counts "map_erase";
-    State.erase (State.map_of t.state map)
-  | Vec_append (name, e) ->
-    bump t.profile.global_writes (name, sid);
-    bump t.profile.api_counts "vec_append";
-    State.vec_append (State.vec_of t.state name) (ev e)
-  | Vec_get (name, idx, dst) ->
-    bump t.profile.global_reads (name, sid);
-    bump t.profile.api_counts "vec_get";
-    Hashtbl.replace locals dst (State.vec_get (State.vec_of t.state name) (ev idx))
-  | Vec_set (name, idx, e) ->
-    bump t.profile.global_writes (name, sid);
-    bump t.profile.api_counts "vec_set";
-    State.vec_set (State.vec_of t.state name) (ev idx) (ev e)
-  | If (c, th, el) -> exec_list t locals pkt (if truth (ev c) then th else el)
-  | While (c, body) ->
-    let fuel = ref loop_fuel in
-    let check () =
-      bump t.profile.cond_counts sid;
-      truth (ev c)
-    in
-    while check () do
-      decr fuel;
-      if !fuel <= 0 then raise (Fuel_exhausted t.elt.name);
-      exec_list t locals pkt body
-    done
-  | For (v, lo, hi, body) ->
-    let lo_v = ev lo and hi_v = ev hi in
-    let fuel = ref loop_fuel in
-    let i = ref lo_v in
-    let check () =
-      bump t.profile.cond_counts sid;
-      !i < hi_v
-    in
-    while check () do
-      decr fuel;
-      if !fuel <= 0 then raise (Fuel_exhausted t.elt.name);
-      Hashtbl.replace locals v !i;
-      exec_list t locals pkt body;
-      (* the body may rebind the loop variable; the increment reads it back,
-         matching C semantics *)
-      i := 1 + Option.value ~default:!i (Hashtbl.find_opt locals v)
-    done
-  | Api_stmt (name, args) ->
-    bump t.profile.api_counts name;
-    Api.exec_stmt pkt name (List.map ev args)
-  | Emit port ->
-    bump t.profile.api_counts "send";
-    Hashtbl.replace locals "__action" (1000 + port);
-    raise Handler_return
-  | Drop ->
-    bump t.profile.api_counts "kill";
-    Hashtbl.replace locals "__action" (-1);
-    raise Handler_return
-  | Call_sub name -> (
-    match List.assoc_opt name t.elt.subs with
-    | Some body -> exec_list t locals pkt body
-    | None -> failwith (Printf.sprintf "Interp: %s: unknown subroutine %s" t.elt.name name))
-  | Return -> raise Handler_return
+type t = {
+  elt : Ast.element;
+  state : State.t;
+  profile : profile;
+  mutable time : int;  (** virtual clock: packet sequence number *)
+  prog : prog;
+}
 
-and exec_list t locals pkt stmts = List.iter (exec t locals pkt) stmts
+let create ?(mode = State.Host) elt =
+  let state = State.create ~mode elt.Ast.state in
+  { elt; state; profile = new_profile (); time = 0; prog = compile elt state }
 
-(** Process one packet; returns the verdict. *)
-let push t pkt =
-  let locals = Hashtbl.create 32 in
+(* One packet, counted but not flushed. *)
+let step t pkt =
+  let p = t.prog in
+  Array.fill p.slots 0 (Array.length p.slots) 0;
   t.profile.packets <- t.profile.packets + 1;
   t.time <- t.time + 1;
-  (try exec_list t locals pkt t.elt.handler with Handler_return -> ());
-  match Hashtbl.find_opt locals "__action" with
-  | Some a when a >= 1000 ->
+  (try p.handler { locals = p.slots; pkt; time = t.time } with Handler_return -> ());
+  let a = p.slots.(p.action) in
+  if a >= 1000 then begin
     t.profile.emitted <- t.profile.emitted + 1;
     Emitted (a - 1000)
-  | Some _ | None ->
+  end
+  else begin
     t.profile.dropped <- t.profile.dropped + 1;
     Dropped
+  end
+
+let flush t =
+  let p = t.prog and prof = t.profile in
+  flush_counts p.stmts prof.stmt_counts;
+  flush_counts p.conds prof.cond_counts;
+  flush_counts p.reads prof.global_reads;
+  flush_counts p.writes prof.global_writes;
+  flush_counts p.apis prof.api_counts;
+  let c = p.map_ops in
+  for k = 0 to c.touched - 1 do
+    let i = c.order.(k) in
+    (match Hashtbl.find_opt prof.map_ops c.keys.(i) with
+    | Some (ops, probes) ->
+      ops := !ops + c.counts.(i);
+      probes := !probes + p.probes.(i)
+    | None -> Hashtbl.replace prof.map_ops c.keys.(i) (ref c.counts.(i), ref p.probes.(i)));
+    c.counts.(i) <- 0;
+    p.probes.(i) <- 0
+  done;
+  c.touched <- 0
+
+let flushed t f =
+  match f () with
+  | v ->
+    flush t;
+    v
+  | exception e ->
+    flush t;
+    raise e
+
+(** Process one packet; returns the verdict. *)
+let push t pkt = flushed t (fun () -> step t pkt)
 
 (** Process a whole packet list, returning the profile. *)
 let run t pkts =
-  List.iter (fun pkt -> ignore (push t pkt)) pkts;
+  flushed t (fun () -> List.iter (fun pkt -> ignore (step t pkt)) pkts);
   t.profile

@@ -39,12 +39,17 @@ val global_accesses_at : profile -> string -> int -> int
 (** Mean probes per operation on a map; 1.0 when never used. *)
 val mean_probes : profile -> string -> float
 
+(** The element resolved by {!create}: local slots, state cells and dense
+    profile counters. *)
+type prog
+
 (** A running interpreter instance. *)
 type t = {
   elt : Ast.element;
   state : State.t;
   profile : profile;
   mutable time : int;  (** virtual clock: packet sequence number *)
+  prog : prog;
 }
 
 exception Handler_return
@@ -53,12 +58,15 @@ exception Handler_return
 exception Fuel_exhausted of string
 
 (** Fresh interpreter; [mode] selects Click ([State.Host]) or reverse-ported
-    NIC ([State.Nic]) data-structure semantics (§3.3). *)
+    NIC ([State.Nic]) data-structure semantics (§3.3).  The element is
+    resolved here, once; unknown state or subroutine names still fail only
+    when executed. *)
 val create : ?mode:State.mode -> Ast.element -> t
 
 val loop_fuel : int
 
-(** Process one packet (mutating it) and return the verdict. *)
+(** Process one packet (mutating it) and return the verdict.  The profile
+    is up to date when it returns or raises. *)
 val push : t -> Packet.t -> action
 
 (** Process a packet list; returns the accumulated profile. *)

@@ -72,6 +72,31 @@ let zipf_weights n s =
   Mutex.unlock zipf_lock;
   w
 
+(* Flows packed 20 bytes each: a small-flows spec draws 262,144 flows to
+   send a few hundred packets, so records are made only for drawn flows. *)
+let flow_bytes = 20
+
+let pack_flow table i ~src_ip ~dst_ip ~proto ~sport ~dport ~next_seq =
+  let o = i * flow_bytes in
+  Bytes.set_int32_le table o (Int32.of_int src_ip);
+  Bytes.set_int32_le table (o + 4) (Int32.of_int dst_ip);
+  Bytes.set_int32_le table (o + 8) (Int32.of_int next_seq);
+  Bytes.set_uint16_le table (o + 12) sport;
+  Bytes.set_uint16_le table (o + 14) dport;
+  Bytes.set_uint8 table (o + 16) proto
+
+let unpack_flow table i =
+  let o = i * flow_bytes in
+  let u32 o = Int32.to_int (Bytes.get_int32_le table o) land 0xffffffff in
+  {
+    src_ip = u32 o;
+    dst_ip = u32 (o + 4);
+    f_proto = Bytes.get_uint8 table (o + 16);
+    sport = Bytes.get_uint16_le table (o + 12);
+    dport = Bytes.get_uint16_le table (o + 14);
+    next_seq = u32 (o + 8);
+  }
+
 (** Generate the packet sequence for a spec.  Deterministic in [spec.seed].
     The first packet of each flow carries TCP SYN, later ones ACK, matching
     the paper's observation that SYNs trigger flow-state setup.
@@ -82,16 +107,14 @@ let zipf_weights n s =
     and forks one child rng per packet; packet construction and payload
     fill then fan out in parallel, each packet reading only its own rng.
     The packet list is a pure function of [spec] for any [CLARA_JOBS].
-
-    [sampler] picks the flow-draw implementation: [`Cdf] (the default)
-    binary-searches a prefix-sum table, [`Scan] is the retained O(n_flows)
-    linear scan.  The two share the same partial sums, comparison
-    predicate and single rng draw per packet, so they select identical
-    flows — the choice is pure speed (a 256k-flow spec costs 18 table
-    probes instead of a 256k-element scan per packet). *)
-let generate_with ~sampler (spec : spec) : Nf_lang.Packet.t list =
+    Flows are drawn by binary search over a prefix-sum table: the same
+    flow, from the same single rng draw, as {!generate_reference}'s linear
+    scan. *)
+let generate_with (spec : spec) : Nf_lang.Packet.t list =
   let rng = Util.Rng.create spec.seed in
-  let mk_flow i =
+  let n_flows = max 1 spec.n_flows in
+  let table = Bytes.create (n_flows * flow_bytes) in
+  for i = 0 to n_flows - 1 do
     let proto =
       match spec.proto with
       | Tcp -> Nf_lang.Packet.tcp_proto
@@ -99,36 +122,34 @@ let generate_with ~sampler (spec : spec) : Nf_lang.Packet.t list =
       | Mixed ->
         if Util.Rng.bool rng then Nf_lang.Packet.tcp_proto else Nf_lang.Packet.udp_proto
     in
-    {
-      src_ip = 0x0a000000 lor Util.Rng.int rng 0xffff lor ((i land 0xff) lsl 16);
-      dst_ip = 0xc0a80000 lor Util.Rng.int rng 0xffff;
-      f_proto = proto;
-      sport = 1024 + Util.Rng.int rng 60000;
-      dport = (match Util.Rng.int rng 4 with 0 -> 80 | 1 -> 443 | 2 -> 53 | _ -> 8080);
-      next_seq = Util.Rng.int rng 1_000_000;
-    }
-  in
-  let flows = Array.init (max 1 spec.n_flows) mk_flow in
+    (* the draw order of {!generate_reference}'s flow record literal,
+       whose fields ocamlopt evaluates right to left *)
+    let next_seq = Util.Rng.int rng 1_000_000 in
+    let dport = match Util.Rng.int rng 4 with 0 -> 80 | 1 -> 443 | 2 -> 53 | _ -> 8080 in
+    let sport = 1024 + Util.Rng.int rng 60000 in
+    let dst_ip = 0xc0a80000 lor Util.Rng.int rng 0xffff in
+    let src_ip = 0x0a000000 lor Util.Rng.int rng 0xffff lor ((i land 0xff) lsl 16) in
+    pack_flow table i ~src_ip ~dst_ip ~proto ~sport ~dport ~next_seq
+  done;
   let weights =
     match spec.flow_dist with
-    | Uniform -> Array.make (Array.length flows) 1.0
-    | Zipf s -> zipf_weights (Array.length flows) s
+    | Uniform -> Array.make n_flows 1.0
+    | Zipf s -> zipf_weights n_flows s
   in
-  let draw_flow =
-    match sampler with
-    | `Scan -> fun rng -> Util.Rng.weighted_index rng weights
-    | `Cdf ->
-      let cdf = Util.Rng.cdf_of_weights weights in
-      fun rng -> Util.Rng.weighted_index_cdf rng cdf
-  in
-  (* a byte per flow, not a table sized to 256k flows for a short trace *)
-  let seen = Bytes.make (Array.length flows) '\000' in
+  let cdf = Util.Rng.cdf_of_weights weights in
+  (* the flows drawn so far; a flow's first draw is its SYN *)
+  let drawn = Hashtbl.create (min n_flows (max 16 spec.n_packets)) in
   let plans = Array.make (max 0 spec.n_packets) None in
   for k = 0 to spec.n_packets - 1 do
-    let fi = draw_flow rng in
-    let flow = flows.(fi) in
-    let first = Bytes.get seen fi = '\000' in
-    if first then Bytes.set seen fi '\001';
+    let fi = Util.Rng.weighted_index_cdf rng cdf in
+    let flow, first =
+      match Hashtbl.find_opt drawn fi with
+      | Some flow -> (flow, false)
+      | None ->
+        let flow = unpack_flow table fi in
+        Hashtbl.add drawn fi flow;
+        (flow, true)
+    in
     let ip_id = Util.Rng.int rng 0x10000 in
     let seq = flow.next_seq in
     flow.next_seq <- (flow.next_seq + spec.payload_len) land 0xffffffff;
@@ -157,7 +178,7 @@ let generate_with ~sampler (spec : spec) : Nf_lang.Packet.t list =
          p)
        plans)
 
-(** [generate_with ~sampler:`Cdf], memoized: callers ask for a handful of
+(** {!generate_with}, memoized: callers ask for a handful of
     specs over and over (every uncached serving analysis uses one of
     three), so one template trace per spec is kept and each call returns
     fresh {!Nf_lang.Packet.copy} copies — the interpreter mutates packets.
@@ -172,7 +193,7 @@ let generate =
       match Mutex.protect lock (fun () -> Hashtbl.find_opt memo spec) with
       | Some t -> t
       | None ->
-        let t = generate_with ~sampler:`Cdf spec in
+        let t = generate_with spec in
         Mutex.protect lock (fun () ->
             if Hashtbl.length memo >= capacity then Hashtbl.reset memo;
             Hashtbl.replace memo spec t);

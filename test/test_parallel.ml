@@ -206,7 +206,7 @@ let test_workload_equivalent () =
   let spec = { Workload.large_flows with Workload.n_packets = 700; Workload.payload_len = 32 } in
   (* the uncached generator: [Workload.generate] would serve the second
      run from its memo instead of regenerating under four domains *)
-  let run () = trace_fingerprint (Workload.generate_with ~sampler:`Cdf spec) in
+  let run () = trace_fingerprint (Workload.generate_with spec) in
   let a, b = serial_vs_parallel run in
   Alcotest.(check bool) "packet stream bit-identical" true (a = b);
   Alcotest.(check int) "expected packet count" 700 (List.length a)
