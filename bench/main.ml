@@ -387,11 +387,7 @@ let with_conn path f =
 (* Write a block of [n] request lines and read until [n] reply newlines
    are back. *)
 let exchange fd buf lines n =
-  let len = String.length lines in
-  let off = ref 0 in
-  while !off < len do
-    off := !off + Unix.write_substring fd lines !off (len - !off)
-  done;
+  Serve.Lineio.write_all fd lines;
   let replies = ref 0 in
   while !replies < n do
     let k = Unix.read fd buf 0 (Bytes.length buf) in

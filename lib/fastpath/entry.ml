@@ -1,19 +1,8 @@
 (** Pre-rendered flow-entry replies (see entry.mli). *)
 
-(* Same escaping as [Serve.Jsonl.add_escaped]; the byte-equality tests
-   between fast-path and slow-path replies pin the two together. *)
-let add_escaped b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
+(* Escaping goes through [Obs.Json.add_escaped], the one [Serve.Jsonl]
+   uses too, so fast-path and slow-path replies cannot disagree on a
+   byte. *)
 
 type t = {
   nf : string;
@@ -28,14 +17,14 @@ type t = {
 let make ?(pred_compute = 0.0) ?(pred_memory = 0.0) ~nf ~workload ~report () =
   let b = Buffer.create (String.length nf + String.length workload + 32) in
   Buffer.add_string b ",\"nf\":\"";
-  add_escaped b nf;
+  Obs.Json.add_escaped b nf;
   Buffer.add_string b "\",\"workload\":\"";
-  add_escaped b workload;
+  Obs.Json.add_escaped b workload;
   Buffer.add_char b '"';
   let mid = Buffer.contents b in
   let rb = Buffer.create (String.length report + 16) in
   Buffer.add_char rb '"';
-  add_escaped rb report;
+  Obs.Json.add_escaped rb report;
   Buffer.add_char rb '"';
   { nf; workload; report; mid; report_json = Buffer.contents rb; pred_compute; pred_memory }
 
@@ -67,7 +56,7 @@ let render t ~id ~trace ~cached ~path =
   Buffer.add_string b "{\"id\":";
   Buffer.add_string b (if id = "" then "null" else id);
   Buffer.add_string b ",\"ok\":true,\"trace_id\":\"";
-  add_escaped b trace;
+  Obs.Json.add_escaped b trace;
   Buffer.add_char b '"';
   render_tail b t ~cached ~path;
   Buffer.contents b

@@ -125,24 +125,12 @@ let snapshot t =
 
 (* -- JSON -- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let record_to_json (r : record) =
-  Printf.sprintf
-    "{\"seq\":%d,\"ts\":%.6f,\"trace\":\"%s\",\"path\":\"%s\",\"shard\":%d,\"latency_us\":%.1f,\"outcome\":\"%s\",\"truncated\":%b,\"request\":\"%s\",\"reply\":\"%s\"}"
-    r.seq r.ts_s (json_escape r.trace) (json_escape r.path) r.shard r.latency_us
-    (json_escape r.outcome) r.truncated (json_escape r.request) (json_escape r.reply)
+let add_record_json b (r : record) =
+  let e = Json.add_escaped in
+  Printf.bprintf b
+    "{\"seq\":%d,\"ts\":%.6f,\"trace\":\"%a\",\"path\":\"%a\",\"shard\":%d,\"latency_us\":%.1f,\"outcome\":\"%a\",\"truncated\":%b,\"request\":\"%a\",\"reply\":\"%a\"}"
+    r.seq r.ts_s e r.trace e r.path r.shard r.latency_us e r.outcome r.truncated e r.request
+    e r.reply
 
 let triggered t =
   Mutex.lock t.trig_lock;
@@ -157,13 +145,13 @@ let to_json_string t =
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b "\"%s\":%d" (json_escape k) v)
+      Printf.bprintf b "\"%a\":%d" Json.add_escaped k v)
     (triggered t);
   Buffer.add_string b "},\"records\":[";
   List.iteri
     (fun i r ->
       if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (record_to_json r))
+      add_record_json b r)
     (snapshot t);
   Buffer.add_string b "]}";
   Buffer.contents b
@@ -172,11 +160,17 @@ let to_json_string t =
 
 let dump_jsonl t ~trigger oc =
   let records = snapshot t in
-  Printf.fprintf oc
-    "{\"schema\":\"clara-flight-dump/1\",\"trigger\":\"%s\",\"ts\":%.6f,\"pid\":%d,\"capacity\":%d,\"recorded\":%d,\"records\":%d}\n"
-    (json_escape trigger) (Unix.gettimeofday ()) (Unix.getpid ()) (capacity t) (recorded t)
+  let b = Buffer.create 4096 in
+  Printf.bprintf b
+    "{\"schema\":\"clara-flight-dump/1\",\"trigger\":\"%a\",\"ts\":%.6f,\"pid\":%d,\"capacity\":%d,\"recorded\":%d,\"records\":%d}\n"
+    Json.add_escaped trigger (Unix.gettimeofday ()) (Unix.getpid ()) (capacity t) (recorded t)
     (List.length records);
-  List.iter (fun r -> output_string oc (record_to_json r); output_char oc '\n') records
+  List.iter
+    (fun r ->
+      add_record_json b r;
+      Buffer.add_char b '\n')
+    records;
+  Buffer.output_buffer oc b
 
 let dump_to_file t ~trigger path =
   let oc = open_out path in

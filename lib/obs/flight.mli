@@ -84,9 +84,6 @@ val snapshot : t -> record list
 (** One JSON document: config, trigger counts, and the full snapshot. *)
 val to_json_string : t -> string
 
-(** One record as a single-line JSON object (the dump line format). *)
-val record_to_json : record -> string
-
 (** Write a dump — header line, then one line per record — to [oc]. *)
 val dump_jsonl : t -> trigger:string -> out_channel -> unit
 

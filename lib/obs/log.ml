@@ -92,23 +92,10 @@ let set_sink s =
 
 (* -- rendering -- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let add_value b = function
   | Str s ->
     Buffer.add_char b '"';
-    Buffer.add_string b (json_escape s);
+    Json.add_escaped b s;
     Buffer.add_char b '"'
   | Num f ->
     if Float.is_finite f then Buffer.add_string b (Printf.sprintf "%.12g" f)
@@ -132,12 +119,12 @@ let log lvl ?(fields = []) msg =
     Buffer.add_string b "\",\"level\":\"";
     Buffer.add_string b (level_name lvl);
     Buffer.add_string b "\",\"msg\":\"";
-    Buffer.add_string b (json_escape msg);
+    Json.add_escaped b msg;
     Buffer.add_char b '"';
     (let trace = Span.current_trace () in
      if trace <> "" then begin
        Buffer.add_string b ",\"trace\":\"";
-       Buffer.add_string b (json_escape trace);
+       Json.add_escaped b trace;
        Buffer.add_char b '"'
      end);
     (let span = Span.current_id () in
@@ -148,7 +135,7 @@ let log lvl ?(fields = []) msg =
     List.iter
       (fun (k, v) ->
         Buffer.add_string b ",\"";
-        Buffer.add_string b (json_escape k);
+        Json.add_escaped b k;
         Buffer.add_string b "\":";
         add_value b v)
       fields;

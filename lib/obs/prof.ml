@@ -247,19 +247,6 @@ let folded_alloc () =
     (stacks ());
   Buffer.contents b
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json_string () =
   let b = Buffer.create 512 in
   Printf.bprintf b "{\"enabled\":%b,\"hz\":%g,\"memprof\":%b,\"ticks\":%d,\"samples\":%d,\"stacks\":["
@@ -267,7 +254,7 @@ let to_json_string () =
   List.iteri
     (fun i s ->
       if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b "{\"stack\":\"%s\",\"samples\":%d,\"alloc_w\":%.0f}" (json_escape s.path)
+      Printf.bprintf b "{\"stack\":\"%a\",\"samples\":%d,\"alloc_w\":%.0f}" Json.add_escaped s.path
         s.samples s.alloc_w)
     (stacks ());
   Buffer.add_string b "]}";

@@ -63,28 +63,14 @@ let snapshot () =
 
 let names () = List.map (fun s -> s.s_name) (snapshot ())
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json_string () =
   let b = Buffer.create 1024 in
   Buffer.add_string b "{\"series\":[";
   List.iteri
     (fun i s ->
       if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "{\"name\":\"%s\",\"run\":%d,\"dropped\":%d,\"points\":["
-           (json_escape s.s_name) s.s_run (dropped s));
+      Printf.bprintf b "{\"name\":\"%a\",\"run\":%d,\"dropped\":%d,\"points\":["
+        Json.add_escaped s.s_name s.s_run (dropped s);
       List.iteri
         (fun j (step, v) ->
           if j > 0 then Buffer.add_char b ',';

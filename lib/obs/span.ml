@@ -180,19 +180,6 @@ let orphans () =
 
 (* -- Chrome trace export -- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_chrome_json () =
   let evs = events () in
   let t0 = List.fold_left (fun acc e -> Float.min acc e.start_us) Float.infinity evs in
@@ -202,11 +189,10 @@ let to_chrome_json () =
   List.iteri
     (fun i e ->
       if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":0,\"tid\":%d,\"args\":{\"id\":%d,\"parent\":%d,\"depth\":%d,\"alloc_words\":%.0f,\"trace\":\"%s\"}}"
-           (json_escape e.name) (json_escape e.cat) (e.start_us -. t0) e.dur_us e.domain e.id
-           e.parent e.depth e.alloc_w (json_escape e.trace)))
+      Printf.bprintf b
+        "{\"name\":\"%a\",\"cat\":\"%a\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":0,\"tid\":%d,\"args\":{\"id\":%d,\"parent\":%d,\"depth\":%d,\"alloc_words\":%.0f,\"trace\":\"%a\"}}"
+        Json.add_escaped e.name Json.add_escaped e.cat (e.start_us -. t0) e.dur_us e.domain e.id
+        e.parent e.depth e.alloc_w Json.add_escaped e.trace)
     evs;
   Buffer.add_string b
     (Printf.sprintf "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped\":%d}}" (dropped ()));

@@ -1,6 +1,7 @@
 (** The scale-out front (see front.mli). *)
 
 module Jsonl = Serve.Jsonl
+module Proto = Serve.Proto
 
 type worker = {
   w_name : string;
@@ -127,48 +128,27 @@ let create ?(vnodes = 64) ?(tenant_quota = 0) ?(forward_timeout_s = 5.0)
   rebuild_rings t;
   t
 
-let fresh_trace t =
+let fresh_trace t () =
   t.trace_counter <- t.trace_counter + 1;
   Printf.sprintf "r-%d" t.trace_counter
 
-(* -- replies (same field layout as the worker's) -- *)
+(* -- replies (laid out by [Serve.Proto], like the worker's) --
 
-let ok_reply ~trace id fields =
-  Jsonl.to_string
-    (Jsonl.Obj
-       (("id", id) :: ("ok", Jsonl.Bool true) :: ("trace_id", Jsonl.Str trace) :: fields))
-
-let err_reply ?(extra = []) ~trace id msg =
-  Jsonl.to_string
-    (Jsonl.Obj
-       (("id", id) :: ("ok", Jsonl.Bool false) :: ("trace_id", Jsonl.Str trace)
-        :: ("error", Jsonl.Str msg) :: extra))
-
-(* Echo id/trace even from lines that failed to parse. *)
-let salvage_identity t line =
-  let id = Option.value (Jsonl.salvage_member "id" line) ~default:Jsonl.Null in
-  let trace =
-    match Jsonl.salvage_member "trace_id" line with
-    | Some (Jsonl.Str s) -> s
-    | _ -> fresh_trace t
-  in
-  (id, trace)
-
+   Router-made error replies for forwarded lines echo the id/trace
+   salvaged from the raw line, parsed or not. *)
 let unavailable_reply t ~worker line =
   t.unavailable_count <- t.unavailable_count + 1;
   Obs.Metrics.inc m_unavailable;
-  let id, trace = salvage_identity t line in
-  err_reply ~trace id
+  let id, trace = Proto.identity ~mint:(fresh_trace t) line in
+  Proto.error_reply ~unavailable:true ~extra:[ ("worker", Jsonl.Str worker) ] ~trace id
     (Printf.sprintf "worker %s unavailable; retry re-hashes to a live worker" worker)
-    ~extra:[ ("unavailable", Jsonl.Bool true); ("worker", Jsonl.Str worker) ]
 
 let quota_reply t ~tenant line =
   Obs.Metrics.inc m_quota_shed;
-  let id, trace = salvage_identity t line in
-  err_reply ~trace id
+  let id, trace = Proto.identity ~mint:(fresh_trace t) line in
+  Proto.error_reply ~overloaded:true ~extra:[ ("tenant", Jsonl.Str tenant) ] ~trace id
     (Printf.sprintf "overloaded: tenant %s over its %d-lines-per-round quota" tenant
        (Quota.limit t.quota))
-    ~extra:[ ("overloaded", Jsonl.Bool true); ("tenant", Jsonl.Str tenant) ]
 
 (* -- worker connections -- *)
 
@@ -303,31 +283,49 @@ let probe t =
 
 (* -- placement -- *)
 
-let cmd_of req =
-  match Jsonl.str_member "cmd" req with Some _ as c -> c | None -> Jsonl.str_member "op" req
+(* One parse and one classification per line, read by both {!target}
+   and the batch path's [decide]: the router-local commands are listed
+   here and nowhere else. *)
+type local = Health | Topology | Rollout | Promote | Rollback | Metrics | Reload | Shutdown
 
-let local_cmd = function
-  | Some
-      ( "health" | "topology" | "rollout" | "promote" | "rollback" | "reload" | "metrics"
-      | "shutdown" ) ->
-    true
-  | Some _ | None -> false
+type parsed =
+  | Malformed
+  | Parsed of { req : Jsonl.t; cmd : string option; local : local option }
+
+let parse line =
+  match Jsonl.of_string line with
+  | Error _ -> Malformed
+  | Ok req ->
+    let cmd = Proto.cmd req in
+    let local =
+      match cmd with
+      | Some "health" -> Some Health
+      | Some "topology" -> Some Topology
+      | Some "rollout" -> Some Rollout
+      | Some "promote" -> Some Promote
+      | Some "rollback" -> Some Rollback
+      | Some "metrics" -> Some Metrics
+      | Some "reload" -> Some Reload
+      | Some "shutdown" -> Some Shutdown
+      | Some _ | None -> None
+    in
+    Parsed { req; cmd; local }
 
 (* The placement key: [analyze] requests collapse to "nf|workload" so one
    worker's flow cache warms per key; anything else (including malformed
    lines, which the worker answers with typed errors) keys on the raw
    line. *)
-let forward_key req_opt line =
-  match req_opt with
-  | None ->
+let forward_key parsed line =
+  match parsed with
+  | Malformed ->
     let tenant =
       match Jsonl.salvage_member "tenant" line with Some (Jsonl.Str s) -> s | _ -> "default"
     in
     (line, tenant)
-  | Some req ->
+  | Parsed { req; cmd; _ } ->
     let tenant = Option.value (Jsonl.str_member "tenant" req) ~default:"default" in
     let key =
-      match cmd_of req with
+      match cmd with
       | Some "analyze" -> (
         match Jsonl.str_member "nf" req with
         | Some nf ->
@@ -351,17 +349,14 @@ let make_route t ~key ~tenant =
   in
   { rt_worker = worker; rt_canary = canary; rt_key = key; rt_tenant = tenant }
 
+let route_of t parsed line =
+  let key, tenant = forward_key parsed line in
+  make_route t ~key ~tenant
+
 let target t line =
-  match Jsonl.of_string line with
-  | Error _ ->
-    let key, tenant = forward_key None line in
-    Some (make_route t ~key ~tenant)
-  | Ok req ->
-    if local_cmd (cmd_of req) then None
-    else begin
-      let key, tenant = forward_key (Some req) line in
-      Some (make_route t ~key ~tenant)
-    end
+  match parse line with
+  | Parsed { local = Some _; _ } -> None
+  | parsed -> Some (route_of t parsed line)
 
 (* -- rollout control -- *)
 
@@ -506,7 +501,7 @@ let rollback t =
 (* -- router-local commands -- *)
 
 let topology_reply t ~trace id =
-  ok_reply ~trace id
+  Proto.ok_reply ~trace id
     [ ("ring", Jsonl.Arr (List.map (fun n -> Jsonl.Str n) (Chash.members t.ring)));
       ("canary_ring",
        Jsonl.Arr (List.map (fun n -> Jsonl.Str n) (Chash.members t.canary_ring)));
@@ -514,14 +509,14 @@ let topology_reply t ~trace id =
 
 let rollout_reply t ~trace id req =
   match Jsonl.str_member "bundle" req with
-  | None -> err_reply ~trace id "rollout wants \"bundle\" (a model-bundle directory)"
+  | None -> Proto.error_reply ~trace id "rollout wants \"bundle\" (a model-bundle directory)"
   | Some bundle -> (
     let fraction = Option.value (Jsonl.num_member "fraction" req) ~default:0.1 in
     let seed = Option.map int_of_float (Jsonl.num_member "seed" req) in
     match start_rollout t ~bundle ~fraction ?seed () with
-    | Error msg -> err_reply ~trace id msg
+    | Error msg -> Proto.error_reply ~trace id msg
     | Ok version ->
-      ok_reply ~trace id
+      Proto.ok_reply ~trace id
         [ ("rollout", Jsonl.Str "canary"); ("version", Jsonl.Str version);
           ("fraction", Jsonl.Num fraction);
           ("canaries",
@@ -529,17 +524,17 @@ let rollout_reply t ~trace id req =
 
 let promote_reply t ~trace id =
   match promote t with
-  | Error msg -> err_reply ~trace id msg
+  | Error msg -> Proto.error_reply ~trace id msg
   | Ok (version, failed) ->
-    ok_reply ~trace id
+    Proto.ok_reply ~trace id
       [ ("promoted", Jsonl.Bool true); ("version", Jsonl.Str version);
         ("failed", Jsonl.Arr (List.map (fun n -> Jsonl.Str n) failed)) ]
 
 let rollback_reply t ~trace id =
   match rollback t with
-  | Error msg -> err_reply ~trace id msg
+  | Error msg -> Proto.error_reply ~trace id msg
   | Ok failed ->
-    ok_reply ~trace id
+    Proto.ok_reply ~trace id
       [ ("rolled_back", Jsonl.Bool true);
         ("failed", Jsonl.Arr (List.map (fun n -> Jsonl.Str n) failed)) ]
 
@@ -549,36 +544,31 @@ let shutdown_reply t ~trace id =
     (fun w -> if w.w_up then ignore (worker_request t w ~timeout_s:1.0 line))
     t.workers;
   Fastpath.Evloop.request_stop t.control;
-  ok_reply ~trace id [ ("stopping", Jsonl.Bool true) ]
+  Proto.ok_reply ~trace id [ ("stopping", Jsonl.Bool true) ]
 
 type decision = Local of string | Forward of route
 
 let decide t line =
-  match Jsonl.of_string line with
-  | Error _ ->
-    let key, tenant = forward_key None line in
-    Forward (make_route t ~key ~tenant)
-  | Ok req -> (
-    let id = Option.value (Jsonl.member "id" req) ~default:Jsonl.Null in
-    let trace =
-      match Jsonl.str_member "trace_id" req with Some s -> s | None -> fresh_trace t
-    in
-    match cmd_of req with
-    | Some "health" -> Local (ok_reply ~trace id (healthz_fields t))
-    | Some "topology" -> Local (topology_reply t ~trace id)
-    | Some "rollout" -> Local (rollout_reply t ~trace id req)
-    | Some "promote" -> Local (promote_reply t ~trace id)
-    | Some "rollback" -> Local (rollback_reply t ~trace id)
-    | Some "metrics" ->
-      Local (ok_reply ~trace id [ ("metrics", Jsonl.Str (Obs.Metrics.exposition ())) ])
-    | Some "reload" ->
+  match parse line with
+  | Malformed -> Forward (route_of t Malformed line)
+  | Parsed { req; local; _ } as parsed -> (
+    (* Every parsed line settles its identity here, forwarded or not: a
+       line without a trace id takes the next r-N either way. *)
+    let id, trace = Proto.identity ~mint:(fresh_trace t) ~req line in
+    match local with
+    | None -> Forward (route_of t parsed line)
+    | Some Health -> Local (Proto.ok_reply ~trace id (healthz_fields t))
+    | Some Topology -> Local (topology_reply t ~trace id)
+    | Some Rollout -> Local (rollout_reply t ~trace id req)
+    | Some Promote -> Local (promote_reply t ~trace id)
+    | Some Rollback -> Local (rollback_reply t ~trace id)
+    | Some Metrics ->
+      Local (Proto.ok_reply ~trace id [ ("metrics", Jsonl.Str (Obs.Metrics.exposition ())) ])
+    | Some Reload ->
       Local
-        (err_reply ~trace id
+        (Proto.error_reply ~trace id
            "reload is worker-scoped; drive fleet versions with rollout/promote/rollback")
-    | Some "shutdown" -> Local (shutdown_reply t ~trace id)
-    | _ ->
-      let key, tenant = forward_key (Some req) line in
-      Forward (make_route t ~key ~tenant))
+    | Some Shutdown -> Local (shutdown_reply t ~trace id))
 
 (* -- the batch path -- *)
 
@@ -698,9 +688,8 @@ let run t ~socket_path =
     ~control:t.control ~handle_batch:(route_batch t) ~on_tick
     ~reject:(fun () ->
       t.conn_shed_count <- t.conn_shed_count + 1;
-      err_reply ~trace:(fresh_trace t) Jsonl.Null
-        (Printf.sprintf "overloaded: router at its %d-connection limit" t.max_clients)
-        ~extra:[ ("overloaded", Jsonl.Bool true) ])
+      Proto.error_reply ~overloaded:true ~trace:(fresh_trace t ()) Jsonl.Null
+        (Printf.sprintf "overloaded: router at its %d-connection limit" t.max_clients))
     ~on_disconnect:(fun ~fn err ->
       Obs.Log.info ~fields:(io_fields ~fn err) "router.client_disconnected")
     ~on_error:(fun ~ctx ~fn err -> Obs.Log.warn ~fields:(io_fields ~fn err) ctx);

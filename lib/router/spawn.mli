@@ -9,12 +9,12 @@
     parent's domains — and is exactly how a production router would run
     its fleet anyway.
 
-    A harness that spawns workers (the router tests, the topology soak,
-    the router bench) must call {!worker_main_if_requested} as the very
-    first thing in [main]: in the parent it returns immediately; in a
-    worker child it loads the bundle, serves until shutdown/SIGTERM, and
-    [exit]s without returning.  The [clara] CLI does not need it — its
-    router verb spawns workers as [clara serve] child processes. *)
+    Every executable that spawns workers — the [clara] CLI (its [router]
+    verb), the router tests, the topology soak, the router bench — must
+    call {!worker_main_if_requested} as the very first thing in [main]:
+    in the parent it returns immediately; in a worker child it loads the
+    bundle, serves until shutdown/SIGTERM, and [exit]s without
+    returning. *)
 
 type t = {
   sp_name : string;

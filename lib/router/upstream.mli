@@ -1,11 +1,11 @@
 (** Blocking line I/O to one worker socket.
 
     The router keeps one persistent connection per live worker and
-    pipelines each round's request lines down it; these helpers do the
-    raw byte work and map every [Unix_error] (and timeout, and EOF) to
-    [Error msg] so the caller can treat "this worker just died" as data.
-    All sockets are opened close-on-exec: respawned worker children must
-    not inherit the router's descriptors. *)
+    pipelines each round's request lines down it; these helpers are
+    {!Serve.Lineio} with every [Unix_error] (and timeout, and EOF) mapped
+    to [Error msg], so the caller can treat "this worker just died" as
+    data.  All sockets are opened close-on-exec: respawned worker
+    children must not inherit the router's descriptors. *)
 
 (** Connect to a Unix-domain socket. *)
 val connect : socket_path:string -> (Unix.file_descr, string) result

@@ -66,86 +66,37 @@ let backoff_sleep t ~attempt =
 
 let connect t =
   match t.fd with
-  | Some fd -> fd
+  | Some fd -> Ok fd
   | None ->
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    (try Unix.connect fd (Unix.ADDR_UNIX t.socket_path)
-     with e ->
-       (try Unix.close fd with Unix.Unix_error _ -> ());
-       raise e);
-    t.fd <- Some fd;
-    t.residue <- "";
-    fd
-
-let really_write fd s =
-  let n = String.length s in
-  let sent = ref 0 in
-  while !sent < n do
-    sent := !sent + Unix.write_substring fd s !sent (n - !sent)
-  done
+    Result.map
+      (fun fd ->
+        t.fd <- Some fd;
+        t.residue <- "";
+        fd)
+      (Lineio.connect ~socket_path:t.socket_path)
 
 (* One attempt's outcome, before retry classification. *)
 type attempt = Reply of string | A_timeout | A_io of string
 
-(* Read up to the next newline, honouring the per-attempt deadline via
-   [select].  EOF before a newline means the server hung up on us
-   (e.g. the connection-limit shed closes right after its reply — that
-   reply still arrives whole first). *)
-let read_reply t fd =
-  let deadline = Unix.gettimeofday () +. t.timeout_s in
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf t.residue;
-  t.residue <- "";
-  let chunk = Bytes.create 4096 in
-  let rec loop () =
-    match String.index_opt (Buffer.contents buf) '\n' with
-    | Some i ->
-      let data = Buffer.contents buf in
-      t.residue <- String.sub data (i + 1) (String.length data - i - 1);
-      Reply (String.sub data 0 i)
-    | None -> (
-      let remaining = deadline -. Unix.gettimeofday () in
-      if remaining <= 0.0 then A_timeout
-      else
-        match Unix.select [ fd ] [] [] remaining with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-        | [], _, _ -> A_timeout
-        | _ -> (
-          match Unix.read fd chunk 0 (Bytes.length chunk) with
-          | 0 -> A_io "server closed the connection"
-          | n ->
-            Buffer.add_subbytes buf chunk 0 n;
-            loop ()
-          | exception Unix.Unix_error (err, fn, _) ->
-            A_io (Printf.sprintf "%s: %s" fn (Unix.error_message err))))
-  in
-  loop ()
-
+(* Send the line and read up to the next newline within the per-attempt
+   timeout.  EOF before a newline means the server hung up on us (e.g.
+   the connection-limit shed closes right after its reply — that reply
+   still arrives whole first). *)
 let attempt_once t line =
   t.attempts <- t.attempts + 1;
   match connect t with
-  | exception Unix.Unix_error (err, fn, _) ->
-    A_io (Printf.sprintf "%s: %s" fn (Unix.error_message err))
-  | fd -> (
-    match really_write fd (line ^ "\n") with
-    | () -> read_reply t fd
-    | exception Unix.Unix_error (err, fn, _) ->
-      A_io (Printf.sprintf "%s: %s" fn (Unix.error_message err)))
-
-(* Replies flagged ["overloaded":true] (admission/connection shedding)
-   or ["unavailable":true] (a router's worker died mid-request; the next
-   attempt re-hashes to a live one) are the server saying "retry later" —
-   both feed the same backoff loop. *)
-let overloaded_msg reply =
-  let flagged name fallback =
-    match Jsonl.member name reply with
-    | Some (Jsonl.Bool true) ->
-      Some (Option.value (Jsonl.str_member "error" reply) ~default:fallback)
-    | _ -> None
-  in
-  match flagged "overloaded" "overloaded" with
-  | Some _ as m -> m
-  | None -> flagged "unavailable" "unavailable"
+  | Error msg -> A_io msg
+  | Ok fd -> (
+    match Lineio.send_lines fd [ line ] with
+    | Error msg -> A_io msg
+    | Ok () -> (
+      match Lineio.read_lines fd ~residue:t.residue ~n:1 ~timeout_s:t.timeout_s with
+      | Ok (reply :: _, residue) ->
+        t.residue <- residue;
+        Reply reply
+      | Ok ([], _) | Error Lineio.Closed -> A_io "server closed the connection"
+      | Error Lineio.Timeout -> A_timeout
+      | Error (Lineio.Io msg) -> A_io msg))
 
 let request t fields =
   let fields =
@@ -174,7 +125,11 @@ let request t fields =
         match Jsonl.of_string raw with
         | Error msg -> Error (Bad_reply msg)
         | Ok reply -> (
-          match overloaded_msg reply with
+          (* Replies flagged ["overloaded":true] (admission/connection
+             shedding) or ["unavailable":true] (a router's worker died
+             mid-request; the next attempt re-hashes to a live one) are the
+             server saying "retry later": both feed the backoff loop. *)
+          match Proto.retry_later reply with
           | Some msg -> go (attempt + 1) (Overloaded msg)
           | None -> Ok reply))
     end

@@ -134,13 +134,6 @@ let read_head fd =
   in
   loop ()
 
-let really_write fd s =
-  let n = String.length s in
-  let sent = ref 0 in
-  while !sent < n do
-    sent := !sent + Unix.write_substring fd s !sent (n - !sent)
-  done
-
 let serve_connection t fd =
   Unix.setsockopt_float fd Unix.SO_RCVTIMEO 2.0;
   (* A reader that stops consuming must not wedge the accept loop. *)
@@ -168,7 +161,7 @@ let serve_connection t fd =
         Obs.Metrics.inc m_other;
         response ~status:"400 Bad Request" ~content_type:text "bad request\n"
     in
-    really_write fd reply
+    Lineio.write_all fd reply
 
 let run t =
   Obs.Log.info ~fields:[ ("port", Obs.Log.Int t.h_port) ] "http.start";

@@ -10,19 +10,6 @@ type t =
 
 (* -- printing -- *)
 
-let add_escaped b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
 let add_num b f =
   if Float.is_nan f || Float.abs f = Float.infinity then
     Buffer.add_string b "null" (* JSON has no NaN/inf *)
@@ -39,7 +26,7 @@ let to_string v =
     | Num f -> add_num b f
     | Str s ->
       Buffer.add_char b '"';
-      add_escaped b s;
+      Obs.Json.add_escaped b s;
       Buffer.add_char b '"'
     | Arr l ->
       Buffer.add_char b '[';
@@ -55,7 +42,7 @@ let to_string v =
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char b ',';
           Buffer.add_char b '"';
-          add_escaped b k;
+          Obs.Json.add_escaped b k;
           Buffer.add_string b "\":";
           go v)
         l;
@@ -86,8 +73,8 @@ let utf8_encode b code =
     Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
   end
 
-let of_string s =
-  if Obs.Fault.fire "jsonl.parse" then Error "injected fault: jsonl.parse"
+let parse s =
+  if Obs.Fault.fire "jsonl.parse" then Error (`Injected "injected fault: jsonl.parse")
   else
   let n = String.length s in
   let pos = ref 0 in
@@ -246,7 +233,12 @@ let of_string s =
     v
   with
   | v -> Ok v
-  | exception Parse msg -> Error msg
+  | exception Parse msg -> Error (`Malformed msg)
+
+let of_string s =
+  match parse s with
+  | Ok _ as ok -> ok
+  | Error (`Malformed msg | `Injected msg) -> Error msg
 
 let member key = function Obj l -> List.assoc_opt key l | _ -> None
 

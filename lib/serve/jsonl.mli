@@ -21,6 +21,12 @@ val to_string : t -> string
     {!Obs.Fault} draw) is an [Error]. *)
 val of_string : string -> (t, string) result
 
+(** {!of_string} with the two failure causes told apart: [`Injected]
+    when the armed [jsonl.parse] point fired (the text was never read),
+    [`Malformed] when the text itself does not parse.  The serving plane
+    classifies its error replies by this cause, never by message text. *)
+val parse : string -> (t, [ `Malformed of string | `Injected of string ]) result
+
 (** Object field lookup ([None] on non-objects and missing keys). *)
 val member : string -> t -> t option
 

@@ -131,19 +131,18 @@ let normalize reply =
 (* -- request classification --
 
    Stateful commands answer from live counters (stats, metrics, quality,
-   trace, flight, profile) or mutate the server (shutdown): their replies
-   are legitimately different on replay and are skipped, not diffed. *)
+   trace, flight, profile, health — the last also names the pid) or
+   mutate the server (shutdown): their replies are legitimately different
+   on replay and are skipped, not diffed. *)
 
-let volatile_cmds = [ "stats"; "metrics"; "quality"; "trace"; "flight"; "profile"; "shutdown" ]
+let volatile_cmds =
+  [ "stats"; "metrics"; "quality"; "trace"; "flight"; "profile"; "health"; "shutdown" ]
 
 let volatile_request line =
   match Jsonl.of_string line with
   | Error _ -> false (* malformed lines get deterministic error replies *)
   | Ok req -> (
-    let cmd =
-      match Jsonl.str_member "cmd" req with Some _ as c -> c | None -> Jsonl.str_member "op" req
-    in
-    match cmd with Some c -> List.mem c volatile_cmds | None -> false)
+    match Proto.cmd req with Some c -> List.mem c volatile_cmds | None -> false)
 
 let environmental_outcome = function
   | "overloaded" | "deadline" | "fault" -> true
@@ -187,19 +186,6 @@ let replay ~server records =
       skipped_volatile = 0; skipped_truncated = 0 }
     records
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json_string r =
   let b = Buffer.create 512 in
   Printf.bprintf b
@@ -209,8 +195,9 @@ let to_json_string r =
   List.iteri
     (fun i d ->
       if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b "{\"seq\":%d,\"request\":\"%s\",\"expected\":\"%s\",\"got\":\"%s\"}"
-        d.d_seq (json_escape d.d_request) (json_escape d.d_expected) (json_escape d.d_got))
+      Printf.bprintf b "{\"seq\":%d,\"request\":\"%a\",\"expected\":\"%a\",\"got\":\"%a\"}"
+        d.d_seq Obs.Json.add_escaped d.d_request Obs.Json.add_escaped d.d_expected
+        Obs.Json.add_escaped d.d_got)
     r.diverged;
   Buffer.add_string b "]}";
   Buffer.contents b

@@ -26,7 +26,7 @@
     reply described the original process's load or armed faults, not the
     request), and requests whose command answers from live state
     ([stats], [metrics], [quality], [trace], [flight], [profile],
-    [shutdown]: [skipped_volatile]). *)
+    [health], [shutdown]: [skipped_volatile]). *)
 
 (** Parsed dump header. *)
 type header = {

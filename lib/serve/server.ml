@@ -235,35 +235,42 @@ let trace_counter = Atomic.make 0
 
 let fresh_trace () = Printf.sprintf "t-%d" (1 + Atomic.fetch_and_add trace_counter 1)
 
-(* -- replies -- *)
+(* -- replies --
 
-let ok_reply ~trace id fields =
-  Jsonl.to_string
-    (Jsonl.Obj
-       (("id", id) :: ("ok", Jsonl.Bool true) :: ("trace_id", Jsonl.Str trace) :: fields))
+   A reply is built together with what it says: its outcome class and its
+   trace id.  The flight recorder, its dump triggers and the SLO
+   availability count read those, never the rendered bytes. *)
 
-(* [overloaded]/[deadline] mark the two machine-actionable error classes:
-   a client should retry an overloaded reply after backing off (the
-   condition is the server's), and should NOT retry a deadline reply (the
-   budget was the request's own). *)
-let err_reply ?valid ?(overloaded = false) ?(deadline = false) ~trace id msg =
+type outcome = [ `Ok | `Error | `Deadline | `Overloaded | `Fault ]
+
+let outcome_label : outcome -> string = function
+  | `Ok -> "ok"
+  | `Error -> "error"
+  | `Deadline -> "deadline"
+  | `Overloaded -> "overloaded"
+  | `Fault -> "fault"
+
+type reply = { text : string; outcome : outcome; trace : string }
+
+let ok_reply ~trace id fields = { text = Proto.ok_reply ~trace id fields; outcome = `Ok; trace }
+
+(* [`Overloaded]/[`Deadline] render the two machine-actionable error
+   flags: a client should retry an overloaded reply after backing off
+   (the condition is the server's), and should NOT retry a deadline reply
+   (the budget was the request's own).  [`Fault] marks an error an
+   injected fault caused — an environmental outcome replay cannot and
+   should not reproduce — and renders as a plain error. *)
+let err_reply ?valid ?(outcome = `Error) ~trace id msg =
   Obs.Metrics.inc m_errors;
-  if overloaded then Obs.Metrics.inc m_shed;
-  if deadline then Obs.Metrics.inc m_deadline;
-  let fields =
-    [ ("id", id); ("ok", Jsonl.Bool false); ("trace_id", Jsonl.Str trace);
-      ("error", Jsonl.Str msg) ]
-  in
-  let fields = if overloaded then fields @ [ ("overloaded", Jsonl.Bool true) ] else fields in
-  let fields =
-    if deadline then fields @ [ ("deadline_exceeded", Jsonl.Bool true) ] else fields
-  in
-  let fields =
-    match valid with
-    | None -> fields
-    | Some names -> fields @ [ ("valid", Jsonl.Arr (List.map (fun s -> Jsonl.Str s) names)) ]
-  in
-  Jsonl.to_string (Jsonl.Obj fields)
+  (match outcome with
+  | `Overloaded -> Obs.Metrics.inc m_shed
+  | `Deadline -> Obs.Metrics.inc m_deadline
+  | `Ok | `Error | `Fault -> ());
+  { text =
+      Proto.error_reply ?valid ~overloaded:(outcome = `Overloaded)
+        ~deadline:(outcome = `Deadline) ~trace id msg;
+    outcome;
+    trace }
 
 (* Analyze replies render through the flow entry's pre-serialized bytes on
    every route.  The slow path goes through [Entry.render] with the id
@@ -273,30 +280,37 @@ let err_reply ?valid ?(overloaded = false) ?(deadline = false) ~trace id msg =
    so the two replies for one request differ in exactly the
    [cached]/[path] values. *)
 let analyze_reply ~trace id ~cached ~path entry =
-  Fastpath.Entry.render entry
-    ~id:(match id with Jsonl.Null -> "" | id -> Jsonl.to_string id)
-    ~trace ~cached ~path
+  { text =
+      Fastpath.Entry.render entry
+        ~id:(match id with Jsonl.Null -> "" | id -> Jsonl.to_string id)
+        ~trace ~cached ~path;
+    outcome = `Ok;
+    trace }
 
 (* -- request planning -- *)
 
+(* A cache miss: the analysis job it becomes (deduplicated by [key]) and
+   what its reply needs. *)
+type miss = {
+  id : Jsonl.t;
+  trace : string;
+  key : string;
+  elt : Nf_lang.Ast.element;
+  spec : Workload.spec;
+  nf_label : string;
+  wname : string;
+  deadline : float option;  (* absolute Clock seconds; None = no budget *)
+}
+
 (* A parsed request line: answered by the fast path, already answerable,
    a cache hit, or an analysis to fan out.  [Fast] keeps the shard/trace
-   the scanner already had in hand so the flight recorder never re-scans
-   a fast-path reply (both fields are empty-ish when recording is off). *)
+   the scanner already had in hand for the flight recorder (both are
+   empty-ish when recording is off). *)
 type plan =
   | Fast of { reply : string; shard : int; trace : string }
-  | Ready of string
+  | Ready of reply
   | Hit of { id : Jsonl.t; trace : string; key : string; entry : Fastpath.Entry.t }
-  | Miss of {
-      id : Jsonl.t;
-      trace : string;
-      key : string;
-      elt : Nf_lang.Ast.element;
-      spec : Workload.spec;
-      nf_label : string;
-      wname : string;
-      deadline : float option;  (* absolute Clock seconds; None = no budget *)
-    }
+  | Miss of miss
 
 let plan_trace = function
   | Fast _ | Ready _ -> None
@@ -317,7 +331,7 @@ let deadline_of t ~now req =
 let expired deadline = match deadline with Some d -> Obs.Clock.now_s () > d | None -> false
 
 let deadline_reply ~trace id =
-  err_reply ~deadline:true ~trace id "deadline exceeded before the analysis finished"
+  err_reply ~outcome:`Deadline ~trace id "deadline exceeded before the analysis finished"
 
 let plan_analyze t ~now ~trace id req =
   let deadline = deadline_of t ~now req in
@@ -522,6 +536,7 @@ let reload_reply t ~trace id req =
   match Jsonl.str_member "bundle" req with
   | None -> err_reply ~trace id "reload wants \"bundle\" (a model-bundle directory)"
   | Some dir -> (
+    let injected = Obs.Fault.fired "persist.read" in
     match Persist.Bundle.load_salvage ~dir with
     | Error e ->
       Obs.Metrics.inc m_reload_failures;
@@ -531,7 +546,9 @@ let reload_reply t ~trace id req =
             ("error", Obs.Log.Str (Persist.Wire.error_to_string e));
             ("version", Obs.Log.Str t.version) ]
         "serve.reload_failed";
-      err_reply ~trace id
+      (* a load the armed [persist.read] point broke is environmental *)
+      let outcome = if Obs.Fault.fired "persist.read" > injected then `Fault else `Error in
+      err_reply ~outcome ~trace id
         (Printf.sprintf "reload failed, still serving version %s: %s" t.version
            (Persist.Wire.error_to_string e))
     | Ok (b, dropped) -> (
@@ -572,31 +589,20 @@ let reload_reply t ~trace id req =
 let plan_line_slow t ~now line =
   t.served_count <- t.served_count + 1;
   Obs.Metrics.inc m_requests;
-  match Jsonl.of_string line with
-  | Error msg ->
+  match Jsonl.parse line with
+  | Error cause ->
     (* Even an unparseable line gets its id (and trace id) echoed back when
        one can be salvaged, so pipelined clients keep request/reply
        correlation. *)
-    let id = Option.value (Jsonl.salvage_member "id" line) ~default:Jsonl.Null in
-    let trace =
-      match Jsonl.salvage_member "trace_id" line with
-      | Some (Jsonl.Str s) -> s
-      | Some _ | None -> fresh_trace ()
+    let id, trace = Proto.identity ~mint:fresh_trace line in
+    let outcome, msg =
+      match cause with `Malformed msg -> (`Error, msg) | `Injected msg -> (`Fault, msg)
     in
-    Ready (err_reply ~trace id ("malformed JSON: " ^ msg))
+    Ready (err_reply ~outcome ~trace id ("malformed JSON: " ^ msg))
   | Ok req -> (
-    let id = Option.value (Jsonl.member "id" req) ~default:Jsonl.Null in
-    let trace =
-      match Jsonl.str_member "trace_id" req with Some s -> s | None -> fresh_trace ()
-    in
+    let id, trace = Proto.identity ~mint:fresh_trace ~req line in
     Obs.Span.with_trace trace @@ fun () ->
-    (* "op" is accepted as an alias for "cmd". *)
-    let cmd =
-      match Jsonl.str_member "cmd" req with
-      | Some _ as c -> c
-      | None -> Jsonl.str_member "op" req
-    in
-    match cmd with
+    match Proto.cmd req with
     | Some "ping" -> Ready (ok_reply ~trace id [ ("pong", Jsonl.Bool true) ])
     | Some "list" ->
       Ready
@@ -669,11 +675,17 @@ let plan_line t ~now line =
 
 (* What one deduplicated analysis job produced.  A report carries the
    raw predictions alongside the rendered text so the flow entry (and
-   shadow evaluation through it) sees them without re-parsing. *)
+   shadow evaluation through it) sees them without re-parsing.  A failure
+   remembers whether an injected fault caused it. *)
 type job_outcome =
   | Report of { text : string; pc : float; pm : float }
-  | Failed of string
+  | Failed of { msg : string; fault : bool }
   | Timed_out
+
+let failed e =
+  Failed
+    { msg = Printexc.to_string e;
+      fault = (match e with Obs.Fault.Injected _ -> true | _ -> false) }
 
 (* Load shedding: a line past the [max_pending] admission bound is
    answered immediately with an explicit retryable [overloaded] error
@@ -683,24 +695,9 @@ let shed_reply t line =
   t.served_count <- t.served_count + 1;
   t.shed_count <- t.shed_count + 1;
   Obs.Metrics.inc m_requests;
-  let id = Option.value (Jsonl.salvage_member "id" line) ~default:Jsonl.Null in
-  let trace =
-    match Jsonl.salvage_member "trace_id" line with
-    | Some (Jsonl.Str s) -> s
-    | Some _ | None -> fresh_trace ()
-  in
-  err_reply ~overloaded:true ~trace id
+  let id, trace = Proto.identity ~mint:fresh_trace line in
+  err_reply ~outcome:`Overloaded ~trace id
     (Printf.sprintf "overloaded: server admits %d request lines per batch" t.max_pending)
-
-let reply_ok reply =
-  let pat = "\"ok\":" in
-  let n = String.length reply and pn = String.length pat in
-  let rec find i =
-    if i + pn > n then false
-    else if String.sub reply i pn = pat then i + pn < n && reply.[i + pn] = 't'
-    else find (i + 1)
-  in
-  find 0
 
 let split_at n l =
   let rec go n acc = function
@@ -713,68 +710,27 @@ let split_at n l =
 (* -- flight recording --
 
    Every reply line leaves one postmortem record behind (when the rings
-   are enabled).  Fast-path hits carry their shard/trace out of the
-   scanner, so only the cold routes pay the substring scans below.  The
-   outcome class is read off the rendered bytes — the same bytes the
-   client got — so the record can never disagree with the reply. *)
-
-let find_sub pat s =
-  let n = String.length s and m = String.length pat in
-  let rec go i = if i + m > n then None else if String.sub s i m = pat then Some i else go (i + 1) in
-  go 0
-
-let contains_sub pat s = find_sub pat s <> None
-
-(* "deadline" and "overloaded" are the machine-actionable flags the reply
-   itself carries; "fault" marks errors produced by an injected fault (an
-   environmental outcome replay cannot and should not reproduce). *)
-let classify_reply reply =
-  if reply_ok reply then "ok"
-  else if contains_sub "\"deadline_exceeded\":true" reply then "deadline"
-  else if contains_sub "\"overloaded\":true" reply then "overloaded"
-  else if contains_sub "injected fault" reply || contains_sub "Fault.Injected" reply then "fault"
-  else "error"
-
-(* The trace id as rendered in the reply (every reply carries one; reports
-   embed quotes only in escaped form, so the first match is the field). *)
-let trace_of_reply reply =
-  let pat = "\"trace_id\":\"" in
-  match find_sub pat reply with
-  | None -> ""
-  | Some i ->
-    let vstart = i + String.length pat in
-    let n = String.length reply in
-    let rec fin j =
-      if j >= n then n else if reply.[j] = '"' && reply.[j - 1] <> '\\' then j else fin (j + 1)
-    in
-    let vend = fin vstart in
-    String.sub reply vstart (vend - vstart)
+   are enabled), classed by the outcome its reply was built with.  A
+   deadline or fault outcome also pulls the matching dump trigger. *)
 
 let record_flight t ~now0 ~lines ~plans ~replies =
   if Obs.Flight.enabled t.flight then begin
     let latency_us = (Obs.Clock.now_s () -. now0) *. 1e6 in
     let rec go lines plans replies =
       match (lines, plans, replies) with
-      | line :: ls, plan :: ps, reply :: rs ->
-        (match plan with
-        | Fast { shard; trace; _ } ->
-          Obs.Flight.record t.flight ~shard ~trace ~path:"fast" ~latency_us ~outcome:"ok"
-            ~request:line ~reply
-        | Hit { key; trace; _ } ->
-          Obs.Flight.record t.flight ~shard:(Fastpath.Shards.shard_of_key t.flows key)
-            ~trace ~path:"slow" ~latency_us ~outcome:"ok" ~request:line ~reply
-        | Miss { key; trace; _ } ->
-          let outcome = classify_reply reply in
-          if outcome = "deadline" then ignore (Obs.Flight.trigger t.flight "deadline")
-          else if outcome = "fault" then ignore (Obs.Flight.trigger t.flight "fault");
-          Obs.Flight.record t.flight ~shard:(Fastpath.Shards.shard_of_key t.flows key)
-            ~trace ~path:"slow" ~latency_us ~outcome ~request:line ~reply
-        | Ready _ ->
-          let outcome = classify_reply reply in
-          if outcome = "deadline" then ignore (Obs.Flight.trigger t.flight "deadline")
-          else if outcome = "fault" then ignore (Obs.Flight.trigger t.flight "fault");
-          Obs.Flight.record t.flight ~shard:(-1) ~trace:(trace_of_reply reply) ~path:"slow"
-            ~latency_us ~outcome ~request:line ~reply);
+      | line :: ls, plan :: ps, (r : reply) :: rs ->
+        let shard, path =
+          match plan with
+          | Fast { shard; _ } -> (shard, "fast")
+          | Hit { key; _ } | Miss { key; _ } -> (Fastpath.Shards.shard_of_key t.flows key, "slow")
+          | Ready _ -> (-1, "slow")
+        in
+        (match r.outcome with
+        | `Deadline -> ignore (Obs.Flight.trigger t.flight "deadline")
+        | `Fault -> ignore (Obs.Flight.trigger t.flight "fault")
+        | `Ok | `Error | `Overloaded -> ());
+        Obs.Flight.record t.flight ~shard ~trace:r.trace ~path ~latency_us
+          ~outcome:(outcome_label r.outcome) ~request:line ~reply:r.text;
         go ls ps rs
       | _ -> ()
     in
@@ -829,8 +785,9 @@ let process_batch t lines =
       List.fold_left
         (fun acc plan ->
           match plan with
-          | Miss m when (not (expired m.deadline)) && not (List.mem_assoc m.key acc) ->
-            (m.key, (m.elt, m.spec, m.trace, m.deadline, m.nf_label, m.wname)) :: acc
+          | Miss m
+            when (not (expired m.deadline)) && not (List.exists (fun j -> j.key = m.key) acc) ->
+            m :: acc
           | _ -> acc)
         [] plans
       |> List.rev
@@ -843,31 +800,31 @@ let process_batch t lines =
          mutex serializes only same-shard jobs. *)
       match
         Util.Pool.parallel_map_list
-          (fun (key, (elt, spec, trace, deadline, _, _)) ->
-            Obs.Span.with_trace trace @@ fun () ->
+          (fun m ->
+            Obs.Span.with_trace m.trace @@ fun () ->
             let outcome =
-              if expired deadline then Timed_out
+              if expired m.deadline then Timed_out
               else
                 try
-                  let lane = t.lanes.(Fastpath.Shards.shard_of_key t.flows key) in
+                  let lane = t.lanes.(Fastpath.Shards.shard_of_key t.flows m.key) in
                   Mutex.lock lane.l_lock;
                   Fun.protect
                     ~finally:(fun () -> Mutex.unlock lane.l_lock)
                     (fun () ->
-                      let ins = Clara.Pipeline.analyze_compiled lane.l_compiled elt spec in
+                      let ins = Clara.Pipeline.analyze_compiled lane.l_compiled m.elt m.spec in
                       Report
                         { text = Clara.Insights.render ins;
                           pc = ins.Clara.Insights.predicted_compute;
                           pm = ins.Clara.Insights.predicted_memory })
-                with e -> Failed (Printexc.to_string e)
+                with e -> failed e
             in
-            (key, outcome))
+            (m, outcome))
           jobs
       with
       | results -> results
       | exception e ->
-        let msg = Printexc.to_string e in
-        List.map (fun (key, _) -> (key, Failed msg)) jobs
+        let outcome = failed e in
+        List.map (fun m -> (m, outcome)) jobs
     in
     (* Fresh reports become flow entries: reply bytes pre-serialized once,
        installed into the key's shard for every later fast-path probe.
@@ -876,14 +833,13 @@ let process_batch t lines =
     let entries =
       List.filter_map
         (function
-          | key, Report { text; pc; pm } ->
-            let _, _, _, _, nf_label, wname = List.assoc key jobs in
+          | m, Report { text; pc; pm } ->
             let entry =
-              Fastpath.Entry.make ~pred_compute:pc ~pred_memory:pm ~nf:nf_label
-                ~workload:wname ~report:text ()
+              Fastpath.Entry.make ~pred_compute:pc ~pred_memory:pm ~nf:m.nf_label
+                ~workload:m.wname ~report:text ()
             in
-            Fastpath.Shards.install t.flows key entry;
-            Some (key, entry)
+            Fastpath.Shards.install t.flows m.key entry;
+            Some (m.key, entry)
           | _, (Failed _ | Timed_out) -> None)
         results
     in
@@ -892,13 +848,13 @@ let process_batch t lines =
     let assembled =
       List.map
         (function
-          | Fast { reply; _ } -> reply
+          | Fast { reply; trace; _ } -> { text = reply; outcome = `Ok; trace }
           | Ready reply -> reply
-        | Hit { id; trace; key; entry } ->
-          if Quality.enabled t.quality then maybe_shadow t ~id:(id_token id) ~key entry;
-          analyze_reply ~trace id ~cached:true ~path:"slow" entry
+          | Hit { id; trace; key; entry } ->
+            if Quality.enabled t.quality then maybe_shadow t ~id:(id_token id) ~key entry;
+            analyze_reply ~trace id ~cached:true ~path:"slow" entry
           | Miss { id; trace; key; deadline; _ } -> (
-            match List.assoc_opt key results with
+            match List.find_map (fun (j, o) -> if j.key = key then Some o else None) results with
             | Some (Report _) ->
               if expired deadline then deadline_reply ~trace id
               else begin
@@ -906,7 +862,9 @@ let process_batch t lines =
                 if Quality.enabled t.quality then maybe_shadow t ~id:(id_token id) ~key entry;
                 analyze_reply ~trace id ~cached:false ~path:"slow" entry
               end
-            | Some (Failed msg) -> err_reply ~trace id ("analysis failed: " ^ msg)
+            | Some (Failed { msg; fault }) ->
+              err_reply ~outcome:(if fault then `Fault else `Error) ~trace id
+                ("analysis failed: " ^ msg)
             | Some Timed_out | None -> deadline_reply ~trace id))
         plans
     in
@@ -918,19 +876,17 @@ let process_batch t lines =
   if Obs.Flight.enabled t.flight && overflow <> [] then begin
     let latency_us = (Obs.Clock.now_s () -. now0) *. 1e6 in
     List.iter2
-      (fun line reply ->
-        Obs.Flight.record t.flight ~shard:(-1) ~trace:(trace_of_reply reply) ~path:"slow"
-          ~latency_us ~outcome:"overloaded" ~request:line ~reply)
+      (fun line (r : reply) ->
+        Obs.Flight.record t.flight ~shard:(-1) ~trace:r.trace ~path:"slow" ~latency_us
+          ~outcome:(outcome_label r.outcome) ~request:line ~reply:r.text)
       overflow shed_replies
   end;
   let replies = admitted_replies @ shed_replies in
   (* SLO accounting: every reply line counts availability by its own
-     ["ok"] flag.  The first raw "ok": in the rendered bytes is the
-     flag itself: the only content before it is the id, whose string
-     form is escaped, so a quote-containing id cannot fake a match. *)
+     outcome. *)
   if Quality.enabled t.quality then
-    List.iter (fun reply -> Quality.record_reply t.quality ~ok:(reply_ok reply)) replies;
-  replies
+    List.iter (fun r -> Quality.record_reply t.quality ~ok:(r.outcome = `Ok)) replies;
+  List.map (fun r -> r.text) replies
 
 let handle_request t line =
   match process_batch t [ line ] with
@@ -1021,8 +977,9 @@ let run t ~socket_path =
     ~control:t.control ~handle_batch ~on_tick
     ~reject:(fun () ->
       t.shed_count <- t.shed_count + 1;
-      err_reply ~overloaded:true ~trace:(fresh_trace ()) Jsonl.Null
-        (Printf.sprintf "overloaded: server at its %d-connection limit" t.max_clients))
+      (err_reply ~outcome:`Overloaded ~trace:(fresh_trace ()) Jsonl.Null
+         (Printf.sprintf "overloaded: server at its %d-connection limit" t.max_clients))
+        .text)
     (* A peer that vanished mid-conversation is the client's lifecycle,
        not a server fault: count it, log it at info, move on.  Anything
        else on a client socket still warns. *)

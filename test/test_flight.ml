@@ -194,6 +194,8 @@ let test_normalize () =
     (Serve.Replay.volatile_request {|{"cmd":"stats"}|});
   Alcotest.(check bool) "op alias is honoured" true
     (Serve.Replay.volatile_request {|{"op":"metrics"}|});
+  Alcotest.(check bool) "health (pid, live counters) is volatile" true
+    (Serve.Replay.volatile_request {|{"cmd":"health"}|});
   Alcotest.(check bool) "analyze is not volatile" false
     (Serve.Replay.volatile_request {|{"cmd":"analyze","nf":"tcpack"}|})
 
@@ -296,6 +298,52 @@ let test_shed_records () =
   Alcotest.(check int) "shed lines leave overloaded records" 3 (List.length shed);
   Alcotest.(check int) "admitted lines recorded too" 5 (List.length snap)
 
+(* The outcome class comes from what built the reply, not from its text:
+   a client error that merely quotes "injected fault" is an ordinary
+   error (no fault trigger, compared on replay), while a real injected
+   fault — a [pool.task] fan-out failure (two distinct misses, so the
+   batch really fans out) or an armed [jsonl.parse] draw — is still
+   classed and triggered as one. *)
+let test_fault_class_from_cause () =
+  let server =
+    Serve.Server.create ~cache_capacity:16 ~shards:4 ~flight_capacity:16 (Lazy.force models)
+  in
+  let lookalikes =
+    [ {|{"id":1,"cmd":"analyze","nf":"injected fault"}|}; {|{"id":2,"cmd":"injected fault"}|} ]
+  in
+  List.iter (fun l -> ignore (Serve.Server.handle_request server l)) lookalikes;
+  let fl = Serve.Server.flight server in
+  let outcomes () =
+    List.map (fun (r : Obs.Flight.record) -> r.Obs.Flight.outcome) (Obs.Flight.snapshot fl)
+  in
+  Alcotest.(check (list string)) "fault-quoting client errors are errors" [ "error"; "error" ]
+    (outcomes ());
+  Alcotest.(check (option int)) "no fault trigger" None
+    (List.assoc_opt "fault" (Obs.Flight.triggered fl));
+  let r =
+    Serve.Replay.replay
+      ~server:(Serve.Replay.server_for ~shards:4 (Lazy.force models))
+      (Obs.Flight.snapshot fl)
+  in
+  Alcotest.(check int) "not skipped as environmental" 0 r.Serve.Replay.skipped_env;
+  Alcotest.(check int) "both compared" 2 r.Serve.Replay.compared;
+  Alcotest.(check int) "both matched" 2 r.Serve.Replay.matched;
+  let with_fault point f =
+    Obs.Fault.set ~point ~prob:1.0 ~seed:1;
+    Fun.protect ~finally:(fun () -> Obs.Fault.remove point) f
+  in
+  with_fault "pool.task" (fun () ->
+      ignore
+        (Serve.Server.process_batch server
+           [ {|{"id":3,"cmd":"analyze","nf":"tcpack","workload":"mixed"}|};
+             {|{"id":4,"cmd":"analyze","nf":"udpipencap","workload":"small"}|} ]));
+  with_fault "jsonl.parse" (fun () ->
+      ignore (Serve.Server.handle_request server {|{"id":5,"cmd":"ping"}|}));
+  Alcotest.(check (list string)) "injected faults are faults"
+    [ "error"; "error"; "fault"; "fault"; "fault" ] (outcomes ());
+  Alcotest.(check (option int)) "each fault pulled the trigger" (Some 3)
+    (List.assoc_opt "fault" (Obs.Flight.triggered fl))
+
 let test_flight_socket_command () =
   let server =
     Serve.Server.create ~cache_capacity:16 ~flight_capacity:8 (Lazy.force models)
@@ -367,7 +415,9 @@ let () =
             test_normalize;
           Alcotest.test_case "mixed traffic records, dumps and replays clean" `Slow
             test_server_records_and_replays;
-          Alcotest.test_case "shed lines leave overloaded records" `Slow test_shed_records ] );
+          Alcotest.test_case "shed lines leave overloaded records" `Slow test_shed_records;
+          Alcotest.test_case "fault class comes from the cause, not the text" `Slow
+            test_fault_class_from_cause ] );
       ( "server",
         [ Alcotest.test_case "flight/profile socket commands" `Slow test_flight_socket_command;
           Alcotest.test_case "flight_json renders the rings" `Slow test_flight_json_accessor ]

@@ -532,6 +532,53 @@ let test_canary_rollout () =
       (Jsonl.member "ok" r = Some (Jsonl.Bool false)));
   Alcotest.(check string) "old version still serving" fl.fl_version_b (worker_version w0)
 
+(* -- routed vs direct --
+
+   One mixed stream answered two ways — through the router over real
+   workers, and by one in-process server over the same bundle — must
+   produce the same reply bytes modulo the per-request volatile fields
+   ({!Serve.Replay.normalize}: id, trace id, cached, path).  Every reply
+   class is in the stream: corpus miss then hit, malformed JSON, unknown
+   NF, inline and bad P4lite, a doomed deadline, an unknown command. *)
+let differential_stream =
+  [ analyze_line ~id:1 ~nf:"tcpack" ~workload:"mixed" ();
+    analyze_line ~id:2 ~nf:"udpipencap" ~workload:"small" ();
+    {|{"id":3,"cmd":"analyze","nf": |};
+    {|not json at all|};
+    analyze_line ~id:4 ~nf:"nosuchnf" ~workload:"mixed" ();
+    {|{"id":5,"cmd":"analyze","p4lite":{"name":"tinyacl","tables":[{"name":"acl","keys":["ip_src"],"actions":["drop","forward:1"],"default":"forward:0","size":16}]}}|};
+    {|{"id":6,"cmd":"analyze","p4lite":{"tables":[{"name":"t","keys":["no_such_field"],"actions":["drop"]}]}}|};
+    {|{"id":7,"cmd":"analyze","nf":"anonipaddr","workload":"large","deadline_ms":0.000001}|};
+    {|{"id":8,"cmd":"frobnicate"}|};
+    {|{"id":9,"op":"ping","trace_id":"keep-me"}|};
+    {|{"id":10,"cmd":"list"}|};
+    analyze_line ~id:11 ~nf:"tcpack" ~workload:"mixed" () ]
+
+let test_routed_vs_direct () =
+  with_fleet ~n:2 @@ fun fl ->
+  let server =
+    match Persist.Bundle.load_salvage ~dir:fl.fl_dir_a with
+    | Error e -> Alcotest.failf "cannot load bundle: %s" (Persist.Wire.error_to_string e)
+    | Ok (b, _) ->
+      Serve.Server.create
+        ~version:(Persist.Bundle.version b.Persist.Bundle.manifest)
+        b.Persist.Bundle.models
+  in
+  (* round 1 answers the corpus keys cold, round 2 from the flow caches *)
+  for round = 1 to 2 do
+    let routed = Router.Front.route_batch fl.fl_front differential_stream in
+    let direct = Serve.Server.process_batch server differential_stream in
+    Alcotest.(check int) "reply per line" (List.length differential_stream)
+      (List.length routed);
+    List.iteri
+      (fun i (r, d) ->
+        if Serve.Replay.normalize r <> Serve.Replay.normalize d then
+          Alcotest.failf "round %d line %d differs:\n  routed %s\n  direct %s" round i r d)
+      (List.combine routed direct)
+  done;
+  Alcotest.(check int) "every line forwarded" (2 * List.length differential_stream)
+    (Router.Front.forwarded fl.fl_front)
+
 let test_client_through_router_socket () =
   with_fleet ~n:2 @@ fun fl ->
   let socket_path =
@@ -595,5 +642,6 @@ let () =
           Alcotest.test_case "worker-kill failover and re-admission" `Quick
             test_worker_kill_failover;
           Alcotest.test_case "canary rollout, promote, rollback" `Quick test_canary_rollout;
+          Alcotest.test_case "routed replies equal direct replies" `Quick test_routed_vs_direct;
           Alcotest.test_case "client unchanged through router socket" `Quick
             test_client_through_router_socket ] ) ]

@@ -36,6 +36,40 @@ let test_json_roundtrip () =
       | Ok _ -> Alcotest.failf "%S should not parse" bad)
     [ ""; "{"; "[1,]"; "{\"a\"}"; "tru"; "\"unterminated"; "1 2" ]
 
+(* -- Obs.Json.add_escaped: the one escaper every JSON writer uses -- *)
+
+let test_escaper_round_trip () =
+  (* every byte below 0x80, plus UTF-8 and both escape-worthy printables *)
+  let s = String.init 128 Char.chr ^ "\xc3\xa9\"\\" in
+  let b = Buffer.create 512 in
+  Buffer.add_char b '"';
+  Obs.Json.add_escaped b s;
+  Buffer.add_char b '"';
+  let quoted = Buffer.contents b in
+  Alcotest.(check bool) "no raw control byte survives" false
+    (String.exists (fun c -> Char.code c < 0x20) quoted);
+  let has sub =
+    let n = String.length quoted and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub quoted i m = sub || go (i + 1)) in
+    go 0
+  in
+  Alcotest.(check bool) "short forms for \\r and \\t" true (has "\\r" && has "\\t");
+  (match Serve.Jsonl.of_string quoted with
+  | Ok (Serve.Jsonl.Str back) -> Alcotest.(check string) "parses back to the input" s back
+  | _ -> Alcotest.fail "escaped string does not parse");
+  (* an Obs document carrying the same bytes still parses *)
+  let fl = Obs.Flight.create ~shards:1 ~capacity:2 () in
+  Obs.Flight.record fl ~shard:0 ~trace:"t\r\t" ~path:"slow" ~latency_us:1.0 ~outcome:"ok"
+    ~request:s ~reply:"r";
+  match Serve.Jsonl.of_string (Obs.Flight.to_json_string fl) with
+  | Ok j -> (
+    match Serve.Jsonl.member "records" j with
+    | Some (Serve.Jsonl.Arr [ r ]) ->
+      Alcotest.(check (option string)) "request bytes survive the flight document" (Some s)
+        (Serve.Jsonl.str_member "request" r)
+    | _ -> Alcotest.fail "flight document lost its record")
+  | Error msg -> Alcotest.failf "flight document unparseable: %s" msg
+
 (* -- salvage_member: scalar extraction from malformed request lines -- *)
 
 let test_salvage_member () =
@@ -305,7 +339,9 @@ let () =
   Alcotest.run "serve"
     [ ( "jsonl",
         [ Alcotest.test_case "print/parse round-trip" `Quick test_json_roundtrip;
-          Alcotest.test_case "salvage_member on malformed lines" `Quick test_salvage_member ] );
+          Alcotest.test_case "salvage_member on malformed lines" `Quick test_salvage_member;
+          Alcotest.test_case "one escaper round-trips every byte" `Quick
+            test_escaper_round_trip ] );
       ( "server",
         [ Alcotest.test_case "valid query and cache hit" `Quick test_handle_valid_and_cached;
           Alcotest.test_case "error replies" `Quick test_handle_errors;
