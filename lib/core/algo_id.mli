@@ -8,10 +8,6 @@
     trained one-vs-rest per accelerator class; inference labels every
     component (loop nest) of an NF. *)
 
-(** The outermost loop statements of a handler, recursing through
-    branches. *)
-val outermost_loops : Nf_lang.Ast.stmt list -> Nf_lang.Ast.stmt list
-
 (** Analyzable components of an element: [(name, component)] for the whole
     handler plus each outermost loop (accelerator algorithms live in loop
     nests). *)
@@ -68,8 +64,13 @@ val train :
     highest margin, or [Other]. *)
 val classify : t -> Nf_lang.Ast.element -> Algo_corpus.label
 
-(** Scan a full NF: every component with a detected accelerator algorithm,
-    as [(component name, label)]. *)
+(** Scan a full NF already lowered to the given IR: every component with a
+    detected accelerator algorithm, as [(component name, label)].  The
+    whole-element component reads the IR; only loop components are
+    lowered. *)
+val detect_ir : t -> Nf_lang.Ast.element -> Nf_ir.Ir.func -> (string * Algo_corpus.label) list
+
+(** {!detect_ir} on the element's own lowering. *)
 val detect : t -> Nf_lang.Ast.element -> (string * Algo_corpus.label) list
 
 (** Feature vector against a given class model — the Figure 10a PCA input. *)

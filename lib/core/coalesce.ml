@@ -122,12 +122,14 @@ let pack_access_bytes (elt : Ast.element) pack =
       | Some (Ast.Array _ | Ast.Map _ | Ast.Vector _) | None -> acc + 4)
     0 pack
 
-(** End-to-end: port naively to profile, cluster, and re-port with packs. *)
+let packed naive packs =
+  (packs, Nicsim.Nic.reconfigure naive { Nicsim.Nic.naive_port with Nicsim.Nic.packs })
+
+(** End-to-end: port naively to profile, cluster, and reconfigure the
+    naive port with the packs. *)
 let apply (elt : Ast.element) (spec : Workload.spec) =
   let naive = Nicsim.Nic.port elt spec in
-  let packs = suggest elt naive.Nicsim.Nic.profile in
-  let config = { Nicsim.Nic.naive_port with Nicsim.Nic.packs } in
-  (packs, Nicsim.Nic.port ~config elt spec)
+  packed naive (suggest elt naive.Nicsim.Nic.profile)
 
 (** Expert emulation (§5.8): exhaustively try all partitions of the most
     frequently accessed variables (up to [limit] of them) into packs and
@@ -160,8 +162,7 @@ let expert_search ?(limit = 6) (elt : Ast.element) (spec : Workload.spec) =
   List.iter
     (fun partition ->
       let packs = List.filter (fun p -> List.length p >= 2) partition in
-      let config = { Nicsim.Nic.naive_port with Nicsim.Nic.packs } in
-      let ported = Nicsim.Nic.reconfigure naive config in
+      let _, ported = packed naive packs in
       let cores = Nicsim.Multicore.cores_to_saturate ported.Nicsim.Nic.demand in
       let lat = (Nicsim.Nic.peak ported).Nicsim.Multicore.latency_us in
       match !best with
@@ -170,4 +171,4 @@ let expert_search ?(limit = 6) (elt : Ast.element) (spec : Workload.spec) =
     (partitions hot);
   match !best with
   | Some (packs, ported, _, _) -> (packs, ported)
-  | None -> apply elt spec
+  | None -> packed naive (suggest elt profile)

@@ -26,7 +26,8 @@ val suggest : Nf_lang.Ast.element -> Nf_lang.Interp.profile -> Nicsim.Perf.packs
     to match the variable pack). *)
 val pack_access_bytes : Nf_lang.Ast.element -> string list -> int
 
-(** End-to-end: port naively to profile, cluster, re-port with packs. *)
+(** End-to-end: port naively to profile, cluster, and reconfigure that
+    port with the packs. *)
 val apply :
   Nf_lang.Ast.element -> Workload.spec -> Nicsim.Perf.packs * Nicsim.Nic.ported
 

@@ -56,26 +56,30 @@ let train ?(quick = false) ?(with_scaleout = true) ?(with_colocation = false) ()
   { predictor; algo; scaleout; colocation }
 
 (* The analyze body, parameterized over the two learned-inference entry
-   points that have compiled (allocation-free) twins.  Both instantiations
-   run the same float operations in the same order and open the same
-   spans, so insights — and recorded traces — are identical between the
-   direct and compiled paths. *)
-let analyze_with ~(predict_element : Ast.element -> (int * float * float) list)
-    ~(suggest : Nicsim.Perf.demand -> int option) (m : models) (elt : Ast.element)
-    (spec : Workload.spec) : Insights.t =
+   points that have compiled (allocation-free) twins: the block predictor
+   and the scale-out suggestion.  Both instantiations run the same float
+   operations in the same order and open the same spans, so insights — and
+   recorded traces — are identical between the direct and compiled paths.
+   The element is lowered and encoded once, by [Prepare.prepare]; the
+   predictor, accelerator detection and the port all read that result. *)
+let analyze_with ~(predict_block : int array -> float) ~(suggest : Nicsim.Perf.demand -> int option)
+    (m : models) (elt : Ast.element) (spec : Workload.spec) : Insights.t =
   Obs.Span.with_ ~cat:"pipeline" "pipeline.analyze" @@ fun () ->
   let prep = Prepare.prepare m.predictor.Predictor.vocab elt in
   (* performance parameters: LSTM for compute, direct count for memory *)
-  let per_block = predict_element elt in
+  let per_block = Predictor.predict_prepared predict_block prep in
   let predicted_compute = List.fold_left (fun acc (_, c, _) -> acc +. c) 0.0 per_block in
   let predicted_memory = float_of_int (Prepare.memory_estimate prep) in
   (* porting-strategy insights *)
   let accel =
     List.map
       (fun (component, algorithm) -> { Insights.component; algorithm })
-      (Algo_id.detect m.algo elt)
+      (Algo_id.detect_ir m.algo elt prep.Prepare.ir)
   in
-  let ported = Obs.Span.with_ ~cat:"pipeline" "nic.port" (fun () -> Nicsim.Nic.port elt spec) in
+  let ported =
+    Obs.Span.with_ ~cat:"pipeline" "nic.port" (fun () ->
+        Nicsim.Nic.port_ir elt prep.Prepare.ir spec)
+  in
   let suggested_cores = suggest ported.Nicsim.Nic.demand in
   let placement =
     if elt.Ast.state = [] then []
@@ -101,7 +105,7 @@ let analyze_with ~(predict_element : Ast.element -> (int * float * float) list)
     full insight bundle. *)
 let analyze (m : models) (elt : Ast.element) (spec : Workload.spec) : Insights.t =
   analyze_with
-    ~predict_element:(fun e -> Predictor.predict_element m.predictor e)
+    ~predict_block:(Predictor.predict_block m.predictor)
     ~suggest:(fun d -> Option.map (fun s -> Scaleout.suggest s d) m.scaleout)
     m elt spec
 
@@ -132,7 +136,7 @@ let compile (m : models) =
 
 let analyze_compiled (c : compiled) (elt : Ast.element) (spec : Workload.spec) : Insights.t =
   analyze_with
-    ~predict_element:(fun e -> Predictor.predict_element_compiled c.c_predictor e)
+    ~predict_block:(Predictor.predict_block_compiled c.c_predictor)
     ~suggest:(fun d -> Option.map (fun s -> Scaleout.suggest_compiled s d) c.c_scaleout)
     c.c_models elt spec
 

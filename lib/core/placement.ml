@@ -62,13 +62,15 @@ let solve (elt : Ast.element) (ported : Nicsim.Nic.ported) : Nicsim.Mem.placemen
       Nicsim.Mem.naive_placement (Array.to_list items)
   end
 
-(** End-to-end: port naively to profile, solve, and return the re-ported
-    NF under the suggested placement. *)
+let placed naive placement =
+  let config = { Nicsim.Nic.naive_port with Nicsim.Nic.placement = Some placement } in
+  (placement, Nicsim.Nic.reconfigure naive config)
+
+(** End-to-end: port naively to profile, solve, and return the naive port
+    reconfigured under the suggested placement. *)
 let apply (elt : Ast.element) (spec : Workload.spec) =
   let naive = Nicsim.Nic.port elt spec in
-  let placement = solve elt naive in
-  let config = { Nicsim.Nic.naive_port with Nicsim.Nic.placement = Some placement } in
-  (placement, Nicsim.Nic.port ~config elt spec)
+  placed naive (solve elt naive)
 
 (** Exhaustive per-structure search used by expert emulation (§5.8): every
     feasible assignment of the hottest [limit] structures is measured on
@@ -104,8 +106,7 @@ let expert_search ?(limit = 5) (elt : Ast.element) (spec : Workload.spec) =
         Array.to_list (Array.mapi (fun i b -> (items.(i), levels.(b))) assignment)
         @ List.filter (fun (name, _) -> not (List.mem name hot)) ilp_placement
       in
-      let config = { Nicsim.Nic.naive_port with Nicsim.Nic.placement = Some placement } in
-      let ported = Nicsim.Nic.reconfigure naive config in
+      let _, ported = placed naive placement in
       let peak = Nicsim.Nic.peak ported in
       let better (p : Nicsim.Multicore.point) (q : Nicsim.Multicore.point) =
         (* throughput first; latency breaks near-ties *)
@@ -119,4 +120,4 @@ let expert_search ?(limit = 5) (elt : Ast.element) (spec : Workload.spec) =
     candidates;
   match !best with
   | Some (placement, ported, _) -> (placement, ported)
-  | None -> apply elt spec
+  | None -> placed naive ilp_placement

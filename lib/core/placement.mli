@@ -16,8 +16,8 @@ val access_frequencies : Nicsim.Nic.ported -> (string * float) list
     Falls back to all-EMEM if capacities cannot be satisfied. *)
 val solve : Nf_lang.Ast.element -> Nicsim.Nic.ported -> Nicsim.Mem.placement
 
-(** End-to-end: port naively to profile, solve, re-port under the
-    suggested placement. *)
+(** End-to-end: port naively to profile, solve, and reconfigure that port
+    under the suggested placement. *)
 val apply :
   Nf_lang.Ast.element -> Workload.spec -> Nicsim.Mem.placement * Nicsim.Nic.ported
 

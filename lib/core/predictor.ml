@@ -16,24 +16,15 @@ type example = { tokens : int array; nic_compute : float; nic_mem : float; ir_me
 
 type dataset = { vocab : Vocab.t; examples : example array }
 
-(** Compile-and-label one element into per-block examples. *)
-let examples_of_element vocab (elt : Ast.element) =
-  let prep = Prepare.prepare vocab elt in
-  let compiled = Nicsim.Nfcc.compile prep.Prepare.ir in
-  Array.to_list
-    (Array.map
-       (fun (cb : Nicsim.Nfcc.compiled_block) ->
-         let info = List.nth prep.Prepare.blocks cb.Nicsim.Nfcc.bid in
-         {
-           tokens = info.Prepare.tokens;
-           nic_compute = float_of_int (Nicsim.Isa.count_compute cb.Nicsim.Nfcc.instrs);
-           nic_mem =
-             float_of_int
-               (Nicsim.Isa.count_mem cb.Nicsim.Nfcc.instrs
-               + Nicsim.Isa.count_local_mem cb.Nicsim.Nfcc.instrs);
-           ir_mem = float_of_int info.Prepare.ir_mem_stateful;
-         })
-       compiled.Nicsim.Nfcc.cblocks)
+(* The one compiled-block labeller: [(bid, NIC compute, NIC memory)],
+   where compute is every instruction that is not a memory op. *)
+let label (cb : Nicsim.Nfcc.compiled_block) =
+  let compute = ref 0 and mem = ref 0 in
+  List.iter
+    (fun (i : Nicsim.Isa.instr) ->
+      if Nicsim.Isa.is_mem i || Nicsim.Isa.is_local_mem i then incr mem else incr compute)
+    cb.Nicsim.Nfcc.instrs;
+  (cb.Nicsim.Nfcc.bid, float_of_int !compute, float_of_int !mem)
 
 (* Per-program intermediate of the parallel synthesis pass: abstract word
    sequences (not yet interned) plus the compiler's per-block labels. *)
@@ -47,8 +38,7 @@ let raw_of_element (elt : Ast.element) =
   let ir = Obs.Span.with_ ~cat:"pipeline" "lower" (fun () -> Nf_frontend.Lower.lower_element elt) in
   let compiled = Obs.Span.with_ ~cat:"pipeline" "nfcc.compile" (fun () -> Nicsim.Nfcc.compile ir) in
   (* one walk per IR block derives the word sequence and the stateful-mem
-     count together; one walk per compiled block derives both labels
-     (compute = not mem, so a single partition suffices) *)
+     count together *)
   let nb = Array.length ir.Ir.blocks in
   let block_words = Array.make nb [||] in
   let block_ir_mem = Array.make nb 0 in
@@ -68,17 +58,7 @@ let raw_of_element (elt : Ast.element) =
   {
     block_words;
     block_ir_mem;
-    labels =
-      Array.map
-        (fun (cb : Nicsim.Nfcc.compiled_block) ->
-          let compute = ref 0 and mem = ref 0 in
-          List.iter
-            (fun (i : Nicsim.Isa.instr) ->
-              if Nicsim.Isa.is_mem i || Nicsim.Isa.is_local_mem i then incr mem
-              else incr compute)
-            cb.Nicsim.Nfcc.instrs;
-          (cb.Nicsim.Nfcc.bid, float_of_int !compute, float_of_int !mem))
-        compiled.Nicsim.Nfcc.cblocks;
+    labels = Array.map label compiled.Nicsim.Nfcc.cblocks;
   }
 
 (** Build the training corpus from synthesized programs (§3.2 data
@@ -184,14 +164,18 @@ let train ?(epochs = 10) ?(hidden = 32) ?(batch = 8) (ds : dataset) =
 (** Predicted compute-instruction count for one block. *)
 let predict_block t tokens = max 0.0 (Mlkit.Lstm.predict t.lstm tokens).(0)
 
-(** Per-block predictions for a whole unported element. *)
-let predict_element t (elt : Ast.element) =
+(** The one per-block prediction body: [(bid, predicted compute, direct
+    memory count)] for a prepared element, each block's tokens through
+    [predict_block]. *)
+let predict_prepared predict_block (prep : Prepare.t) =
   Obs.Span.with_ ~cat:"pipeline" "predict" @@ fun () ->
-  let prep = Prepare.prepare t.vocab elt in
   List.map
     (fun (b : Prepare.block_info) ->
-      (b.Prepare.bid, predict_block t b.Prepare.tokens, float_of_int b.Prepare.ir_mem_stateful))
+      (b.Prepare.bid, predict_block b.Prepare.tokens, float_of_int b.Prepare.ir_mem_stateful))
     prep.Prepare.blocks
+
+(** Per-block predictions for a whole unported element. *)
+let predict_element t elt = predict_prepared (predict_block t) (Prepare.prepare t.vocab elt)
 
 (* -- compiled inference --
 
@@ -211,27 +195,13 @@ let compile t = { c_base = t; c_scratch = Mlkit.Lstm.scratch t.lstm }
 let predict_block_compiled c tokens =
   max 0.0 (Mlkit.Lstm.predict_into c.c_base.lstm c.c_scratch tokens).(0)
 
-let predict_element_compiled c (elt : Ast.element) =
-  Obs.Span.with_ ~cat:"pipeline" "predict" @@ fun () ->
-  let prep = Prepare.prepare c.c_base.vocab elt in
-  List.map
-    (fun (b : Prepare.block_info) ->
-      (b.Prepare.bid, predict_block_compiled c b.Prepare.tokens, float_of_int b.Prepare.ir_mem_stateful))
-    prep.Prepare.blocks
+let predict_element_compiled c elt =
+  predict_prepared (predict_block_compiled c) (Prepare.prepare c.c_base.vocab elt)
 
 (** Ground-truth per-block NIC compute counts for accuracy evaluation. *)
 let ground_truth (elt : Ast.element) =
-  let ir = Nf_frontend.Lower.lower_element elt in
-  let compiled = Nicsim.Nfcc.compile ir in
-  Array.to_list
-    (Array.map
-       (fun (cb : Nicsim.Nfcc.compiled_block) ->
-         ( cb.Nicsim.Nfcc.bid,
-           float_of_int (Nicsim.Isa.count_compute cb.Nicsim.Nfcc.instrs),
-           float_of_int
-             (Nicsim.Isa.count_mem cb.Nicsim.Nfcc.instrs
-             + Nicsim.Isa.count_local_mem cb.Nicsim.Nfcc.instrs) ))
-       compiled.Nicsim.Nfcc.cblocks)
+  let compiled = Nicsim.Nfcc.compile (Nf_frontend.Lower.lower_element elt) in
+  Array.to_list (Array.map label compiled.Nicsim.Nfcc.cblocks)
 
 (** Per-block WMAPE of the compute prediction on an element. *)
 let wmape_on_element t elt =
@@ -244,10 +214,9 @@ let wmape_on_element t elt =
 (** Memory-count accuracy: how close the direct IR stateful-load/store
     count is to the NIC memory-op count (paper: 96.4-100%). *)
 let memory_accuracy elt =
-  let vocab = Vocab.create () in
-  let prep = Prepare.prepare vocab elt in
-  let ir_mem = float_of_int (Ir.count_stateful_mem prep.Prepare.ir) in
-  let compiled = Nicsim.Nfcc.compile prep.Prepare.ir in
+  let ir = Nf_frontend.Lower.lower_element elt in
+  let ir_mem = float_of_int (Ir.count_stateful_mem ir) in
+  let compiled = Nicsim.Nfcc.compile ir in
   let nic_mem = float_of_int (Nicsim.Nfcc.count_mem compiled) in
   if nic_mem = 0.0 then 1.0 else 1.0 -. (abs_float (ir_mem -. nic_mem) /. nic_mem)
 

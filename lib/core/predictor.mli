@@ -17,9 +17,6 @@ type example = {
 
 type dataset = { vocab : Vocab.t; examples : example array }
 
-(** Compile-and-label one element into per-block examples. *)
-val examples_of_element : Vocab.t -> Nf_lang.Ast.element -> example list
-
 (** Build the training corpus from [n] synthesized programs (§3.2 data
     synthesis). *)
 val synthesize_dataset : ?n:int -> ?seed:int -> unit -> dataset
@@ -41,8 +38,13 @@ val train : ?epochs:int -> ?hidden:int -> ?batch:int -> dataset -> t
 (** Predicted compute-instruction count for one token sequence. *)
 val predict_block : t -> int array -> float
 
-(** Per-block [(bid, predicted compute, direct memory count)] for a whole
-    unported element. *)
+(** Per-block [(bid, predicted compute, direct memory count)] for a
+    prepared element, each block's tokens through the given block
+    predictor ({!predict_block} or {!predict_block_compiled}).  The one
+    prediction body, under a ["predict"] span. *)
+val predict_prepared : (int array -> float) -> Prepare.t -> (int * float * float) list
+
+(** {!predict_prepared} on the element's {!Prepare.prepare}. *)
 val predict_element : t -> Nf_lang.Ast.element -> (int * float * float) list
 
 (** A predictor compiled for serving: shares the trained weights, owns a

@@ -32,26 +32,31 @@ let block_api_calls (b : Ir.block) =
 let count_annot b p =
   List.fold_left (fun acc (i : Ir.instr) -> if p i.Ir.annot then acc + 1 else acc) 0 b.Ir.instrs
 
+(* The one block-info builder: [encode] derives a block's tokens. *)
+let blocks_of ~encode (ir : Ir.func) =
+  Array.to_list
+    (Array.map
+       (fun b ->
+         {
+           bid = b.Ir.bid;
+           src_sid = b.Ir.src_sid;
+           tokens = encode b;
+           ir_compute = count_annot b (function Ir.Compute -> true | _ -> false);
+           ir_mem_stateful = count_annot b (function Ir.Mem_stateful _ -> true | _ -> false);
+           ir_mem_stateless = count_annot b (function Ir.Mem_stateless -> true | _ -> false);
+           api_calls = block_api_calls b;
+         })
+       ir.Ir.blocks)
+
 (** Prepare an element: lower, build the CFG, encode each block against the
-    given vocabulary. *)
+    given vocabulary.  This is the analysis's one lowering: every later
+    stage reads [ir] and [blocks]. *)
 let prepare (vocab : Vocab.t) (elt : Ast.element) : t =
   Obs.Span.with_ ~cat:"pipeline" "prepare" @@ fun () ->
   let ir = Obs.Span.with_ ~cat:"pipeline" "lower" (fun () -> Nf_frontend.Lower.lower_element elt) in
   let blocks =
-    Obs.Span.with_ ~cat:"pipeline" "vocab.encode" @@ fun () ->
-    Array.to_list
-      (Array.map
-         (fun b ->
-           {
-             bid = b.Ir.bid;
-             src_sid = b.Ir.src_sid;
-             tokens = Vocab.encode_block vocab b;
-             ir_compute = count_annot b (function Ir.Compute -> true | _ -> false);
-             ir_mem_stateful = count_annot b (function Ir.Mem_stateful _ -> true | _ -> false);
-             ir_mem_stateless = count_annot b (function Ir.Mem_stateless -> true | _ -> false);
-             api_calls = block_api_calls b;
-           })
-         ir.Ir.blocks)
+    Obs.Span.with_ ~cat:"pipeline" "vocab.encode" (fun () ->
+        blocks_of ~encode:(Vocab.encode_block vocab) ir)
   in
   { elt; ir; blocks; api_set = Nf_frontend.Lower.api_set ir; loc = Pp.loc elt }
 
@@ -61,21 +66,7 @@ let prepare (vocab : Vocab.t) (elt : Ast.element) : t =
     baseline `bench/main.exe parallel` runs on this. *)
 let prepare_reference (vocab : Vocab.t) (elt : Ast.element) : t =
   let ir = Nf_frontend.Lower.Reference.lower_element elt in
-  let blocks =
-    Array.to_list
-      (Array.map
-         (fun b ->
-           {
-             bid = b.Ir.bid;
-             src_sid = b.Ir.src_sid;
-             tokens = Vocab.encode_block_with ~word:Vocab.word_reference vocab b;
-             ir_compute = count_annot b (function Ir.Compute -> true | _ -> false);
-             ir_mem_stateful = count_annot b (function Ir.Mem_stateful _ -> true | _ -> false);
-             ir_mem_stateless = count_annot b (function Ir.Mem_stateless -> true | _ -> false);
-             api_calls = block_api_calls b;
-           })
-         ir.Ir.blocks)
-  in
+  let blocks = blocks_of ~encode:(Vocab.encode_block_with ~word:Vocab.word_reference vocab) ir in
   { elt; ir; blocks; api_set = Nf_frontend.Lower.api_set ir; loc = Pp.loc elt }
 
 (** Direct memory-access count for the whole element: stateful loads/stores

@@ -22,14 +22,8 @@ type t = {
   loc : int;  (** source lines of the unported element *)
 }
 
-(** Framework calls appearing in one block. *)
-val block_api_calls : Nf_ir.Ir.block -> string list
-
-(** Count a block's instructions whose annotation satisfies the predicate. *)
-val count_annot : Nf_ir.Ir.block -> (Nf_ir.Ir.annot -> bool) -> int
-
 (** Lower an element, build the CFG and encode every block against
-    [vocab]. *)
+    [vocab]: an analysis's one lowering, read by every later stage. *)
 val prepare : Vocab.t -> Nf_lang.Ast.element -> t
 
 (** {!prepare} through the retained pre-optimization builder and word

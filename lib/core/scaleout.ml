@@ -6,8 +6,6 @@
     cost model over program/workload features.  Inference predicts the
     best core count for an unseen NF without sweeping the hardware. *)
 
-open Nf_lang
-
 (** Feature vector of an NF under a workload, from its demand profile:
     compute cycles, per-level memory accesses, arithmetic intensity, EMEM
     cache hit ratio, and the wire-relevant packet size. *)
@@ -116,11 +114,6 @@ let suggest ?(nic = Nicsim.Multicore.default_nic) t (d : Nicsim.Perf.demand) =
   Obs.Span.with_ ~cat:"pipeline" "scaleout.suggest" @@ fun () ->
   let raw = Mlkit.Tree.gbdt_predict t.gbdt (features d) in
   max 1 (min nic.Nicsim.Multicore.n_cores (int_of_float (Float.round raw)))
-
-(** Convenience: suggestion for an element under a workload spec. *)
-let suggest_for ?(nic = Nicsim.Multicore.default_nic) t (elt : Ast.element) spec =
-  let ported = Nicsim.Nic.port elt spec in
-  suggest ~nic t ported.Nicsim.Nic.demand
 
 (* -- compiled inference --
 

@@ -34,10 +34,6 @@ val train : ?samples:sample list -> unit -> t
 (** Suggested core count, clamped to the NIC's range. *)
 val suggest : ?nic:Nicsim.Multicore.nic -> t -> Nicsim.Perf.demand -> int
 
-(** Convenience wrapper: port the element under [spec] first. *)
-val suggest_for :
-  ?nic:Nicsim.Multicore.nic -> t -> Nf_lang.Ast.element -> Workload.spec -> int
-
 (** The cost model flattened to {!Mlkit.Tree.Flat} node arrays for the
     serving fast path; suggestions are identical to {!suggest}. *)
 type compiled

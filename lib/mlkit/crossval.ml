@@ -45,22 +45,6 @@ let cv_regression ?(seed = 47) ~k ~fit ~predict xs ys =
   in
   (Util.Stats.mean arr, Util.Stats.stddev arr)
 
-(** Same for binary classification; the fold score is accuracy. *)
-let cv_classification ?(seed = 47) ~k ~fit ~predict xs ys =
-  let n = Array.length xs in
-  let arr =
-    fold_scores
-      ~score:(fun (train_idx, test_idx) ->
-        let tx = Array.map (fun i -> xs.(i)) train_idx in
-        let ty = Array.map (fun i -> ys.(i)) train_idx in
-        let model = fit tx ty in
-        let preds = Array.map (fun i -> predict model xs.(i)) test_idx in
-        let truth = Array.map (fun i -> ys.(i)) test_idx in
-        Metrics.accuracy preds truth)
-      (kfold ~seed ~k n)
-  in
-  (Util.Stats.mean arr, Util.Stats.stddev arr)
-
 (** Pick the argmin-mean-MAE candidate from a labeled list of regression
     model families under K-fold CV. *)
 let select_regression ?(seed = 47) ?(k = 5) candidates xs ys =

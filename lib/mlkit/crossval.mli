@@ -16,17 +16,6 @@ val cv_regression :
   float array ->
   float * float
 
-(** (mean, stddev) of the per-fold held-out accuracy of a classifier
-    family (binary labels). *)
-val cv_classification :
-  ?seed:int ->
-  k:int ->
-  fit:(float array array -> float array -> 'model) ->
-  predict:('model -> float array -> float) ->
-  float array array ->
-  float array ->
-  float * float
-
 (** The (name, mean MAE) of the best candidate under K-fold CV. *)
 val select_regression :
   ?seed:int ->

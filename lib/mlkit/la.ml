@@ -8,8 +8,6 @@ let vec n = Array.make n 0.0
 
 let mat rows cols = Array.init rows (fun _ -> Array.make cols 0.0)
 
-let copy_mat m = Array.map Array.copy m
-
 (** Xavier-style random initialization. *)
 let randn_mat rng rows cols =
   let scale = sqrt (2.0 /. float_of_int (rows + cols)) in
@@ -44,10 +42,7 @@ let axpy alpha x y =
 
 let scale_vec alpha x = Array.map (fun v -> alpha *. v) x
 
-let add_vec a b = Array.init (Array.length a) (fun i -> a.(i) +. b.(i))
 let sub_vec a b = Array.init (Array.length a) (fun i -> a.(i) -. b.(i))
-
-let hadamard a b = Array.init (Array.length a) (fun i -> a.(i) *. b.(i))
 
 let l2_norm x = sqrt (dot x x)
 

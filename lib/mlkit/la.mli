@@ -4,7 +4,6 @@
 
 val vec : int -> float array
 val mat : int -> int -> float array array
-val copy_mat : float array array -> float array array
 
 (** Xavier-style random initialization. *)
 val randn_mat : Util.Rng.t -> int -> int -> float array array
@@ -23,9 +22,7 @@ val add_column_into : float array -> float array array -> int -> unit
 val axpy : float -> float array -> float array -> unit
 
 val scale_vec : float -> float array -> float array
-val add_vec : float array -> float array -> float array
 val sub_vec : float array -> float array -> float array
-val hadamard : float array -> float array -> float array
 val l2_norm : float array -> float
 val euclidean : float array -> float array -> float
 

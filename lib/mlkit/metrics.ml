@@ -19,14 +19,6 @@ let mae preds truths =
     !acc /. float_of_int n
   end
 
-let rmse preds truths =
-  let n = Array.length preds in
-  if n = 0 then 0.0
-  else begin
-    let acc = ref 0.0 in
-    Array.iteri (fun i p -> acc := !acc +. ((p -. truths.(i)) ** 2.0)) preds;
-    sqrt (!acc /. float_of_int n)
-  end
 
 (** Precision/recall over binary predictions (1.0 = positive). *)
 let precision_recall preds truths =

@@ -5,7 +5,6 @@
 val wmape : float array -> float array -> float
 
 val mae : float array -> float array -> float
-val rmse : float array -> float array -> float
 
 (** (precision, recall) over binary predictions; 1.0 = positive. *)
 val precision_recall : float array -> float array -> float * float

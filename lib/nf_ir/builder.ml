@@ -78,10 +78,6 @@ let br t target =
   if not (terminated t) then
     emit_void t ~op:(Ir.Br target) ~args:[] ~ty:Ir.I32 ~annot:Ir.Control
 
-let cond_br t cond ~then_:tb ~else_:eb =
-  if not (terminated t) then
-    emit_void t ~op:(Ir.Cond_br (tb, eb)) ~args:[ cond ] ~ty:Ir.I1 ~annot:Ir.Control
-
 let ret t = if not (terminated t) then emit_void t ~op:Ir.Ret ~args:[] ~ty:Ir.I32 ~annot:Ir.Control
 
 (** Seal the function: order blocks by id, ensure every block is terminated

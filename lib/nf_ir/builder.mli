@@ -59,9 +59,6 @@ val terminated : t -> bool
 (** Terminators; each is a no-op when the block is already terminated. *)
 val br : t -> int -> unit
 
-(** [cond_br t cond ~then_ ~else_] branches on the condition operand. *)
-val cond_br : t -> Ir.operand -> then_:int -> else_:int -> unit
-
 val ret : t -> unit
 
 (** Seal the function: order blocks by id, terminate stragglers with

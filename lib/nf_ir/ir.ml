@@ -14,8 +14,6 @@ let typ_str = function I1 -> "i1" | I8 -> "i8" | I16 -> "i16" | I32 -> "i32" | I
 
 let typ_of_width w = if w <= 1 then I1 else if w <= 8 then I8 else if w <= 16 then I16 else if w <= 32 then I32 else I64
 
-let width_of_typ = function I1 -> 1 | I8 -> 8 | I16 -> 16 | I32 -> 32 | I64 -> 64 | Ptr -> 64
-
 type operand =
   | Reg of int  (** SSA virtual register *)
   | Imm of int  (** integer immediate *)
@@ -140,22 +138,6 @@ let count_stateless_mem func =
 let count_api func = count_if (fun i -> match i.annot with Api _ -> true | _ -> false) func
 
 let count_total func = count_if (fun _ -> true) func
-
-(** Stateful globals referenced by the function, with per-block access
-    counts: (global, bid) occurrences. *)
-let stateful_refs func =
-  let acc = ref [] in
-  Array.iter
-    (fun b ->
-      List.iter
-        (fun i -> match i.annot with Mem_stateful g -> acc := (g, b.bid) :: !acc | _ -> ())
-        b.instrs)
-    func.blocks;
-  List.rev !acc
-
-(** Blocks in reverse-post-order-ish index order (blocks are created in
-    program order by the builder, which is already a valid linear order). *)
-let block_ids func = Array.to_list (Array.map (fun b -> b.bid) func.blocks)
 
 let block func bid =
   if bid < 0 || bid >= Array.length func.blocks then invalid_arg "Ir.block: bad id";

@@ -13,8 +13,6 @@ val typ_str : typ -> string
 (** Smallest integer type holding [width] bits. *)
 val typ_of_width : int -> typ
 
-val width_of_typ : typ -> int
-
 type operand =
   | Reg of int  (** SSA virtual register *)
   | Imm of int  (** integer immediate *)
@@ -93,11 +91,6 @@ val count_stateful_mem : func -> int
 val count_stateless_mem : func -> int
 val count_api : func -> int
 val count_total : func -> int
-
-(** (global, block id) pairs of every stateful access. *)
-val stateful_refs : func -> (string * int) list
-
-val block_ids : func -> int list
 
 (** Block by id.  @raise Invalid_argument out of range. *)
 val block : func -> int -> block

@@ -77,11 +77,3 @@ let check (f : Ir.func) : violation list =
         b.Ir.instrs)
     f.Ir.blocks;
   List.rev !problems
-
-(** Raise [Failure] with a readable report when [f] is malformed. *)
-let check_exn (f : Ir.func) =
-  match check f with
-  | [] -> ()
-  | vs ->
-    let msgs = List.map (fun v -> Printf.sprintf "bb%d: %s" v.block v.message) vs in
-    failwith (Printf.sprintf "Verify: %s: %s" f.Ir.fname (String.concat "; " msgs))

@@ -7,6 +7,3 @@ type violation = { block : int; message : string }
 
 (** All violations in a function. *)
 val check : Ir.func -> violation list
-
-(** @raise Failure with a readable report when the function is malformed. *)
-val check_exn : Ir.func -> unit

@@ -163,48 +163,3 @@ let find_state elt name =
   List.find_opt (fun d -> String.equal (state_name d) name) elt.state
 
 let is_stateful elt = elt.state <> []
-
-(** All header protocols touched by an expression/statement tree; drives the
-    emission of framework header-accessor calls. *)
-let rec expr_protos e =
-  match e with
-  | Int _ | Local _ | Global _ | Packet_len | Vec_len _ -> []
-  | Hdr f -> [ field_proto f ]
-  | Payload_byte e1 | Not e1 -> expr_protos e1
-  | Bin (_, a, b) | Cmp (_, a, b) | And_also (a, b) | Or_else (a, b) ->
-    expr_protos a @ expr_protos b
-  | Arr_get (_, e1) -> expr_protos e1
-  | Api_expr (_, args) -> List.concat_map expr_protos args
-
-let rec stmt_protos s =
-  match s.node with
-  | Let (_, e) | Set_global (_, e) | Set_payload (_, e) | Vec_append (_, e) | Arr_set (_, _, e)
-    ->
-    expr_protos e
-  | Set_hdr (f, e) -> field_proto f :: expr_protos e
-  | Map_find (_, keys, _) -> List.concat_map expr_protos keys
-  | Map_read (_, _, _) | Map_erase _ | Emit _ | Drop | Call_sub _ | Return -> []
-  | Map_write (_, _, e) -> expr_protos e
-  | Map_insert (_, keys, vals) -> List.concat_map expr_protos (keys @ vals)
-  | Vec_get (_, e, _) | While (e, _) -> expr_protos e
-  | Vec_set (_, i, v) -> expr_protos i @ expr_protos v
-  | If (c, t, f) -> expr_protos c @ List.concat_map stmt_protos t @ List.concat_map stmt_protos f
-  | For (_, lo, hi, body) ->
-    expr_protos lo @ expr_protos hi @ List.concat_map stmt_protos body
-  | Api_stmt (_, args) -> List.concat_map expr_protos args
-
-let protos_of_handler stmts = List.sort_uniq compare (List.concat_map stmt_protos stmts)
-
-(** Count of syntactic statements, including nested ones. *)
-let rec stmt_count s =
-  match s.node with
-  | If (_, t, f) -> 1 + List.fold_left (fun a x -> a + stmt_count x) 0 (t @ f)
-  | While (_, b) | For (_, _, _, b) -> 1 + List.fold_left (fun a x -> a + stmt_count x) 0 b
-  | Let _ | Set_global _ | Set_hdr _ | Set_payload _ | Arr_set _ | Map_find _ | Map_read _
-  | Map_write _ | Map_insert _ | Map_erase _ | Vec_append _ | Vec_get _ | Vec_set _
-  | Api_stmt _ | Emit _ | Drop | Call_sub _ | Return ->
-    1
-
-let element_stmt_count elt =
-  let body = elt.handler @ List.concat_map snd elt.subs in
-  List.fold_left (fun a s -> a + stmt_count s) 0 body

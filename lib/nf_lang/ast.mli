@@ -118,14 +118,3 @@ type element = {
 
 val find_state : element -> string -> state_decl option
 val is_stateful : element -> bool
-
-(** Header protocols touched by an expression / statement / handler. *)
-val expr_protos : expr -> proto list
-
-val stmt_protos : stmt -> proto list
-val protos_of_handler : stmt list -> proto list
-
-(** Syntactic statement count, nested statements included. *)
-val stmt_count : stmt -> int
-
-val element_stmt_count : element -> int

@@ -57,23 +57,6 @@ let mem_target i = match i.op with Mem (_, g) -> Some g | _ -> None
     pipeline executes, i.e. non-memory instructions. *)
 let is_compute i = not (is_mem i || is_local_mem i)
 
-let op_str = function
-  | Alu -> "alu"
-  | Alu_shf -> "alu_shf"
-  | Shf -> "shf"
-  | Immed -> "immed"
-  | Ld_field -> "ld_field"
-  | Mul_step -> "mul_step"
-  | Mem (Read, g) -> "mem[read," ^ g ^ "]"
-  | Mem (Write, g) -> "mem[write," ^ g ^ "]"
-  | Local_mem Read -> "lmem[read]"
-  | Local_mem Write -> "lmem[write]"
-  | Br -> "br"
-  | Br_cmp -> "br_cmp"
-  | Csr -> "csr"
-  | Accel_call a -> "accel[" ^ a ^ "]"
-  | Nop -> "nop"
-
 (* counting folds: these run per compiled block in the dataset pipeline,
    so they avoid materializing the filtered lists *)
 let count p instrs = List.fold_left (fun acc i -> if p i then acc + 1 else acc) 0 instrs

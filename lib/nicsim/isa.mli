@@ -44,7 +44,6 @@ val mem_target : instr -> string option
     core pipeline, i.e. non-memory instructions. *)
 val is_compute : instr -> bool
 
-val op_str : op -> string
 val count_compute : instr list -> int
 val count_mem : instr list -> int
 val count_local_mem : instr list -> int

@@ -33,19 +33,8 @@ let state_names (elt : Ast.element) = List.map Ast.state_name elt.Ast.state
 let state_sizes (elt : Ast.element) =
   List.map (fun d -> (Ast.state_name d, Ast.state_size_bytes d)) elt.Ast.state
 
-(** Lower, compile, profile and assemble the demand of an element under a
-    porting configuration and workload.
-
-    [packets] must be the trace [Workload.generate spec] would produce,
-    as fresh packets (the interpreter mutates them); omitted, it is taken
-    from [Workload.generate], which memoizes each spec's trace. *)
-let port ?(config = naive_port) ?packets (elt : Ast.element) (spec : Workload.spec) : ported =
-  let ir = Nf_frontend.Lower.lower_element elt in
-  let nfcc_config = Accel.accel_config config.accel_apis in
-  let compiled = Nfcc.compile ~config:nfcc_config ir in
-  let interp = Interp.create ~mode:State.Nic elt in
-  let packets = match packets with Some ps -> ps | None -> Workload.generate spec in
-  let profile = Interp.run interp packets in
+(* The demand of a compiled, profiled NF under a configuration. *)
+let assemble config (elt : Ast.element) spec ir compiled profile =
   let placement =
     match config.placement with
     | Some p -> p
@@ -54,23 +43,32 @@ let port ?(config = naive_port) ?packets (elt : Ast.element) (spec : Workload.sp
   let demand = Perf.demand_of ~packs:config.packs ~placement ~spec elt compiled profile in
   { elt; spec; config; ir; compiled; profile; demand }
 
-(** Re-derive the demand of an already-ported NF under a new placement or
-    packing without re-running the compiler or the interpreter (neither
-    depends on those knobs).  Accelerator changes do require a full
-    [port]. *)
+let compile_for config ir = Nfcc.compile ~config:(Accel.accel_config config.accel_apis) ir
+
+(** Compile, profile and assemble the demand of an element already
+    lowered to [ir], under a porting configuration and workload.
+
+    [packets] must be the trace [Workload.generate spec] would produce,
+    as fresh packets (the interpreter mutates them); omitted, it is taken
+    from [Workload.generate], which memoizes each spec's trace. *)
+let port_ir ?(config = naive_port) ?packets (elt : Ast.element) ir (spec : Workload.spec) : ported =
+  let compiled = compile_for config ir in
+  let interp = Interp.create ~mode:State.Nic elt in
+  let packets = match packets with Some ps -> ps | None -> Workload.generate spec in
+  assemble config elt spec ir compiled (Interp.run interp packets)
+
+let port ?config ?packets elt spec =
+  port_ir ?config ?packets elt (Nf_frontend.Lower.lower_element elt) spec
+
+(** Re-derive the demand of an already-ported NF under a new porting
+    configuration without re-lowering or re-running the interpreter
+    (the profile depends on none of the knobs); only an accelerator
+    change recompiles the IR. *)
 let reconfigure (p : ported) (config : port_config) : ported =
-  if config.accel_apis <> p.config.accel_apis then port ~config p.elt p.spec
-  else begin
-    let placement =
-      match config.placement with
-      | Some pl -> pl
-      | None -> Mem.naive_placement (state_names p.elt)
-    in
-    let demand =
-      Perf.demand_of ~packs:config.packs ~placement ~spec:p.spec p.elt p.compiled p.profile
-    in
-    { p with config; demand }
-  end
+  let compiled =
+    if config.accel_apis = p.config.accel_apis then p.compiled else compile_for config p.ir
+  in
+  assemble config p.elt p.spec p.ir compiled p.profile
 
 let measure ?(nic = Multicore.default_nic) ?cores (p : ported) =
   let cores = match cores with Some c -> c | None -> nic.Multicore.n_cores in

@@ -29,17 +29,27 @@ val state_names : Nf_lang.Ast.element -> string list
 (** The element's structure footprints in bytes (ILP sizes). *)
 val state_sizes : Nf_lang.Ast.element -> (string * int) list
 
-(** Lower, compile, profile and assemble the demand of an element under a
-    porting configuration and workload.  [packets] replays a pre-generated
-    trace (pass fresh {!Nf_lang.Packet.copy} copies — the interpreter
-    mutates packets); it must equal the trace [Workload.generate spec]
-    would produce. *)
+(** Compile, profile and assemble the demand of an element already
+    lowered to the given IR, under a porting configuration and workload.
+    [packets] replays a pre-generated trace (pass fresh
+    {!Nf_lang.Packet.copy} copies — the interpreter mutates packets); it
+    must equal the trace [Workload.generate spec] would produce. *)
+val port_ir :
+  ?config:port_config ->
+  ?packets:Nf_lang.Packet.t list ->
+  Nf_lang.Ast.element ->
+  Nf_ir.Ir.func ->
+  Workload.spec ->
+  ported
+
+(** {!port_ir} on the element's own lowering. *)
 val port :
   ?config:port_config -> ?packets:Nf_lang.Packet.t list -> Nf_lang.Ast.element -> Workload.spec -> ported
 
-(** Re-derive the demand under a new placement/packing without re-running
-    the compiler or interpreter (neither depends on those knobs);
-    accelerator changes trigger a full re-port. *)
+(** Re-derive the demand under a new configuration from the port's IR and
+    profile, without re-lowering or re-running the interpreter (the
+    profile depends on no knob); an accelerator change recompiles the
+    IR. *)
 val reconfigure : ported -> port_config -> ported
 
 (** Measure at [cores] (default: all). *)

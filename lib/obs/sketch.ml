@@ -182,22 +182,3 @@ let to_json_string ?(name = "") t =
   Buffer.add_char b '}';
   Buffer.contents b
 
-let label_string labels =
-  match labels with
-  | [] -> ""
-  | l -> "{" ^ String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%s=%S" k v) l) ^ "}"
-
-let to_prometheus ?(labels = []) ~name t =
-  let b = Buffer.create 256 in
-  Buffer.add_string b (Printf.sprintf "# TYPE %s summary\n" name);
-  List.iter
-    (fun (q, _) ->
-      Buffer.add_string b
-        (Printf.sprintf "%s%s %s\n" name
-           (label_string (labels @ [ ("quantile", fmt_float q) ]))
-           (fmt_float (quantile t q))))
-    export_quantiles;
-  Buffer.add_string b
-    (Printf.sprintf "%s_sum%s %s\n" name (label_string labels) (fmt_float (sum t)));
-  Buffer.add_string b (Printf.sprintf "%s_count%s %d\n" name (label_string labels) (count t));
-  Buffer.contents b

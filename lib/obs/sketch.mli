@@ -58,6 +58,3 @@ val to_json_string : ?name:string -> t -> string
 (** One-line JSON object: [alpha], [count], [zero], [sum], [min],
     [max] and the p50/p90/p99/p999 quantiles. *)
 
-val to_prometheus : ?labels:(string * string) list -> name:string -> t -> string
-(** Prometheus text-format summary: one [quantile]-labelled sample
-    line per exported quantile plus [_sum] and [_count]. *)

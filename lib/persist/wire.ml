@@ -72,10 +72,6 @@ let fmat w m =
   i64 w (Array.length m);
   Array.iter (farr w) m
 
-let iarr w a =
-  i64 w (Array.length a);
-  Array.iter (i64 w) a
-
 let list_ w put l =
   i64 w (List.length l);
   List.iter (put w) l
@@ -138,15 +134,6 @@ let r_fmat r =
     m.(i) <- r_farr r
   done;
   m
-
-let r_iarr r =
-  let n = r_len r "int array" in
-  need r (8 * n) "int array body";
-  let a = Array.make n 0 in
-  for i = 0 to n - 1 do
-    a.(i) <- r_i64 r
-  done;
-  a
 
 let r_list r get =
   let n = r_len r "list" in

@@ -52,7 +52,6 @@ val f64 : writer -> float -> unit
 val str : writer -> string -> unit
 val farr : writer -> float array -> unit
 val fmat : writer -> float array array -> unit
-val iarr : writer -> int array -> unit
 val list_ : writer -> (writer -> 'a -> unit) -> 'a list -> unit
 
 (** {1 Primitive reader} *)
@@ -66,7 +65,6 @@ val r_f64 : reader -> float
 val r_str : reader -> string
 val r_farr : reader -> float array
 val r_fmat : reader -> float array array
-val r_iarr : reader -> int array
 val r_list : reader -> (reader -> 'a) -> 'a list
 
 (** Fail with {!Malformed} unless the payload was fully consumed. *)

@@ -311,10 +311,11 @@ let parse line =
     in
     Parsed { req; cmd; local }
 
-(* The placement key: [analyze] requests collapse to "nf|workload" so one
-   worker's flow cache warms per key; anything else (including malformed
-   lines, which the worker answers with typed errors) keys on the raw
-   line. *)
+(* The placement key: [analyze] requests collapse to "nf|workload" (an
+   inline program to its JSON and workload, never its id or trace id) so
+   one worker's flow cache warms per key; anything else (including
+   malformed lines, which the worker answers with typed errors) keys on
+   the raw line. *)
 let forward_key parsed line =
   match parsed with
   | Malformed ->
@@ -328,9 +329,11 @@ let forward_key parsed line =
       match cmd with
       | Some "analyze" -> (
         match Jsonl.str_member "nf" req with
-        | Some nf ->
-          nf ^ "|" ^ Option.value (Jsonl.str_member "workload" req) ~default:"mixed"
-        | None -> line)
+        | Some nf -> Proto.flow_key nf (Proto.workload req)
+        | None -> (
+          match Jsonl.member "p4lite" req with
+          | Some program -> Proto.flow_key (Jsonl.to_string program) (Proto.workload req)
+          | None -> line))
       | _ -> line
     in
     (key, tenant)

@@ -7,8 +7,9 @@
     server runs too):
 
     - {b Placement.}  Each forwarded line is keyed — [analyze] requests
-      by ["nf|workload"] (so a key's flow-cache entry warms exactly one
-      worker), everything else by the raw line — and looked up on a
+      by ["nf|workload"], inline programs by the program's JSON and the
+      workload ({!Serve.Proto.flow_key}, so a key's flow-cache entry warms
+      exactly one worker), everything else by the raw line — and looked up on a
       consistent-hash ring ({!Chash}) over the live, non-draining
       workers.  Lines for the same worker are pipelined down one
       persistent connection; all groups are written before any replies

@@ -3,6 +3,10 @@
 let cmd req =
   match Jsonl.str_member "cmd" req with Some _ as c -> c | None -> Jsonl.str_member "op" req
 
+let default_workload = "mixed"
+let workload req = Option.value (Jsonl.str_member "workload" req) ~default:default_workload
+let flow_key subject workload = subject ^ "|" ^ workload
+
 let identity ~mint ?req line =
   match req with
   | Some req ->

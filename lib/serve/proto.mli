@@ -7,6 +7,17 @@
 (** The request's command: ["cmd"], else its alias ["op"]. *)
 val cmd : Jsonl.t -> string option
 
+(** The workload name an [analyze] request asks for: its ["workload"]
+    member, else {!default_workload} (["mixed"]). *)
+val workload : Jsonl.t -> string
+
+val default_workload : string
+
+(** The flow-cache key of an analysis: ["subject|workload"], where the
+    subject is the NF name (or an inline program's identity).  Workers key
+    their flow cache and the router places requests on it. *)
+val flow_key : string -> string -> string
+
 (** The request's identity [(id, trace)]: read from [req] when the line
     parsed, else salvaged from the raw [line] ({!Jsonl.salvage_member}),
     so even a malformed request gets its id echoed.  A missing id is

@@ -196,14 +196,6 @@ let drift_active t nf =
   with_lock t.drift_lock (fun () -> Hashtbl.find_opt t.drifts nf)
   |> Option.fold ~none:false ~some:Obs.Drift.active
 
-let drift_fired_at t nf =
-  with_lock t.drift_lock (fun () -> Hashtbl.find_opt t.drifts nf)
-  |> Option.fold ~none:(-1) ~some:Obs.Drift.fired_at
-
-let drift_samples t nf =
-  with_lock t.drift_lock (fun () -> Hashtbl.find_opt t.drifts nf)
-  |> Option.fold ~none:0 ~some:Obs.Drift.samples
-
 (* -- scrape -- *)
 
 let latency_metric = "fast_latency_us"

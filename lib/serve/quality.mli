@@ -75,8 +75,6 @@ val eval_errors : t -> int
     programs not in the corpus). *)
 
 val drift_active : t -> string -> bool
-val drift_fired_at : t -> string -> int
-val drift_samples : t -> string -> int
 
 val to_json_string : ?now:float -> t -> string
 (** Drain, then render the full quality state: header counters, then

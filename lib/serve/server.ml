@@ -133,11 +133,19 @@ let m_disconnects =
 let mixed_spec =
   { Workload.default with Workload.proto = Workload.Mixed; Workload.n_packets = 800 }
 
-let workload_named = function
-  | "mixed" -> Ok mixed_spec
-  | "large" -> Ok { Workload.large_flows with Workload.n_packets = 800 }
-  | "small" -> Ok { Workload.small_flows with Workload.n_packets = 800 }
-  | other -> Error (Printf.sprintf "unknown workload %S (one of: mixed, large, small)" other)
+(* The workloads a request may name, in the order errors list them. *)
+let workloads =
+  [ (Proto.default_workload, mixed_spec);
+    ("large", { Workload.large_flows with Workload.n_packets = 800 });
+    ("small", { Workload.small_flows with Workload.n_packets = 800 }) ]
+
+let workload_named name =
+  match List.assoc_opt name workloads with
+  | Some spec -> Ok spec
+  | None ->
+    Error
+      (Printf.sprintf "unknown workload %S (one of: %s)" name
+         (String.concat ", " (List.map fst workloads)))
 
 (* -- inline P4lite programs -- *)
 
@@ -335,7 +343,7 @@ let deadline_reply ~trace id =
 
 let plan_analyze t ~now ~trace id req =
   let deadline = deadline_of t ~now req in
-  let wname = Option.value (Jsonl.str_member "workload" req) ~default:"mixed" in
+  let wname = Proto.workload req in
   match workload_named wname with
   | Error msg -> Ready (err_reply ~trace id msg)
   | Ok spec -> (
@@ -343,7 +351,7 @@ let plan_analyze t ~now ~trace id req =
       match (Jsonl.str_member "nf" req, Jsonl.member "p4lite" req) with
       | Some name, _ -> (
         match Nf_lang.Corpus.find name with
-        | elt -> Ok (elt, name, name ^ "|" ^ wname)
+        | elt -> Ok (elt, name, Proto.flow_key name wname)
         | exception Failure _ ->
           Error
             (err_reply ~valid:(corpus_names ()) ~trace id (Printf.sprintf "unknown NF %S" name)))
@@ -352,8 +360,8 @@ let plan_analyze t ~now ~trace id req =
         | prog ->
           let elt = Nf_lang.P4lite.compile prog in
           let key =
-            Printf.sprintf "p4lite:%08lx|%s"
-              (Persist.Wire.crc32 (Nf_lang.Pp.to_string elt))
+            Proto.flow_key
+              (Printf.sprintf "p4lite:%08lx" (Persist.Wire.crc32 (Nf_lang.Pp.to_string elt)))
               wname
           in
           Ok (elt, elt.Nf_lang.Ast.name, key)
@@ -432,14 +440,13 @@ let fast_track t ~now line =
         | Some (nf_off, nf_len) -> (
           let wname =
             match Fastpath.Scan.member line "workload" with
-            | None -> Some "mixed"
+            | None -> Some Proto.default_workload
             | Some wspan -> (
               match Fastpath.Scan.string_contents line wspan with
               | None -> None
-              | Some (w_off, w_len) -> (
-                match String.sub line w_off w_len with
-                | ("mixed" | "large" | "small") as w -> Some w
-                | _ -> None))
+              | Some (w_off, w_len) ->
+                let w = String.sub line w_off w_len in
+                if List.mem_assoc w workloads then Some w else None)
           in
           match wname with
           | None -> None
@@ -464,7 +471,7 @@ let fast_track t ~now line =
               match trace_span with
               | None -> None
               | Some tr -> (
-                let key = String.sub line nf_off nf_len ^ "|" ^ wname in
+                let key = Proto.flow_key (String.sub line nf_off nf_len) wname in
                 match Fastpath.Shards.probe t.flows key with
                 | None -> None
                 | Some entry ->

@@ -334,9 +334,6 @@ let parallel_init ?chunk ?min_chunk ?cost n f =
 let parallel_map ?chunk ?min_chunk ?cost f arr =
   parallel_init ?chunk ?min_chunk ?cost (Array.length arr) (fun i -> f arr.(i))
 
-let parallel_mapi ?chunk ?min_chunk ?cost f arr =
-  parallel_init ?chunk ?min_chunk ?cost (Array.length arr) (fun i -> f i arr.(i))
-
 let parallel_map_list ?chunk ?min_chunk ?cost f l =
   Array.to_list (parallel_map ?chunk ?min_chunk ?cost f (Array.of_list l))
 

@@ -72,9 +72,6 @@ val parallel_init : ?chunk:int -> ?min_chunk:int -> ?cost:float -> int -> (int -
 (** [Array.map], chunk-parallel, order-preserving. *)
 val parallel_map : ?chunk:int -> ?min_chunk:int -> ?cost:float -> ('a -> 'b) -> 'a array -> 'b array
 
-val parallel_mapi :
-  ?chunk:int -> ?min_chunk:int -> ?cost:float -> (int -> 'a -> 'b) -> 'a array -> 'b array
-
 (** [List.map], chunk-parallel, order-preserving. *)
 val parallel_map_list :
   ?chunk:int -> ?min_chunk:int -> ?cost:float -> ('a -> 'b) -> 'a list -> 'b list

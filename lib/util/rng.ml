@@ -122,12 +122,6 @@ let weighted_index_cdf t { cum } =
   done;
   !lo
 
-(** Pick an element from weighted (weight, value) choices. *)
-let weighted_choose t choices =
-  let weights = Array.of_list (List.map fst choices) in
-  let values = Array.of_list (List.map snd choices) in
-  values.(weighted_index t weights)
-
 (** In-place Fisher-Yates shuffle. *)
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do

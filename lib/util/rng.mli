@@ -54,9 +54,6 @@ val cdf_of_weights : float array -> cdf
 
 val weighted_index_cdf : t -> cdf -> int
 
-(** Value sampled from weighted (weight, value) choices. *)
-val weighted_choose : t -> (float * 'a) list -> 'a
-
 (** In-place Fisher-Yates shuffle. *)
 val shuffle : t -> 'a array -> unit
 

@@ -367,6 +367,31 @@ let test_fast_path_id_variants () =
   Alcotest.(check (option string)) "client trace id echoed on the fast path" (Some "zz")
     (Serve.Jsonl.str_member "trace_id" (parse_reply trace))
 
+(* The fast path accepts exactly the workload names the slow path does:
+   each accepted name answers a warm hit fast (spelled out, and for the
+   default also omitted); an unknown one falls through to the slow
+   path's typed error. *)
+let test_fast_path_workload_names () =
+  let s = mk_server ~cache_capacity:64 () in
+  List.iter
+    (fun w ->
+      Alcotest.(check bool) (w ^ " is accepted") true (Result.is_ok (Serve.Server.workload_named w));
+      let line = Printf.sprintf {|{"id":1,"cmd":"analyze","nf":"tcpack","workload":"%s"}|} w in
+      Alcotest.(check (option string)) (w ^ ": install is slow") (Some "slow")
+        (path_of (Serve.Server.handle_request s line));
+      Alcotest.(check (option string)) (w ^ ": warm hit is fast") (Some "fast")
+        (path_of (Serve.Server.handle_request s line)))
+    [ "mixed"; "large"; "small" ];
+  Alcotest.(check (option string)) "omitted workload is mixed, fast" (Some "fast")
+    (path_of (Serve.Server.handle_request s {|{"id":2,"cmd":"analyze","nf":"tcpack"}|}));
+  let bad =
+    parse_reply (Serve.Server.handle_request s {|{"id":3,"cmd":"analyze","nf":"tcpack","workload":"bogus"}|})
+  in
+  Alcotest.(check bool) "unknown workload is an error" false (is_ok bad);
+  Alcotest.(check (option string)) "the slow path's typed error"
+    (Some "unknown workload \"bogus\" (one of: mixed, large, small)")
+    (Serve.Jsonl.str_member "error" bad)
+
 let test_fast_path_robustness () =
   let s = mk_server ~max_pending:1 () in
   let line = {|{"id":1,"cmd":"analyze","nf":"tcpack","workload":"mixed"}|} in
@@ -442,5 +467,6 @@ let () =
       ( "served",
         [ Alcotest.test_case "fast/slow byte equality" `Quick test_fast_slow_byte_equality;
           Alcotest.test_case "id and trace variants" `Quick test_fast_path_id_variants;
+          Alcotest.test_case "accepted workload names" `Quick test_fast_path_workload_names;
           Alcotest.test_case "faults, shedding, deadlines" `Quick test_fast_path_robustness;
           Alcotest.test_case "fastpath metrics exposed" `Quick test_fastpath_metrics_exposed ] ) ]

@@ -105,9 +105,6 @@ let expected_analyze_shape =
     ("lower", 2);
     ("vocab.encode", 2);
     ("predict", 1);
-    ("prepare", 2);
-    ("lower", 3);
-    ("vocab.encode", 3);
     ("algo.detect", 1);
     ("nic.port", 1);
     ("placement.solve", 1);

@@ -249,6 +249,37 @@ let test_target_routing () =
   | None -> Alcotest.fail "malformed lines forward (workers answer them typed)"
   | Some r -> Alcotest.(check string) "salvaged tenant" "acme" r.Router.Front.rt_tenant
 
+(* An inline program places on the program and workload, never on the
+   id or trace id, so a repeat lands on the worker that cached it. *)
+let test_inline_program_placement () =
+  let t = dead_front () in
+  let program k =
+    Printf.sprintf
+      {|{"name":"p%d","tables":[{"name":"t","keys":["ip_src"],"actions":["drop","forward:%d"],"default":"forward:0","size":16}]}|}
+      k (k mod 3)
+  in
+  let line ~id ~trace k =
+    Printf.sprintf {|{"id":%d,"cmd":"analyze","trace_id":"%s","p4lite":%s,"workload":"large"}|} id trace
+      (program k)
+  in
+  for k = 0 to 7 do
+    let routes =
+      List.map
+        (fun (id, trace) ->
+          match Router.Front.target t (line ~id ~trace k) with
+          | Some r -> (r.Router.Front.rt_key, r.Router.Front.rt_worker)
+          | None -> Alcotest.fail "inline analyze must forward")
+        [ (1, "a"); (2, "b"); (30, "c-9"); (4000, "zz") ]
+    in
+    let first = List.hd routes in
+    List.iter
+      (fun r -> Alcotest.(check bool) (Printf.sprintf "program %d: one key, one worker" k) true (r = first))
+      routes;
+    Alcotest.(check string) (Printf.sprintf "program %d: key is program|workload" k)
+      (Jsonl.to_string (parse (program k)) ^ "|large")
+      (fst first)
+  done
+
 let test_dead_worker_is_typed_unavailable () =
   let t = dead_front () in
   let replies =
@@ -633,6 +664,8 @@ let () =
         [ Alcotest.test_case "fragmented replies and residue" `Quick test_upstream_read_lines ] );
       ( "front",
         [ Alcotest.test_case "placement and local commands" `Quick test_target_routing;
+          Alcotest.test_case "inline programs place on the program" `Quick
+            test_inline_program_placement;
           Alcotest.test_case "dead worker is typed unavailable" `Quick
             test_dead_worker_is_typed_unavailable;
           Alcotest.test_case "quota shed is typed overloaded" `Quick
