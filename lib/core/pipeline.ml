@@ -115,11 +115,12 @@ let report m elt spec = Insights.render (analyze m elt spec)
 (* -- compiled serving bundle --
 
    The models plus their allocation-free inference twins: the LSTM
-   predictor with preallocated scratch, the scale-out GBDT flattened to
-   node arrays.  [analyze_compiled] produces insights bit-identical to
-   [analyze] with the same span tree.  Not thread-safe (the predictor
-   scratch is shared): the serving layer keeps one compiled bundle per
-   flow-cache shard, used under that shard's lock. *)
+   predictor with preallocated scratch and a per-block prediction memo,
+   the scale-out GBDT flattened to node arrays.  [analyze_compiled]
+   produces insights bit-identical to [analyze] with the same span tree.
+   Not thread-safe (the predictor scratch and memo are shared): the
+   serving layer keeps one compiled bundle per flow-cache shard, used
+   under that shard's lock. *)
 
 type compiled = {
   c_models : models;

@@ -25,11 +25,12 @@ val analyze : models -> Nf_lang.Ast.element -> Workload.spec -> Insights.t
 val report : models -> Nf_lang.Ast.element -> Workload.spec -> string
 
 (** The bundle compiled for serving: the LSTM predictor bound to a
-    preallocated scratch and the scale-out GBDT flattened to node arrays,
-    so repeat analyses are allocation-free in the learned-inference
-    stages.  [analyze_compiled] is bit-identical to {!analyze}, with the
-    same span tree.  Not thread-safe — the serving layer keeps one per
-    flow-cache shard under that shard's lock. *)
+    preallocated scratch and a per-block prediction memo, and the
+    scale-out GBDT flattened to node arrays, so repeat analyses are
+    allocation-free in the learned-inference stages and each distinct
+    block is predicted once.  [analyze_compiled] is bit-identical to
+    {!analyze}, with the same span tree.  Not thread-safe — the serving
+    layer keeps one per flow-cache shard under that shard's lock. *)
 type compiled
 
 val compile : models -> compiled

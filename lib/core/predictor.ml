@@ -181,19 +181,75 @@ let predict_element t elt = predict_prepared (predict_block t) (Prepare.prepare 
 
    A compiled predictor shares the trained weights but owns a
    preallocated {!Mlkit.Lstm.scratch}, so repeated serving queries run
-   the LSTM allocation-free.  Predictions are bit-identical to
-   {!predict_element} and the span shape is unchanged — the trace of a
-   compiled analysis must be indistinguishable from a direct one.  A
-   compiled predictor is not thread-safe (the scratch is shared state):
-   the serving layer keeps one per flow-cache shard, under the shard's
-   lock. *)
+   the LSTM allocation-free.  A prediction depends only on the block's
+   token sequence, and blocks repeat heavily across NFs and workloads,
+   so it also owns a memo from token sequence to prediction, keyed,
+   hashed and compared on the whole sequence and filled by the same
+   LSTM call.  The memo holds at most [memo_budget] tokens and is
+   emptied when the next sequence would pass that bound.  Predictions
+   are bit-identical to {!predict_element} and the span shape is
+   unchanged — the trace of a compiled analysis must be
+   indistinguishable from a direct one.  A compiled predictor is not
+   thread-safe (the scratch and the memo are shared state): the serving
+   layer keeps one per flow-cache shard, under the shard's lock. *)
 
-type compiled = { c_base : t; c_scratch : Mlkit.Lstm.scratch }
+module Tokens = Hashtbl.Make (struct
+  type t = int array
 
-let compile t = { c_base = t; c_scratch = Mlkit.Lstm.scratch t.lstm }
+  let equal (a : t) (b : t) =
+    let n = Array.length a in
+    n = Array.length b
+    &&
+    let rec go i = i = n || (a.(i) = b.(i) && go (i + 1)) in
+    go 0
+
+  (* FNV-1a over every token: the stdlib hash looks at a bounded prefix *)
+  let hash (a : t) =
+    let h = ref 0x811c9dc5 in
+    Array.iter (fun tok -> h := (!h lxor tok) * 0x100000001b3) a;
+    !h land max_int
+end)
+
+let memo_budget = 1 lsl 15
+
+let m_memo_hits =
+  Obs.Metrics.counter ~help:"Block predictions answered from a compiled predictor's memo"
+    "clara_predict_memo_hits_total"
+
+let m_memo_misses =
+  Obs.Metrics.counter ~help:"Block predictions computed by the LSTM and memoized"
+    "clara_predict_memo_misses_total"
+
+type compiled = {
+  c_base : t;
+  c_scratch : Mlkit.Lstm.scratch;
+  c_memo : float Tokens.t;
+  mutable c_memo_tokens : int;
+}
+
+let compile t =
+  { c_base = t; c_scratch = Mlkit.Lstm.scratch t.lstm; c_memo = Tokens.create 256; c_memo_tokens = 0 }
+
+let memo_tokens c = c.c_memo_tokens
 
 let predict_block_compiled c tokens =
-  max 0.0 (Mlkit.Lstm.predict_into c.c_base.lstm c.c_scratch tokens).(0)
+  match Tokens.find c.c_memo tokens with
+  | p ->
+    Obs.Metrics.inc m_memo_hits;
+    p
+  | exception Not_found ->
+    Obs.Metrics.inc m_memo_misses;
+    let p = max 0.0 (Mlkit.Lstm.predict_into c.c_base.lstm c.c_scratch tokens).(0) in
+    let n = Array.length tokens in
+    if n <= memo_budget then begin
+      if c.c_memo_tokens + n > memo_budget then begin
+        Tokens.reset c.c_memo;
+        c.c_memo_tokens <- 0
+      end;
+      Tokens.add c.c_memo (Array.copy tokens) p;
+      c.c_memo_tokens <- c.c_memo_tokens + n
+    end;
+    p
 
 let predict_element_compiled c elt =
   predict_prepared (predict_block_compiled c) (Prepare.prepare c.c_base.vocab elt)

@@ -48,13 +48,30 @@ val predict_prepared : (int array -> float) -> Prepare.t -> (int * float * float
 val predict_element : t -> Nf_lang.Ast.element -> (int * float * float) list
 
 (** A predictor compiled for serving: shares the trained weights, owns a
-    preallocated LSTM scratch so repeat queries are allocation-free.
-    Predictions and span shape are identical to {!predict_element}.  Not
-    thread-safe — keep one per serving shard under that shard's lock. *)
+    preallocated LSTM scratch so repeat queries are allocation-free, and
+    a memo from block token sequence to prediction, keyed and compared
+    on the whole sequence.  Predictions and span shape are identical to
+    {!predict_element}.  Not thread-safe — keep one per serving shard
+    under that shard's lock.
+
+    The memo counts its lookups in the {!Obs.Metrics} counters
+    [clara_predict_memo_hits_total] and [clara_predict_memo_misses_total]. *)
 type compiled
 
 val compile : t -> compiled
+
+(** {!predict_block}, bit for bit, answered from the memo when the same
+    sequence was predicted before. *)
 val predict_block_compiled : compiled -> int array -> float
+
+(** Tokens held by a compiled predictor's memo: the summed lengths of its
+    memoized sequences, never above {!memo_budget}. *)
+val memo_tokens : compiled -> int
+
+(** The fixed per-predictor memo bound, in tokens.  A sequence that would
+    take the memo past it empties the memo first. *)
+val memo_budget : int
+
 val predict_element_compiled : compiled -> Nf_lang.Ast.element -> (int * float * float) list
 
 (** Ground truth [(bid, NIC compute, NIC memory)] from the NIC compiler —

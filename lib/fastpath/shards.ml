@@ -1,12 +1,18 @@
 (** Sharded flow table (see shards.mli). *)
 
-(* One shard is a stamp LRU guarded by its own mutex: [find] promotes
-   by bumping a per-shard logical clock, eviction drops the minimum
-   stamp.  Keys are spread by FNV-1a over the key string — a pure
-   function of the bytes, so shard assignment never depends on
-   CLARA_JOBS, domain count or insertion order. *)
+(* One shard is a scan-resistant stamp LRU guarded by its own mutex: a
+   lookup hit bumps the entry's stamp from a per-shard logical clock and
+   sets its hit mark, which a re-install keeps.  Eviction drops the
+   minimum stamp among the never-hit entries other than the one being
+   installed, and the minimum stamp overall only when every other entry
+   has been hit.  Served traffic mixes hot corpus keys with one-shot
+   inline programs that are never asked for again; under this rule a
+   one-shot install displaces another never-hit entry, not a hot key.
+   Keys are spread by FNV-1a over the key string — a pure function of
+   the bytes, so shard assignment never depends on CLARA_JOBS, domain
+   count or insertion order. *)
 
-type 'a entry = { value : 'a; mutable stamp : int }
+type 'a entry = { value : 'a; mutable stamp : int; mutable hit : bool }
 
 type 'a shard = {
   lock : Mutex.t;
@@ -83,6 +89,7 @@ let lookup s key ~count_miss =
   | Some e ->
     s.tick <- s.tick + 1;
     e.stamp <- s.tick;
+    e.hit <- true;
     s.s_hits <- s.s_hits + 1;
     Obs.Metrics.inc m_hits;
     Some e.value
@@ -101,13 +108,18 @@ let probe t key =
   let s = t.shards.(shard_of_key t key) in
   with_shard s (fun () -> lookup s key ~count_miss:false)
 
-let evict_oldest s =
+(* Never-hit entries go before hit ones, then the oldest stamp first. *)
+let evicts_before a b = if Bool.equal a.hit b.hit then a.stamp < b.stamp else b.hit
+
+(* [keep], the key being installed, is never the victim. *)
+let evict_oldest s ~keep =
   let victim =
     Hashtbl.fold
       (fun key e acc ->
         match acc with
-        | Some (_, stamp) when stamp <= e.stamp -> acc
-        | _ -> Some (key, e.stamp))
+        | _ when String.equal key keep -> acc
+        | Some (_, v) when not (evicts_before e v) -> acc
+        | _ -> Some (key, e))
       s.table None
   in
   match victim with
@@ -123,13 +135,13 @@ let install t key value =
     with_shard s (fun () ->
         s.tick <- s.tick + 1;
         (match Hashtbl.find_opt s.table key with
-        | Some _ -> Hashtbl.replace s.table key { value; stamp = s.tick }
+        | Some e -> Hashtbl.replace s.table key { value; stamp = s.tick; hit = e.hit }
         | None ->
-          Hashtbl.add s.table key { value; stamp = s.tick };
+          Hashtbl.add s.table key { value; stamp = s.tick; hit = false };
           s.s_installs <- s.s_installs + 1;
           Obs.Metrics.inc m_installs);
         while Hashtbl.length s.table > s.cap do
-          evict_oldest s
+          evict_oldest s ~keep:key
         done;
         Obs.Metrics.set_gauge s.occupancy (float_of_int (Hashtbl.length s.table)))
 

@@ -4,10 +4,19 @@
     Keys spread over [N] shards by FNV-1a over the key string: shard
     assignment is a pure function of the bytes, identical for any
     [CLARA_JOBS] value, domain count or insertion order.  Each shard is
-    an independent stamp-LRU (find promotes, install evicts the
-    least-recently-used entry of {e that shard} once it exceeds its
-    per-shard bound) behind its own mutex, so lookups on different shards
-    never contend.
+    an independent, scan-resistant stamp-LRU behind its own mutex, so
+    lookups on different shards never contend.
+
+    Eviction rule: a {!find} or {!probe} hit promotes the entry and marks
+    it as hit since install (a re-install keeps the mark).  When an
+    install puts a shard over its per-shard bound, the victim is the
+    least-recently-used {e never-hit} entry of {e that shard}, never the
+    entry being installed; only when every other entry has been hit does
+    the rule fall back to plain LRU.  There is no admission filter: an
+    installed key's next lookup is a hit.  So a stream of one-shot keys
+    (inline programs asked once) displaces only other never-hit entries,
+    while keys that have been asked again stay resident; a new key that
+    is hit once is protected like any other hit entry.
 
     The table registers {!Obs.Metrics} instruments once per process:
     [clara_fastpath_hits_total] / [clara_fastpath_misses_total] (lookup
@@ -41,8 +50,9 @@ val find : 'a t -> string -> 'a option
     line counts at most one lookup outcome. *)
 val probe : 'a t -> string -> 'a option
 
-(** Insert (or refresh) an entry, evicting within the key's shard while
-    it is over its bound.  No-op when caching is disabled. *)
+(** Insert (or refresh, keeping its hit mark) an entry, evicting within
+    the key's shard by the rule above while it is over its bound.  No-op
+    when caching is disabled. *)
 val install : 'a t -> string -> 'a -> unit
 
 val length : _ t -> int

@@ -12,11 +12,17 @@ let connect ~socket_path =
     (try Unix.close fd with Unix.Unix_error _ -> ());
     Error (unix_msg fn err)
 
+(* [Unix.write] loops over 64 KiB chunks and raises [EINTR] even after
+   some went out, losing the count; one [single_write] per call reports
+   exactly what was sent, so a signal (the router's SIGTERM drain
+   handler) only costs a retry. *)
 let write_all fd s =
   let n = String.length s in
   let sent = ref 0 in
   while !sent < n do
-    sent := !sent + Unix.write_substring fd s !sent (n - !sent)
+    match Unix.single_write_substring fd s !sent (n - !sent) with
+    | k -> sent := !sent + k
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done
 
 let send_lines fd lines =
@@ -59,6 +65,7 @@ let read_lines fd ~residue ~n ~timeout_s =
           | r ->
             consume (Bytes.sub_string chunk 0 r) 0;
             take ()
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> take ()
           | exception Unix.Unix_error (err, fn, _) -> Error (Io (unix_msg fn err)))
     end
   in

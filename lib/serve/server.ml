@@ -1,10 +1,11 @@
 (** Clara insight service (see server.mli). *)
 
 (* One serving lane per flow-cache shard: a compiled pipeline (LSTM bound
-   to preallocated scratch, scale-out GBDT flattened to node arrays)
-   guarded by its own mutex.  Slow-path analyses for keys in shard [i]
-   run on lane [i], so concurrent pool tasks on different shards never
-   share inference scratch. *)
+   to preallocated scratch and a per-block prediction memo, scale-out
+   GBDT flattened to node arrays) guarded by its own mutex.  Slow-path
+   analyses for keys in shard [i] run on lane [i], so concurrent pool
+   tasks on different shards never share inference scratch or memo.  A
+   reload rebuilds every lane, dropping the memos with the old models. *)
 type lane = { l_lock : Mutex.t; l_compiled : Clara.Pipeline.compiled }
 
 (* [models]/[flows]/[lanes] are mutable for hot reload: the swap happens

@@ -9,6 +9,10 @@
     - {!Clara.Algo_id}'s once-per-component features against the per-key
       oracle ({!Algo_oracle}): model bytes, labels, feature vectors and
       mined gram order.
+    - The compiled predictor's per-block memo against the memo-free
+      {!Clara.Pipeline.report}: byte-equal reports with a cold memo, a
+      warm one and in reverse order, and a memo that stays within its
+      token budget while every value equals {!Clara.Predictor.predict_block}.
     - An exact ceiling on minor-heap words per cold analysis. *)
 
 open Nf_lang
@@ -262,6 +266,74 @@ let test_mined_gram_order () =
     (show (Algo_oracle.mine_grams ~ns:[ 2 ] ~top:10 ~positives:tied ~negatives:[] ()))
     (show (Clara.Algo_id.mine_grams ~ns:[ 2 ] ~top:10 ~positives:tied ~negatives:[] ()))
 
+(* -- the compiled predictor's memo -- *)
+
+let quick_models = lazy (Clara.Pipeline.train ~quick:true ~with_scaleout:false ())
+
+(* All 87 corpus keys and 200 seeded P4lite programs through one compiled
+   bundle: a cold memo, the same order warm, then reversed.  Every report
+   must equal the memo-free [Pipeline.report]. *)
+let test_memo_reports () =
+  let m = Lazy.force quick_models in
+  let c = Clara.Pipeline.compile m in
+  let rng = Util.Rng.create 0x7e57 in
+  let inputs =
+    List.concat_map
+      (fun wl ->
+        List.map (fun nf -> (nf ^ "|" ^ wl, Corpus.find nf, spec_of wl)) (Serve.Server.corpus_names ()))
+      workloads
+    @ List.filter_map
+        (fun k ->
+          let wl = List.nth workloads (k mod 3) in
+          match P4lite.compile (p4lite_program rng k) with
+          | elt -> Some (Printf.sprintf "fresh%d|%s" k wl, elt, spec_of wl)
+          | exception _ -> None)
+        (List.init 200 Fun.id)
+  in
+  Alcotest.(check int) "87 corpus keys and 200 programs" 287 (List.length inputs);
+  let oracle = List.map (fun (what, elt, spec) -> (what, Clara.Pipeline.report m elt spec)) inputs in
+  let pass label order =
+    List.iter
+      (fun (what, elt, spec) ->
+        Alcotest.(check string) (label ^ " " ^ what) (List.assoc what oracle)
+          (Clara.Pipeline.report_compiled c elt spec))
+      order
+  in
+  pass "cold memo" inputs;
+  pass "warm memo" inputs;
+  pass "reversed" (List.rev inputs)
+
+(* More distinct sequences than the budget holds: the memo empties
+   instead of growing, and every answer, memoized or not, is the LSTM's. *)
+let test_memo_budget () =
+  let m = Lazy.force quick_models in
+  let p = m.Clara.Pipeline.predictor in
+  let c = Clara.Predictor.compile p in
+  let vocab = Clara.Vocab.size p.Clara.Predictor.vocab in
+  let rng = Util.Rng.create 0xb0d6 in
+  let seqs =
+    Array.init 3000 (fun k ->
+        Array.init (1 + Util.Rng.int rng 60) (fun i -> if i = 0 then k mod vocab else Util.Rng.int rng vocab))
+  in
+  let total = Array.fold_left (fun acc s -> acc + Array.length s) 0 seqs in
+  Alcotest.(check bool) "the sequences overflow the budget" true (total > 2 * Clara.Predictor.memo_budget);
+  let emptied = ref 0 and held = ref 0 in
+  let check what tokens =
+    Alcotest.(check bool) what true
+      (Float.equal (Clara.Predictor.predict_block p tokens) (Clara.Predictor.predict_block_compiled c tokens));
+    let now = Clara.Predictor.memo_tokens c in
+    if now < !held then incr emptied;
+    held := now;
+    Alcotest.(check bool) "memo within budget" true (now <= Clara.Predictor.memo_budget)
+  in
+  Array.iteri
+    (fun k tokens ->
+      check (Printf.sprintf "sequence %d" k) tokens;
+      (* a repeat of a recent sequence is answered from the memo *)
+      if k >= 3 then check (Printf.sprintf "repeat of %d" (k - 3)) seqs.(k - 3))
+    seqs;
+  Alcotest.(check bool) "the memo was emptied at the budget" true (!emptied >= 2)
+
 (* -- minor-heap words per cold analysis -- *)
 
 (* Measured on this fixed set (cmsketch|mixed, wepdecap|small,
@@ -311,4 +383,7 @@ let () =
         [ Alcotest.test_case "model bytes" `Quick test_algo_train_bytes;
           Alcotest.test_case "detect and class features" `Quick test_algo_detect_and_features;
           Alcotest.test_case "mined gram order" `Quick test_mined_gram_order ] );
+      ( "memo",
+        [ Alcotest.test_case "reports equal the memo-free oracle" `Quick test_memo_reports;
+          Alcotest.test_case "bounded by its token budget" `Quick test_memo_budget ] );
       ("alloc", [ Alcotest.test_case "minor words per analysis" `Quick test_minor_words ]) ]

@@ -1,6 +1,6 @@
 (** Tests for the fast-path subsystem: the sharded flow table (stable
-    shard assignment, per-shard LRU eviction, the capacity-0 degenerate),
-    the non-allocating request scanner, pre-rendered flow entries, the
+    shard assignment, per-shard never-hit-first eviction, the capacity-0
+    degenerate), the non-allocating request scanner, pre-rendered flow entries, the
     flattened predictors (bit-identical to their boxed references), and
     the served fast/slow split itself — byte-equal replies, path-field
     correctness, and robustness (faults, shedding, deadlines) on the
@@ -81,9 +81,9 @@ let test_per_shard_eviction () =
     (fun i _ -> if i <> shard then
         Alcotest.(check int) "other shards untouched" 0 (Fastpath.Shards.shard_length t i))
     [ (); (); (); () ];
-  (* LRU within one shard: a find promotes, so the unpromoted entry goes;
-     a re-install refreshes recency and value.  At capacity 1 every new
-     key evicts the one before it. *)
+  (* Within one shard a hit promotes and marks its entry, so the
+     never-hit entry goes; a re-install refreshes recency and value.  At
+     capacity 1 every new key evicts the one before it. *)
   List.iter
     (fun (capacity, expected) ->
       let t : string Fastpath.Shards.t = Fastpath.Shards.create ~shards:1 ~capacity () in
@@ -105,6 +105,37 @@ let test_per_shard_eviction () =
         (Fastpath.Shards.length t))
     [ (2, [ Some "A"; None; Some "A"; Some "A2"; None; Some "D" ]);
       (1, [ None; None; None; None; None; Some "D" ]) ]
+
+(* The eviction rule: the least-recently-used never-hit entry goes
+   first; plain LRU applies only once every other entry has been hit. *)
+let test_never_hit_first () =
+  let run steps =
+    let t : string Fastpath.Shards.t = Fastpath.Shards.create ~shards:1 ~capacity:2 () in
+    List.iter
+      (function
+        | `Install k -> Fastpath.Shards.install t k (String.uppercase_ascii k)
+        | `Hit k ->
+          Alcotest.(check (option string)) ("hit " ^ k) (Some (String.uppercase_ascii k))
+            (Fastpath.Shards.probe t k))
+      steps;
+    List.filter
+      (fun k -> Fastpath.Shards.probe t k <> None)
+      [ "a"; "b"; "c"; "n"; "o"; "p" ]
+  in
+  (* plain LRU would evict a here: its hit is older than b's install *)
+  Alcotest.(check (list string)) "a one-shot install evicts the never-hit b, not the hit a"
+    [ "a"; "c" ]
+    (run [ `Install "a"; `Hit "a"; `Install "b"; `Install "c" ]);
+  (* no lockout: with every entry hit, a new key evicts the oldest; once
+     hit itself it outlives the next one-shot install *)
+  Alcotest.(check (list string)) "a new key hit once survives the next one-shot install"
+    [ "n"; "o" ]
+    (run [ `Install "a"; `Install "b"; `Hit "a"; `Hit "b"; `Install "n"; `Hit "n"; `Install "o" ]);
+  (* a re-install keeps the hit mark: the re-installed a outlives the
+     younger, never-hit b *)
+  Alcotest.(check (list string)) "a re-install keeps the hit mark"
+    [ "a"; "p" ]
+    (run [ `Install "a"; `Hit "a"; `Install "a"; `Install "b"; `Install "p" ])
 
 let test_degenerate_and_counters () =
   let t : int Fastpath.Shards.t = Fastpath.Shards.create ~shards:4 ~capacity:0 () in
@@ -445,13 +476,91 @@ let test_fastpath_metrics_exposed () =
         Alcotest.(check bool) (needle ^ " exposed") true (go 0))
       [ "clara_fastpath_hits_total"; "clara_fastpath_misses_total";
         "clara_slowpath_installs_total"; "clara_fastpath_evictions_total";
-        "clara_fastpath_shard_occupancy" ]
+        "clara_fastpath_shard_occupancy"; "clara_predict_memo_hits_total";
+        "clara_predict_memo_misses_total" ]
+
+(* -- exact work on a churn replay --
+
+   A seeded replay in the shape of churn traffic: hot corpus keys that
+   fill their 8-entry shards but for one slot, plus one fresh inline
+   program per ten lines, in batches of eight through [process_batch].
+   Once every hot key has been hit, the never-hit-first eviction rule
+   keeps them resident, so from then on the fresh programs are the only
+   misses (plain LRU lets them evict hot keys: 30 more misses here).
+   Cache and memo misses are deterministic counts, pinned exactly; the
+   dune rules run this under [CLARA_JOBS=1] and [=4] against the same
+   figures. *)
+
+let churn_cache_misses = 149
+let churn_memo_misses = 364
+
+let test_churn_exact_work () =
+  let s = Serve.Server.create ~cache_capacity:64 ~shards:8 (Lazy.force models) in
+  let placement : unit Fastpath.Shards.t = Fastpath.Shards.create ~shards:8 ~capacity:64 () in
+  let rng = Util.Rng.create 0xc4a2 in
+  let hot =
+    let per_shard = Array.make 8 0 in
+    let keys =
+      List.concat_map
+        (fun wl -> List.map (fun nf -> (nf, wl)) (Serve.Server.corpus_names ()))
+        [ "mixed"; "large"; "small" ]
+      |> List.map (fun k -> (Util.Rng.int rng 1_000_000, k))
+      |> List.sort compare |> List.map snd
+    in
+    List.filter
+      (fun (nf, wl) ->
+        let sh = Fastpath.Shards.shard_of_key placement (Serve.Proto.flow_key nf wl) in
+        per_shard.(sh) < 7 && (per_shard.(sh) <- per_shard.(sh) + 1; true))
+      keys
+    |> Array.of_list
+  in
+  let memo_misses = Obs.Metrics.counter "clara_predict_memo_misses_total" in
+  let memo0 = Obs.Metrics.counter_value memo_misses in
+  let fields = [| "ip_src"; "ip_dst"; "tcp_dport" |] in
+  let line i =
+    if i mod 10 = 9 then
+      ( None,
+        Printf.sprintf
+          {|{"id":%d,"cmd":"analyze","p4lite":{"name":"churn%d","tables":[{"name":"t","keys":["%s"],"actions":["drop","forward:1"],"default":"forward:0","size":%d}]}}|}
+          i i fields.(i mod 3) (16 lsl (i mod 5)) )
+    else
+      let nf, wl = hot.(Util.Rng.int rng (Array.length hot)) in
+      (Some (nf, wl), Printf.sprintf {|{"id":%d,"cmd":"analyze","nf":"%s","workload":"%s"}|} i nf wl)
+  in
+  let lines = List.init 800 line in
+  let hit = Hashtbl.create 32 and late_misses = ref 0 in
+  let rec batches = function
+    | [] -> ()
+    | ls ->
+      let batch = List.filteri (fun i _ -> i < 8) ls in
+      let rest = List.filteri (fun i _ -> i >= 8) ls in
+      let all_hit = Hashtbl.length hit = Array.length hot in
+      List.iter2
+        (fun (hot_key, _) reply ->
+          let r = parse_reply reply in
+          Alcotest.(check bool) "every churn line is answered" true (is_ok r);
+          match hot_key with
+          | Some k ->
+            if Serve.Jsonl.member "cached" r = Some (Serve.Jsonl.Bool true) then Hashtbl.replace hit k ()
+            else if all_hit then incr late_misses
+          | None -> ())
+        batch
+        (Serve.Server.process_batch s (List.map snd batch));
+      batches rest
+  in
+  batches lines;
+  Alcotest.(check int) "every hot key was hit" (Array.length hot) (Hashtbl.length hit);
+  Alcotest.(check int) "no hot-key miss once every hot key was hit" 0 !late_misses;
+  Alcotest.(check int) "cache misses" churn_cache_misses (Serve.Server.cache_misses s);
+  Alcotest.(check int) "memo misses" churn_memo_misses
+    (int_of_float (Obs.Metrics.counter_value memo_misses -. memo0))
 
 let () =
   Alcotest.run "fastpath"
     [ ( "shards",
         [ Alcotest.test_case "stable FNV shard assignment" `Quick test_shard_assignment_stable;
-          Alcotest.test_case "per-shard LRU eviction" `Quick test_per_shard_eviction;
+          Alcotest.test_case "per-shard eviction" `Quick test_per_shard_eviction;
+          Alcotest.test_case "never-hit entries evicted first" `Quick test_never_hit_first;
           Alcotest.test_case "degenerate capacities and counters" `Quick
             test_degenerate_and_counters ] );
       ( "scan",
@@ -469,4 +578,5 @@ let () =
           Alcotest.test_case "id and trace variants" `Quick test_fast_path_id_variants;
           Alcotest.test_case "accepted workload names" `Quick test_fast_path_workload_names;
           Alcotest.test_case "faults, shedding, deadlines" `Quick test_fast_path_robustness;
-          Alcotest.test_case "fastpath metrics exposed" `Quick test_fastpath_metrics_exposed ] ) ]
+          Alcotest.test_case "fastpath metrics exposed" `Quick test_fastpath_metrics_exposed;
+          Alcotest.test_case "churn replay: exact misses" `Quick test_churn_exact_work ] ) ]

@@ -141,6 +141,57 @@ let test_predictions_survive_reload () =
     (Persist.Bundle.encode manifest models
     = Persist.Bundle.encode loaded.Persist.Bundle.manifest loaded.Persist.Bundle.models)
 
+(* A hot reload rebuilds every serving lane, so predictions memoized
+   under the old models never answer for the new ones: a server warmed
+   on one bundle and reloaded to a bundle trained with another seed
+   answers byte for byte like a fresh server on that bundle. *)
+let test_reload_drops_memo () =
+  let old_models = tiny_models () in
+  let new_models =
+    let ds = Clara.Predictor.synthesize_dataset ~n:6 ~seed:777 () in
+    { old_models with Clara.Pipeline.predictor = Clara.Predictor.train ~epochs:1 ds }
+  in
+  let dir = Filename.temp_file "clara_test_reload" ".d" in
+  Sys.remove dir;
+  let manifest =
+    { Persist.Bundle.seed = 777; epochs = 1;
+      corpus_hash = Persist.Bundle.corpus_hash ();
+      built_at = "1970-01-01T00:00:00Z" }
+  in
+  Persist.Bundle.save ~dir manifest new_models;
+  Fun.protect ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Unix.rmdir dir)
+  @@ fun () ->
+  let lines =
+    List.mapi
+      (fun i (nf, wl) ->
+        Printf.sprintf {|{"id":%d,"trace_id":"r%d","cmd":"analyze","nf":"%s","workload":"%s"}|} i i nf wl)
+      [ ("tcpack", "mixed"); ("udpipencap", "small"); ("cmsketch", "large"); ("anonipaddr", "mixed") ]
+    @ [ {|{"id":9,"trace_id":"r9","cmd":"analyze","p4lite":{"name":"acl","tables":[{"name":"t","keys":["ip_src"],"actions":["drop","forward:1"],"default":"forward:0","size":16}]}}|} ]
+  in
+  let warm = Serve.Server.create old_models in
+  let before = Serve.Server.process_batch warm lines in
+  ignore (Serve.Server.process_batch warm lines);
+  let reload =
+    Serve.Server.handle_request warm
+      (Printf.sprintf {|{"id":0,"trace_id":"t-reload","cmd":"reload","bundle":"%s"}|} dir)
+  in
+  Alcotest.(check bool) ("reload accepted: " ^ reload) true
+    (Serve.Jsonl.member "reloaded" (Result.get_ok (Serve.Jsonl.of_string reload))
+     = Some (Serve.Jsonl.Bool true));
+  let fresh =
+    match Persist.Bundle.load ~dir with
+    | Result.Ok b -> Serve.Server.create b.Persist.Bundle.models
+    | Result.Error e -> Alcotest.failf "bundle load failed: %s" (Persist.Wire.error_to_string e)
+  in
+  let expected = Serve.Server.process_batch fresh lines in
+  Alcotest.(check bool) "the new bundle changes some reply" true (before <> expected);
+  Alcotest.(check (list string)) "reloaded server answers like a fresh one" expected
+    (Serve.Server.process_batch warm lines);
+  Alcotest.(check (list string)) "and again from its cache" (Serve.Server.process_batch fresh lines)
+    (Serve.Server.process_batch warm lines)
+
 (* -- crash matrix: every truncation point and every flipped byte of a
    frame must decode to a typed error (or, for the length prefix, still a
    valid value is impossible — the CRC covers the payload), never raise -- *)
@@ -399,4 +450,5 @@ let () =
           Alcotest.test_case "hot-reload publish crash matrix" `Slow
             test_hot_reload_publish_crash_matrix ] );
       ( "bundle",
-        [ Alcotest.test_case "predictions survive reload" `Slow test_predictions_survive_reload ] ) ]
+        [ Alcotest.test_case "predictions survive reload" `Slow test_predictions_survive_reload;
+          Alcotest.test_case "reload drops memoized predictions" `Quick test_reload_drops_memo ] ) ]

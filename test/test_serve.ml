@@ -335,6 +335,61 @@ let test_concurrent_burst () =
       Alcotest.(check bool) "socket removed on shutdown" false (Sys.file_exists path);
       Alcotest.(check int) "served all 9 requests" 9 (Serve.Server.served s))
 
+(* -- Lineio -- *)
+
+(* SIGALRM fires every 10 ms while [write_all] is blocked on a peer that
+   is not reading yet: the payload is far larger than a socket buffer.
+   The first signal may only cut a write short; a later one interrupts a
+   write that has sent nothing, so the syscall fails with [EINTR].  The
+   peer starts draining after three signals.  Every byte must arrive
+   exactly once and [write_all] must return normally. *)
+let test_write_all_survives_signal () =
+  let payload = String.init (4 lsl 20) (fun i -> Char.chr (32 + (i * 7 mod 95))) in
+  let n = String.length payload in
+  let fired = Atomic.make 0 and writer_done = Atomic.make false in
+  let timer period = ignore (Unix.setitimer Unix.ITIMER_REAL { Unix.it_interval = period; it_value = period }) in
+  let a, b = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let previous = Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> Atomic.incr fired)) in
+  Fun.protect
+    ~finally:(fun () ->
+      timer 0.0;
+      Sys.set_signal Sys.sigalrm previous;
+      Unix.close a;
+      Unix.close b)
+  @@ fun () ->
+  let reader =
+    Domain.spawn (fun () ->
+        while Atomic.get fired < 3 && not (Atomic.get writer_done) do
+          Unix.sleepf 0.001
+        done;
+        timer 0.0;
+        let got = Buffer.create n and chunk = Bytes.create 65536 in
+        let rec drain () =
+          if Buffer.length got < n then
+            match Unix.read b chunk 0 (Bytes.length chunk) with
+            | 0 -> ()
+            | r ->
+              Buffer.add_subbytes got chunk 0 r;
+              drain ()
+            | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain ()
+        in
+        drain ();
+        Buffer.contents got)
+  in
+  timer 0.01;
+  let wrote =
+    match Serve.Lineio.write_all a payload with
+    | () -> Ok ()
+    | exception Unix.Unix_error (err, fn, _) -> Error (fn ^ ": " ^ Unix.error_message err)
+  in
+  Atomic.set writer_done true;
+  if Result.is_error wrote then Unix.shutdown a Unix.SHUTDOWN_SEND;
+  let received = Domain.join reader in
+  Alcotest.(check (result unit string)) "write_all returns normally" (Ok ()) wrote;
+  Alcotest.(check bool) "signals fired during the write" true (Atomic.get fired >= 3);
+  Alcotest.(check int) "every byte arrives" n (String.length received);
+  Alcotest.(check bool) "exactly once, in order" true (String.equal payload received)
+
 let () =
   Alcotest.run "serve"
     [ ( "jsonl",
@@ -349,4 +404,7 @@ let () =
           Alcotest.test_case "op alias and metrics" `Quick test_op_alias_and_metrics;
           Alcotest.test_case "inline p4lite program" `Quick test_handle_p4lite;
           Alcotest.test_case "pipelined batch through run" `Quick test_pipelined_batch;
-          Alcotest.test_case "8-client concurrent burst" `Slow test_concurrent_burst ] ) ]
+          Alcotest.test_case "8-client concurrent burst" `Slow test_concurrent_burst ] );
+      ( "lineio",
+        [ Alcotest.test_case "write_all survives a signal mid-write" `Quick
+            test_write_all_survives_signal ] ) ]
