@@ -91,6 +91,17 @@ let iso8601_now () =
   Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (t.Unix.tm_year + 1900) (t.Unix.tm_mon + 1)
     t.Unix.tm_mday t.Unix.tm_hour t.Unix.tm_min t.Unix.tm_sec
 
+(* The one manifest: what [train --save] and a router started without
+   [--model] write next to the models. *)
+let save_bundle ~full ~dir models =
+  let manifest =
+    { Persist.Bundle.seed = 501;
+      epochs = (if full then 10 else 4);
+      corpus_hash = Persist.Bundle.corpus_hash ();
+      built_at = iso8601_now () }
+  in
+  Persist.Bundle.save ~dir manifest models
+
 let full_arg = Arg.(value & flag & info [ "full" ] ~doc:"Use full-size training sets.")
 
 (* -- observability plumbing -- *)
@@ -142,6 +153,30 @@ let with_obs ?telemetry ~trace ~metrics f =
             "wrote training telemetry")
         telemetry)
     f
+
+(* [--http-port]: the HTTP exporter [create port] builds runs on its own
+   domain so a scrape never queues behind the socket select loop, and the
+   Runtime sampler keeps GC gauges fresh between scrapes.  [f] gets the
+   bound port as log fields; the exporter stops once [f] returns. *)
+let with_http_exporter http_port create f =
+  let http =
+    Option.map
+      (fun port ->
+        let h = create port in
+        Obs.Runtime.start ();
+        (h, Domain.spawn (fun () -> Serve.Http.run h)))
+      http_port
+  in
+  let result =
+    f (match http with Some (h, _) -> [ ("http_port", Obs.Log.Int (Serve.Http.port h)) ] | None -> [])
+  in
+  Option.iter
+    (fun (h, d) ->
+      Serve.Http.stop h;
+      Domain.join d;
+      Obs.Runtime.stop ())
+    http;
+  result
 
 let model_arg =
   Arg.(value & opt (some dir) None
@@ -271,13 +306,7 @@ let train_cmd =
     match save with
     | None -> print_endline "Training done (nothing persisted; pass --save DIR to keep it)."
     | Some dir ->
-      let manifest =
-        { Persist.Bundle.seed = 501;
-          epochs = (if full then 10 else 4);
-          corpus_hash = Persist.Bundle.corpus_hash ();
-          built_at = iso8601_now () }
-      in
-      Persist.Bundle.save ~dir manifest models;
+      save_bundle ~full ~dir models;
       Printf.printf "Saved model bundle to %s\n" dir
   in
   let save =
@@ -352,55 +381,38 @@ let serve_cmd =
     | Some hz -> Obs.Prof.start ~hz ()
     | None -> if Sys.getenv_opt "CLARA_PROF_HZ" <> None then Obs.Prof.start ());
     let started_s = Unix.gettimeofday () in
-    (* The HTTP exporter runs on its own domain so a scrape never queues
-       behind the socket select loop; the Runtime sampler keeps GC gauges
-       fresh between scrapes. *)
-    let http =
-      Option.map
-        (fun port ->
-          let h =
-            Serve.Http.create ~port
-              ~quality:(fun () -> Serve.Server.quality_json server)
-              ~health:(fun () ->
-                Printf.sprintf
-                  "{\"ok\":true,\"uptime_s\":%.1f,\"bundle\":\"%s\",\"shards\":%d,\"pid\":%d,\"draining\":%b}\n"
-                  (Unix.gettimeofday () -. started_s)
-                  bundle_version
-                  (Serve.Server.shard_count server)
-                  (Unix.getpid ())
-                  (Serve.Server.draining server))
-              ~flight:(fun () -> Serve.Server.flight_json server)
-              ()
-          in
-          Obs.Runtime.start ();
-          (h, Domain.spawn (fun () -> Serve.Http.run h)))
-        http_port
+    let http port =
+      Serve.Http.create ~port
+        ~quality:(fun () -> Serve.Server.quality_json server)
+        ~health:(fun () ->
+          Printf.sprintf
+            "{\"ok\":true,\"uptime_s\":%.1f,\"bundle\":\"%s\",\"shards\":%d,\"pid\":%d,\"draining\":%b}\n"
+            (Unix.gettimeofday () -. started_s)
+            bundle_version
+            (Serve.Server.shard_count server)
+            (Unix.getpid ())
+            (Serve.Server.draining server))
+        ~flight:(fun () -> Serve.Server.flight_json server)
+        ()
     in
-    Obs.Log.info
-      ~fields:
-        ([ ("socket", Obs.Log.Str socket);
-           ("jobs", Obs.Log.Int (Util.Pool.size ()));
-           ("cache_capacity", Obs.Log.Int cache_capacity);
-           ("cache_shards", Obs.Log.Int shards);
-           ("shadow_rate", Obs.Log.Num (Serve.Quality.rate (Serve.Server.quality server)));
-           ("log_sink", Obs.Log.Str log_sink_name);
-           ("log_level", Obs.Log.Str (Obs.Log.level_name (Obs.Log.level ())));
-           ("tracing", Obs.Log.Bool (Obs.Span.enabled ()));
-           ("flight_capacity",
-            Obs.Log.Int (Obs.Flight.capacity (Serve.Server.flight server)));
-           ("profiling", Obs.Log.Bool (Obs.Prof.enabled ())) ]
-        @ match http with
-          | Some (h, _) -> [ ("http_port", Obs.Log.Int (Serve.Http.port h)) ]
-          | None -> [])
-      "clara serve starting";
-    Serve.Server.run server ~socket_path:socket;
-    Obs.Prof.stop ();
-    Option.iter
-      (fun (h, d) ->
-        Serve.Http.stop h;
-        Domain.join d;
-        Obs.Runtime.stop ())
-      http;
+    with_http_exporter http_port http (fun http_fields ->
+        Obs.Log.info
+          ~fields:
+            ([ ("socket", Obs.Log.Str socket);
+               ("jobs", Obs.Log.Int (Util.Pool.size ()));
+               ("cache_capacity", Obs.Log.Int cache_capacity);
+               ("cache_shards", Obs.Log.Int shards);
+               ("shadow_rate", Obs.Log.Num (Serve.Quality.rate (Serve.Server.quality server)));
+               ("log_sink", Obs.Log.Str log_sink_name);
+               ("log_level", Obs.Log.Str (Obs.Log.level_name (Obs.Log.level ())));
+               ("tracing", Obs.Log.Bool (Obs.Span.enabled ()));
+               ("flight_capacity",
+                Obs.Log.Int (Obs.Flight.capacity (Serve.Server.flight server)));
+               ("profiling", Obs.Log.Bool (Obs.Prof.enabled ())) ]
+            @ http_fields)
+          "clara serve starting";
+        Serve.Server.run server ~socket_path:socket;
+        Obs.Prof.stop ());
     Obs.Log.info
       ~fields:
         [ ("served", Obs.Log.Int (Serve.Server.served server));
@@ -560,14 +572,7 @@ let router_cmd =
           Filename.concat (Filename.get_temp_dir_name ())
             (Printf.sprintf "clara-router-bundle-%d" (Unix.getpid ()))
         in
-        let models = train_models ~full in
-        let manifest =
-          { Persist.Bundle.seed = 501;
-            epochs = (if full then 10 else 4);
-            corpus_hash = Persist.Bundle.corpus_hash ();
-            built_at = iso8601_now () }
-        in
-        Persist.Bundle.save ~dir manifest models;
+        save_bundle ~full ~dir (train_models ~full);
         Obs.Log.info ~fields:[ ("bundle", Obs.Log.Str dir) ] "trained and saved fleet bundle";
         dir
     in
@@ -606,37 +611,21 @@ let router_cmd =
       in
       (* /healthz serves the aggregated fan-in document the router
          rebuilds after every round and probe sweep. *)
-      let http =
-        Option.map
-          (fun port ->
-            let h =
-              Serve.Http.create ~port
-                ~health:(fun () -> Router.Front.healthz_cached front ^ "\n")
-                ()
-            in
-            Obs.Runtime.start ();
-            (h, Domain.spawn (fun () -> Serve.Http.run h)))
-          http_port
+      let http port =
+        Serve.Http.create ~port ~health:(fun () -> Router.Front.healthz_cached front ^ "\n") ()
       in
-      Obs.Log.info
-        ~fields:
-          ([ ("socket", Obs.Log.Str socket);
-             ("workers", Obs.Log.Int workers);
-             ("bundle", Obs.Log.Str bundle_dir);
-             ("version", Obs.Log.Str version);
-             ("tenant_quota", Obs.Log.Int tenant_quota);
-             ("log_sink", Obs.Log.Str log_sink_name) ]
-          @ match http with
-            | Some (h, _) -> [ ("http_port", Obs.Log.Int (Serve.Http.port h)) ]
-            | None -> [])
-        "clara router starting";
-      Router.Front.run front ~socket_path:socket;
-      Option.iter
-        (fun (h, d) ->
-          Serve.Http.stop h;
-          Domain.join d;
-          Obs.Runtime.stop ())
-        http;
+      with_http_exporter http_port http (fun http_fields ->
+          Obs.Log.info
+            ~fields:
+              ([ ("socket", Obs.Log.Str socket);
+                 ("workers", Obs.Log.Int workers);
+                 ("bundle", Obs.Log.Str bundle_dir);
+                 ("version", Obs.Log.Str version);
+                 ("tenant_quota", Obs.Log.Int tenant_quota);
+                 ("log_sink", Obs.Log.Str log_sink_name) ]
+              @ http_fields)
+            "clara router starting";
+          Router.Front.run front ~socket_path:socket);
       reap_all ();
       Obs.Log.info
         ~fields:

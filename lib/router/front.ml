@@ -1,6 +1,7 @@
 (** The scale-out front (see front.mli). *)
 
 module Jsonl = Serve.Jsonl
+module Lineio = Serve.Lineio
 module Proto = Serve.Proto
 
 type worker = {
@@ -10,8 +11,7 @@ type worker = {
   mutable w_draining : bool;
   mutable w_version : string;
   mutable w_pid : int;
-  mutable w_fd : Unix.file_descr option;
-  mutable w_residue : string;  (* bytes read past the last reply's newline *)
+  w_conn : Lineio.conn;  (* the persistent connection, opened on first use *)
   mutable w_forwarded : int;
 }
 
@@ -44,7 +44,7 @@ type t = {
   mutable canary_count : int;
   mutable failover_count : int;
   mutable trace_counter : int;
-  control : Fastpath.Evloop.control;  (* shutdown / drain flags *)
+  control : Serve.Evloop.control;  (* shutdown / drain flags *)
   healthz_cache : string Atomic.t;
 }
 
@@ -113,7 +113,7 @@ let create ?(vnodes = 64) ?(tenant_quota = 0) ?(forward_timeout_s = 5.0)
            (* Presumed up until a probe or a failed forward says otherwise:
               the ring must be well-defined before the first health sweep. *)
            { w_name = name; w_socket = socket; w_up = true; w_draining = false;
-             w_version = "unknown"; w_pid = 0; w_fd = None; w_residue = "";
+             w_version = "unknown"; w_pid = 0; w_conn = Lineio.conn ~socket_path:socket;
              w_forwarded = 0 })
     |> Array.of_list
   in
@@ -123,7 +123,7 @@ let create ?(vnodes = 64) ?(tenant_quota = 0) ?(forward_timeout_s = 5.0)
       ring = Chash.create ~vnodes []; canary_ring = Chash.create ~vnodes [];
       rollout = Idle; served_count = 0; forwarded_count = 0; conn_shed_count = 0;
       unavailable_count = 0; canary_count = 0; failover_count = 0; trace_counter = 0;
-      control = Fastpath.Evloop.control (); healthz_cache = Atomic.make "{}" }
+      control = Serve.Evloop.control (); healthz_cache = Atomic.make "{}" }
   in
   rebuild_rings t;
   t
@@ -152,15 +152,11 @@ let quota_reply t ~tenant line =
 
 (* -- worker connections -- *)
 
-let close_conn w =
-  (match w.w_fd with
-  | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-  | None -> ());
-  w.w_fd <- None;
-  w.w_residue <- ""
-
-let mark_down t w ~why =
-  close_conn w;
+(* A failed call marks the worker down; the [Lineio] error
+   already closed its connection, so the next send reconnects.  Returns
+   the error's message. *)
+let mark_down t w e =
+  let why = Upstream.error_message e in
   if w.w_up then begin
     w.w_up <- false;
     t.failover_count <- t.failover_count + 1;
@@ -168,40 +164,13 @@ let mark_down t w ~why =
     Obs.Log.warn
       ~fields:[ ("worker", Obs.Log.Str w.w_name); ("error", Obs.Log.Str why) ]
       "router.worker_down"
-  end
-
-let ensure_conn t w =
-  match w.w_fd with
-  | Some fd -> Ok fd
-  | None -> (
-    match Upstream.connect ~socket_path:w.w_socket with
-    | Ok fd ->
-      w.w_fd <- Some fd;
-      w.w_residue <- "";
-      Ok fd
-    | Error e ->
-      mark_down t w ~why:e;
-      Error e)
+  end;
+  why
 
 (* One request/one reply over the persistent connection (rollout
-   control and the up-worker health probe). *)
+   control and the health probe). *)
 let worker_request t w ~timeout_s line =
-  match ensure_conn t w with
-  | Error _ as e -> e
-  | Ok fd -> (
-    match Upstream.send_lines fd [ line ] with
-    | Error e ->
-      mark_down t w ~why:e;
-      Error e
-    | Ok () -> (
-      match Upstream.read_lines fd ~residue:w.w_residue ~n:1 ~timeout_s with
-      | Ok (reply :: _, residue) ->
-        w.w_residue <- residue;
-        Ok reply
-      | Ok ([], _) -> Error "protocol error: empty reply batch"
-      | Error e ->
-        mark_down t w ~why:e;
-        Error e))
+  Result.map_error (mark_down t w) (Lineio.call w.w_conn ~timeout_s line)
 
 (* -- health -- *)
 
@@ -264,19 +233,12 @@ let healthz_cached t = Atomic.get t.healthz_cache
 let probe t =
   Array.iter
     (fun w ->
-      if w.w_up then begin
-        match worker_request t w ~timeout_s:t.forward_timeout_s health_line with
-        | Ok reply -> ignore (apply_health w reply)
-        | Error _ -> ()  (* worker_request already marked it down *)
-      end
-      else
-        match Upstream.oneshot ~socket_path:w.w_socket ~timeout_s:t.forward_timeout_s
-                health_line
-        with
-        | Ok reply when apply_health w reply ->
-          w.w_up <- true;
-          Obs.Log.info ~fields:[ ("worker", Obs.Log.Str w.w_name) ] "router.worker_up"
-        | Ok _ | Error _ -> ())
+      let was_up = w.w_up in
+      match worker_request t w ~timeout_s:t.forward_timeout_s health_line with
+      | Ok reply when apply_health w reply && not was_up ->
+        w.w_up <- true;
+        Obs.Log.info ~fields:[ ("worker", Obs.Log.Str w.w_name) ] "router.worker_up"
+      | Ok _ | Error _ -> ()  (* a failed request already marked it down *))
     t.workers;
   rebuild_rings t;
   refresh_healthz t
@@ -546,7 +508,7 @@ let shutdown_reply t ~trace id =
   Array.iter
     (fun w -> if w.w_up then ignore (worker_request t w ~timeout_s:1.0 line))
     t.workers;
-  Fastpath.Evloop.request_stop t.control;
+  Serve.Evloop.request_stop t.control;
   Proto.ok_reply ~trace id [ ("stopping", Jsonl.Bool true) ]
 
 type decision = Local of string | Forward of route
@@ -609,8 +571,8 @@ let route_batch t lines =
           g := (i, line) :: !g
         end)
     lines_a;
-  let fail_group w items why =
-    mark_down t w ~why;
+  let fail_group w items e =
+    ignore (mark_down t w e);
     membership_changed := true;
     List.iter (fun (i, line) -> replies.(i) <- unavailable_reply t ~worker:w.w_name line) items
   in
@@ -622,27 +584,18 @@ let route_batch t lines =
            match Hashtbl.find_opt groups w.w_name with
            | None -> None
            | Some g -> Some (w, List.rev !g))
-    |> List.filter_map (fun (w, items) ->
-           match ensure_conn t w with
+    |> List.filter (fun (w, items) ->
+           match Lineio.send w.w_conn (List.map snd items) with
            | Error e ->
              fail_group w items e;
-             membership_changed := true;
-             None
-           | Ok fd -> (
-             match Upstream.send_lines fd (List.map snd items) with
-             | Error e ->
-               fail_group w items e;
-               None
-             | Ok () -> Some (w, fd, items)))
+             false
+           | Ok () -> true)
   in
   List.iter
-    (fun (w, fd, items) ->
+    (fun (w, items) ->
       let count = List.length items in
-      match
-        Upstream.read_lines fd ~residue:w.w_residue ~n:count ~timeout_s:t.forward_timeout_s
-      with
-      | Ok (worker_replies, residue) ->
-        w.w_residue <- residue;
+      match Lineio.recv w.w_conn ~n:count ~timeout_s:t.forward_timeout_s with
+      | Ok worker_replies ->
         w.w_forwarded <- w.w_forwarded + count;
         t.forwarded_count <- t.forwarded_count + count;
         Obs.Metrics.add m_forwarded count;
@@ -661,8 +614,8 @@ let shed t = Quota.shed t.quota + t.conn_shed_count
 let unavailable t = t.unavailable_count
 let canaried t = t.canary_count
 let failovers t = t.failover_count
-let request_drain t = Fastpath.Evloop.request_drain t.control
-let close t = Array.iter close_conn t.workers
+let request_drain t = Serve.Evloop.request_drain t.control
+let close t = Array.iter (fun w -> Lineio.close w.w_conn) t.workers
 
 (* -- the socket service -- *)
 
@@ -687,7 +640,7 @@ let run t ~socket_path =
   let io_fields ~fn err =
     [ ("fn", Obs.Log.Str fn); ("error", Obs.Log.Str (Unix.error_message err)) ]
   in
-  Fastpath.Evloop.serve ~name:"router" ~socket_path ~max_clients:t.max_clients
+  Serve.Evloop.serve ~name:"router" ~socket_path ~max_clients:t.max_clients
     ~control:t.control ~handle_batch:(route_batch t) ~on_tick
     ~reject:(fun () ->
       t.conn_shed_count <- t.conn_shed_count + 1;
@@ -703,5 +656,5 @@ let run t ~socket_path =
         ("forwarded", Obs.Log.Int t.forwarded_count);
         ("unavailable", Obs.Log.Int t.unavailable_count);
         ("failovers", Obs.Log.Int t.failover_count);
-        ("drained", Obs.Log.Bool (Fastpath.Evloop.draining t.control)) ]
+        ("drained", Obs.Log.Bool (Serve.Evloop.draining t.control)) ]
     "router.stop"

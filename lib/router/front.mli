@@ -3,7 +3,7 @@
 
     Speaks the same line-delimited JSON protocol as a single server, on
     the same kind of Unix socket — [clara query] works unchanged against
-    a router socket.  Per round (the {!Fastpath.Evloop.serve} loop the
+    a router socket.  Per round (the {!Serve.Evloop.serve} loop the
     server runs too):
 
     - {b Placement.}  Each forwarded line is keyed — [analyze] requests
@@ -12,14 +12,17 @@
       exactly one worker), everything else by the raw line — and looked up on a
       consistent-hash ring ({!Chash}) over the live, non-draining
       workers.  Lines for the same worker are pipelined down one
-      persistent connection; all groups are written before any replies
-      are read, so workers crunch concurrently.
+      persistent {!Serve.Lineio.conn}, opened on first use; all groups
+      are written before any replies are read, so workers crunch
+      concurrently.
     - {b Admission.}  Per-tenant quotas ({!Quota}) shed over-quota lines
       router-side with typed ["overloaded":true] replies, layered on the
       workers' own [max_pending]/[max_clients] shedding and the router's
       own [max_clients] connection bound.
-    - {b Failover.}  A connect/write/read failure marks the worker down:
-      its in-flight lines are answered ["ok":false, "unavailable":true]
+    - {b Failover.}  A connect/write/read failure (one
+      {!Serve.Lineio.error}, which closes the connection) marks the
+      worker down: its in-flight lines are answered ["ok":false,
+      "unavailable":true]
       (typed retryable — {!Serve.Client} backs off and retries, and the
       retry re-hashes over the survivors), the rings are rebuilt, and the
       health prober re-admits the worker when it answers again.
@@ -83,8 +86,9 @@ val route_batch : t -> string list -> string list
 val target : t -> string -> route option
 
 (** One health sweep: refresh every worker's up/version/draining/pid and
-    rebuild the rings.  Down workers are probed with one-shot connects —
-    a respawned worker is re-admitted here. *)
+    rebuild the rings.  Every worker, up or down, is asked [health] over
+    its persistent connection (reconnecting one a failure closed) — a
+    respawned worker is re-admitted here. *)
 val probe : t -> unit
 
 (** Begin a canary rollout of the bundle in [bundle]: reload
@@ -134,7 +138,7 @@ val close : t -> unit
 
 (** Bind [socket_path] and serve until [shutdown] or a drain is
     requested (SIGTERM / {!request_drain}).  The loop is
-    {!Fastpath.Evloop.serve}, the same one {!Serve.Server.run} uses
+    {!Serve.Evloop.serve}, the same one {!Serve.Server.run} uses
     (batched rounds, coalesced writes, graceful drain window), answering
     each round's lines with one {!route_batch} call.  The router adds a
     {!probe} sweep once at start and then, checked before every poll,

@@ -5,25 +5,16 @@ module Lineio = Serve.Lineio
 let connect = Lineio.connect
 let send_lines = Lineio.send_lines
 
+let error_message = function
+  | Lineio.Timeout -> "timed out awaiting worker reply"
+  | Lineio.Closed -> "worker closed the connection"
+  | Lineio.Io msg -> msg
+
 let read_lines fd ~residue ~n ~timeout_s =
-  match Lineio.read_lines fd ~residue ~n ~timeout_s with
-  | Ok _ as ok -> ok
-  | Error Lineio.Timeout -> Error "timed out awaiting worker reply"
-  | Error Lineio.Closed -> Error "worker closed the connection"
-  | Error (Lineio.Io msg) -> Error msg
+  Result.map_error error_message (Lineio.read_lines fd ~residue ~n ~timeout_s)
 
 let oneshot ~socket_path ~timeout_s line =
-  match connect ~socket_path with
-  | Error _ as e -> e
-  | Ok fd ->
-    let out =
-      match send_lines fd [ line ] with
-      | Error _ as e -> e
-      | Ok () -> (
-        match read_lines fd ~residue:"" ~n:1 ~timeout_s with
-        | Ok ([ reply ], _) -> Ok reply
-        | Ok _ -> Error "protocol error: expected one reply line"
-        | Error _ as e -> e)
-    in
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    out
+  let c = Lineio.conn ~socket_path in
+  let reply = Lineio.call c ~timeout_s line in
+  Lineio.close c;
+  Result.map_error error_message reply

@@ -1,11 +1,12 @@
 (** Blocking line I/O to one worker socket.
 
     The router keeps one persistent connection per live worker and
-    pipelines each round's request lines down it; these helpers are
-    {!Serve.Lineio} with every [Unix_error] (and timeout, and EOF) mapped
-    to [Error msg], so the caller can treat "this worker just died" as
-    data.  All sockets are opened close-on-exec: respawned worker
-    children must not inherit the router's descriptors. *)
+    pipelines each round's request lines down it (a
+    {!Serve.Lineio.conn}); these helpers are {!Serve.Lineio} with every
+    [Unix_error] (and timeout, and EOF) mapped to [Error msg], so the
+    caller can treat "this worker just died" as data.  All sockets are
+    opened close-on-exec: respawned worker children must not inherit the
+    router's descriptors. *)
 
 (** Connect to a Unix-domain socket. *)
 val connect : socket_path:string -> (Unix.file_descr, string) result
@@ -24,6 +25,11 @@ val read_lines :
   timeout_s:float ->
   (string list * string, string) result
 
-(** One-shot request: connect, send one line, read one reply, close.
-    What the health prober uses on workers it holds no connection to. *)
+(** A worker-facing message for a {!Serve.Lineio.error}: what
+    {!read_lines} and the router's down-marking log report. *)
+val error_message : Serve.Lineio.error -> string
+
+(** One-shot request over a fresh {!Serve.Lineio.conn}: connect, send
+    one line, read one reply, close.  What {!Spawn} polls a starting
+    worker with. *)
 val oneshot : socket_path:string -> timeout_s:float -> string -> (string, string) result

@@ -1,14 +1,12 @@
 (** Retrying insight-service client (see client.mli). *)
 
 type t = {
-  socket_path : string;
+  conn : Lineio.conn;
   timeout_s : float;
   retries : int;
   backoff_base_s : float;
   backoff_cap_s : float;
   seed : int;
-  mutable fd : Unix.file_descr option;
-  mutable residue : string;  (* bytes read past the last reply's newline *)
   mutable next_id : int;
   mutable draw : int;  (* jitter-sequence position *)
   mutable attempts : int;
@@ -31,16 +29,13 @@ let create ?(timeout_s = 5.0) ?(retries = 4) ?(backoff_base_s = 0.05) ?(backoff_
     ?(seed = 1) ~socket_path () =
   if timeout_s <= 0.0 then invalid_arg "Client.create: timeout_s must be > 0";
   if retries < 0 then invalid_arg "Client.create: retries must be >= 0";
-  { socket_path; timeout_s; retries; backoff_base_s; backoff_cap_s; seed; fd = None;
-    residue = ""; next_id = 1; draw = 0; attempts = 0; retries_used = 0 }
+  { conn = Lineio.conn ~socket_path; timeout_s; retries; backoff_base_s; backoff_cap_s; seed;
+    next_id = 1; draw = 0; attempts = 0; retries_used = 0 }
 
 let attempts t = t.attempts
 let retries_used t = t.retries_used
 
-let close t =
-  (match t.fd with Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ()) | None -> ());
-  t.fd <- None;
-  t.residue <- ""
+let close t = Lineio.close t.conn
 
 (* splitmix64 finalizer, as in [Obs.Fault]: jitter draw [i] is a pure
    function of (seed, i), so a fixed seed replays the backoff schedule. *)
@@ -64,40 +59,6 @@ let backoff_sleep t ~attempt =
   let base = t.backoff_base_s *. (2.0 ** float_of_int attempt) in
   Unix.sleepf (Float.min t.backoff_cap_s base *. jitter)
 
-let connect t =
-  match t.fd with
-  | Some fd -> Ok fd
-  | None ->
-    Result.map
-      (fun fd ->
-        t.fd <- Some fd;
-        t.residue <- "";
-        fd)
-      (Lineio.connect ~socket_path:t.socket_path)
-
-(* One attempt's outcome, before retry classification. *)
-type attempt = Reply of string | A_timeout | A_io of string
-
-(* Send the line and read up to the next newline within the per-attempt
-   timeout.  EOF before a newline means the server hung up on us (e.g.
-   the connection-limit shed closes right after its reply — that reply
-   still arrives whole first). *)
-let attempt_once t line =
-  t.attempts <- t.attempts + 1;
-  match connect t with
-  | Error msg -> A_io msg
-  | Ok fd -> (
-    match Lineio.send_lines fd [ line ] with
-    | Error msg -> A_io msg
-    | Ok () -> (
-      match Lineio.read_lines fd ~residue:t.residue ~n:1 ~timeout_s:t.timeout_s with
-      | Ok (reply :: _, residue) ->
-        t.residue <- residue;
-        Reply reply
-      | Ok ([], _) | Error Lineio.Closed -> A_io "server closed the connection"
-      | Error Lineio.Timeout -> A_timeout
-      | Error (Lineio.Io msg) -> A_io msg))
-
 let request t fields =
   let fields =
     if List.mem_assoc "id" fields then fields
@@ -118,10 +79,16 @@ let request t fields =
         (* reconnect fresh: the failed socket may be half-dead *)
         backoff_sleep t ~attempt:(attempt - 1)
       end;
-      match attempt_once t line with
-      | A_timeout -> go (attempt + 1) Timeout
-      | A_io msg -> go (attempt + 1) (Io msg)
-      | Reply raw -> (
+      t.attempts <- t.attempts + 1;
+      (* One round trip within the per-attempt timeout.  EOF before a
+         newline means the server hung up on us (e.g. the connection-limit
+         shed closes right after its reply — that reply still arrives
+         whole first). *)
+      match Lineio.call t.conn ~timeout_s:t.timeout_s line with
+      | Error Lineio.Timeout -> go (attempt + 1) Timeout
+      | Error Lineio.Closed -> go (attempt + 1) (Io "server closed the connection")
+      | Error (Lineio.Io msg) -> go (attempt + 1) (Io msg)
+      | Ok raw -> (
         match Jsonl.of_string raw with
         | Error msg -> Error (Bad_reply msg)
         | Ok reply -> (

@@ -25,7 +25,7 @@ type t = {
   flight : Obs.Flight.t;  (* always-on postmortem rings (capacity 0 disables) *)
   mutable served_count : int;
   mutable shed_count : int;
-  control : Fastpath.Evloop.control;  (* shutdown / drain flags *)
+  control : Evloop.control;  (* shutdown / drain flags *)
   mutable flight_dump_requested : bool;  (* set by the SIGQUIT handler *)
 }
 
@@ -63,7 +63,7 @@ let create ?(cache_capacity = 64) ?(shards = 8) ?slow_threshold_s ?deadline_ms
     quality = Quality.create ?rate:shadow_rate ?seed:shadow_seed ~shards ();
     slow_s; deadline_s; max_pending; max_clients; fast_buf = Buffer.create 1024;
     flight = Obs.Flight.create ~shards ?capacity:flight_capacity ?dir:flight_dir ();
-    served_count = 0; shed_count = 0; control = Fastpath.Evloop.control ();
+    served_count = 0; shed_count = 0; control = Evloop.control ();
     flight_dump_requested = false }
 
 let served t = t.served_count
@@ -71,8 +71,8 @@ let shed t = t.shed_count
 let version t = t.version
 let cache_hits t = Fastpath.Shards.hits t.flows
 let cache_misses t = Fastpath.Shards.misses t.flows
-let request_drain t = Fastpath.Evloop.request_drain t.control
-let draining t = Fastpath.Evloop.draining t.control
+let request_drain t = Evloop.request_drain t.control
+let draining t = Evloop.draining t.control
 let shard_count t = Fastpath.Shards.shard_count t.flows
 let flight t = t.flight
 let flight_json t = Obs.Flight.to_json_string t.flight
@@ -670,7 +670,7 @@ let plan_line_slow t ~now line =
            [ ("profile", Jsonl.Str (Obs.Prof.to_json_string ()));
              ("folded", Jsonl.Str (Obs.Prof.folded ())) ])
     | Some "shutdown" ->
-      Fastpath.Evloop.request_stop t.control;
+      Evloop.request_stop t.control;
       Ready (ok_reply ~trace id [ ("stopping", Jsonl.Bool true) ])
     | Some "analyze" -> plan_analyze t ~now ~trace id req
     | Some other -> Ready (err_reply ~trace id (Printf.sprintf "unknown cmd %S" other))
@@ -910,18 +910,7 @@ let run t ~socket_path =
      the next loop turn (EINTR wakes the select) and keep serving.  The
      previous handler is restored on the way out so tests can run
      several servers in one process. *)
-  let old_sigquit =
-    if Sys.os_type = "Unix" then
-      try
-        Some
-          (Sys.signal Sys.sigquit (Sys.Signal_handle (fun _ -> t.flight_dump_requested <- true)))
-      with Invalid_argument _ | Sys_error _ -> None
-    else None
-  in
-  Fun.protect ~finally:(fun () ->
-      match old_sigquit with
-      | Some h -> ( try Sys.set_signal Sys.sigquit h with Invalid_argument _ | Sys_error _ -> ())
-      | None -> ())
+  Evloop.with_signal Sys.sigquit (Sys.Signal_handle (fun _ -> t.flight_dump_requested <- true))
   @@ fun () ->
   Obs.Log.info
     ~fields:
@@ -981,7 +970,7 @@ let run t ~socket_path =
     end;
     if Quality.enabled t.quality then drain_quality t
   in
-  Fastpath.Evloop.serve ~name:"serve" ~socket_path ~max_clients:t.max_clients
+  Evloop.serve ~name:"serve" ~socket_path ~max_clients:t.max_clients
     ~control:t.control ~handle_batch ~on_tick
     ~reject:(fun () ->
       t.shed_count <- t.shed_count + 1;

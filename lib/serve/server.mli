@@ -228,12 +228,13 @@ val flight_json : t -> string
 
 (** Bind [socket_path] (unlinking any stale socket), accept clients, and
     serve until a [shutdown] request arrives or a drain is requested
-    (SIGTERM / {!request_drain}).  The loop is {!Fastpath.Evloop.serve}
-    (level-triggered rounds, per-connection state machines, batched
-    reads, coalesced writes), answering each round's lines with one
-    {!process_batch} call; analysis parallelism comes from there.  The
-    server adds its own pieces: SIGQUIT dumps the flight rings on the
-    next loop turn; before every poll (so after the previous round's
+    (SIGTERM / {!request_drain}).  The loop is {!Evloop.serve}
+    (level-triggered rounds, per-connection state machines, reads split
+    by {!Lineio.split}, coalesced writes through {!Lineio.write}),
+    answering each round's lines with one {!process_batch} call;
+    analysis parallelism comes from there.  The server adds its own
+    pieces: SIGQUIT ({!Evloop.with_signal}, restored on return) dumps
+    the flight rings on the next loop turn; before every poll (so after the previous round's
     replies left) it writes a requested flight dump and evaluates pending
     shadow tasks; an exception escaping a batch dumps the flight rings
     before propagating.  Logs its effective config ([serve.start]),

@@ -155,9 +155,15 @@ let test_quota () =
 (* -- upstream line reader over a socketpair -- *)
 
 let test_upstream_read_lines () =
+  (* some replies longer than one 8 KiB read, one blank, one ending in
+     '\r': the splitter passes every byte through *)
   let reply i =
-    let pad = if i mod 3 = 0 then 5000 + (i * 37) else 10 + i in
-    Printf.sprintf {|{"id":%d,"report":"%s"}|} i (String.init pad (fun k -> Char.chr (97 + ((i + k) mod 26))))
+    let pad = if i mod 3 = 0 then 9000 + (i * 37) else 10 + i in
+    match i with
+    | 4 -> ""
+    | 7 -> Printf.sprintf {|{"id":%d}|} i ^ "\r"
+    | _ ->
+      Printf.sprintf {|{"id":%d,"report":"%s"}|} i (String.init pad (fun k -> Char.chr (97 + ((i + k) mod 26))))
   in
   let replies = List.init 12 reply in
   let partial = {|{"id":12,"repo|} in

@@ -1,7 +1,8 @@
 (** Tests for the insight service: the hand-rolled JSON, the request
     handler (valid / unknown-NF / malformed / inline p4lite), a pipelined
-    batch through the socket server, and a real 8-client burst against it
-    with a 4-domain pool. *)
+    batch through the socket server, a real 8-client burst against it
+    with a 4-domain pool, and the line-I/O layer: [Lineio]'s write,
+    splitter and connection, and [Evloop]'s bytes through them. *)
 
 let with_jobs n f =
   let saved = Util.Pool.jobs () in
@@ -390,6 +391,254 @@ let test_write_all_survives_signal () =
   Alcotest.(check int) "every byte arrives" n (String.length received);
   Alcotest.(check bool) "exactly once, in order" true (String.equal payload received)
 
+(* -- Lineio's splitter: random streams cut at random points -- *)
+
+let rec write_fragments rng fd s pos =
+  if pos < String.length s then begin
+    let len = min (String.length s - pos) (1 + Random.State.int rng 9000) in
+    Serve.Lineio.write_all fd (String.sub s pos len);
+    if Random.State.bool rng then Unix.sleepf 0.0002;
+    write_fragments rng fd s (pos + len)
+  end
+
+(* Every byte up to EOF, within [timeout_s]. *)
+let read_to_eof fd ~timeout_s =
+  let deadline = Unix.gettimeofday () +. timeout_s in
+  let got = Buffer.create 4096 and chunk = Bytes.create 65536 in
+  let rec go () =
+    let left = deadline -. Unix.gettimeofday () in
+    if left <= 0.0 then Alcotest.fail "no EOF before the deadline"
+    else
+      match Unix.select [ fd ] [] [] left with
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+      | [], _, _ -> go ()
+      | _ -> (
+        match Unix.read fd chunk 0 (Bytes.length chunk) with
+        | 0 -> Buffer.contents got
+        | r ->
+          Buffer.add_subbytes got chunk 0 r;
+          go ()
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ())
+  in
+  go ()
+
+(* Blank lines, lines longer than one 8 KiB read, and '\r' endings, then
+   an unterminated tail. *)
+let random_stream rng =
+  let line () =
+    match Random.State.int rng 6 with
+    | 0 -> ""
+    | 1 -> String.make (1 + Random.State.int rng 3) ' ' ^ "\r"
+    | 2 -> String.init (8192 + Random.State.int rng 12000) (fun k -> Char.chr (97 + (k mod 26)))
+    | 3 -> {|{"id":1}|} ^ "\r"
+    | _ -> String.init (Random.State.int rng 40) (fun _ -> Char.chr (32 + Random.State.int rng 95))
+  in
+  let lines = List.init (Random.State.int rng 12) (fun _ -> line ()) in
+  let tail = String.init (Random.State.int rng 30) (fun _ -> Char.chr (97 + Random.State.int rng 26)) in
+  String.concat "" (List.map (fun l -> l ^ "\n") lines) ^ tail
+
+let prop_read_lines_splits =
+  QCheck.Test.make ~name:"read_lines returns the complete lines, the tail as residue" ~count:40
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let stream = random_stream rng in
+      let parts = String.split_on_char '\n' stream in
+      let n = List.length parts - 1 in
+      let complete = List.filteri (fun i _ -> i < n) parts and tail = List.nth parts n in
+      let r, w = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect ~finally:(fun () -> Unix.close r) @@ fun () ->
+      let writer =
+        Domain.spawn (fun () ->
+            Fun.protect ~finally:(fun () -> Unix.close w) (fun () -> write_fragments rng w stream 0))
+      in
+      (* two calls, so the residue of the first carries into the second *)
+      let k = n / 2 in
+      let read ~residue n =
+        match Serve.Lineio.read_lines r ~residue ~n ~timeout_s:10.0 with
+        | Ok x -> x
+        | Error _ -> Alcotest.failf "read_lines failed on seed %d" seed
+      in
+      let first, residue = read ~residue:"" k in
+      let second, residue = read ~residue (n - k) in
+      let rest = read_to_eof r ~timeout_s:10.0 in
+      Domain.join writer;
+      first @ second = complete && residue ^ rest = tail)
+
+(* -- Evloop: its bytes go through Lineio -- *)
+
+let fresh_socket_path tag =
+  let path = Filename.temp_file tag ".sock" in
+  Sys.remove path;
+  path
+
+let rec connect_retry path attempts =
+  match Serve.Lineio.connect ~socket_path:path with
+  | Ok fd -> fd
+  | Error e when attempts = 0 -> Alcotest.failf "connect %s: %s" path e
+  | Error _ ->
+    Unix.sleepf 0.01;
+    connect_retry path (attempts - 1)
+
+(* [Evloop.serve] with [handle_batch] on this domain (where a process
+   signal lands) while [client path] runs on another; the loop stops
+   once the client returns.  Returns the loop's I/O errors. *)
+let with_loop handle_batch client =
+  let path = fresh_socket_path "clara_evloop" in
+  let control = Serve.Evloop.control () in
+  let errors = ref [] in
+  let d =
+    Domain.spawn (fun () ->
+        Fun.protect ~finally:(fun () -> Serve.Evloop.request_stop control) (fun () -> client path))
+  in
+  Serve.Evloop.serve ~name:"test" ~socket_path:path ~max_clients:4 ~control ~handle_batch
+    ~on_tick:ignore ~reject:(fun () -> "{}") ~on_disconnect:(fun ~fn:_ _ -> ())
+    ~on_error:(fun ~ctx ~fn err -> errors := Printf.sprintf "%s %s: %s" ctx fn (Unix.error_message err) :: !errors);
+  Domain.join d;
+  !errors
+
+(* SIGALRM fires every 10 ms while the loop is blocked flushing a 1 MiB
+   reply to a client that is not reading yet; the client starts reading
+   after three signals.  A write a signal interrupts after earlier 64 KiB
+   chunks went out must not lose their count: the reply arrives exactly
+   once, byte for byte. *)
+let test_flush_survives_signal () =
+  let reply = String.init (1 lsl 20) (fun i -> Char.chr (97 + (i * 7 mod 26))) in
+  let fired = Atomic.make 0 in
+  let timer period =
+    ignore (Unix.setitimer Unix.ITIMER_REAL { Unix.it_interval = period; it_value = period })
+  in
+  let received = ref "" in
+  let errors =
+    Serve.Evloop.with_signal Sys.sigalrm (Sys.Signal_handle (fun _ -> Atomic.incr fired))
+    @@ fun () ->
+    Fun.protect ~finally:(fun () -> timer 0.0) @@ fun () ->
+    with_loop
+      (fun lines ->
+        timer 0.01;
+        List.map (fun _ -> reply) lines)
+      (fun path ->
+        let fd = connect_retry path 200 in
+        Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+        Serve.Lineio.write_all fd "go\n";
+        Unix.shutdown fd Unix.SHUTDOWN_SEND;
+        let deadline = Unix.gettimeofday () +. 10.0 in
+        while Atomic.get fired < 3 && Unix.gettimeofday () < deadline do
+          Unix.sleepf 0.001
+        done;
+        timer 0.0;
+        received := read_to_eof fd ~timeout_s:10.0)
+  in
+  Alcotest.(check (list string)) "no loop I/O errors" [] errors;
+  Alcotest.(check bool) "signals fired during the flush" true (Atomic.get fired >= 3);
+  Alcotest.(check int) "every byte arrives once" (String.length reply + 1) (String.length !received);
+  Alcotest.(check bool) "byte for byte" true (String.equal (reply ^ "\n") !received)
+
+(* An echo loop fed one stream in random fragments: one reply per
+   non-blank line, in order, then the trimmed final unterminated line at
+   EOF. *)
+let test_evloop_fragmented_stream () =
+  let rng = Random.State.make [| 21 |] in
+  let lines =
+    [ {|{"id":1}|}; ""; "  \r"; String.make 70_000 'x'; {|{"id":2}|} ^ "\r"; "\t"; "last but one" ]
+  in
+  let stream = String.concat "" (List.map (fun l -> l ^ "\n") lines) ^ "  final line \r" in
+  let received = ref "" in
+  let errors =
+    with_loop Fun.id (fun path ->
+        let fd = connect_retry path 200 in
+        Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+        write_fragments rng fd stream 0;
+        Unix.shutdown fd Unix.SHUTDOWN_SEND;
+        received := read_to_eof fd ~timeout_s:10.0)
+  in
+  Alcotest.(check (list string)) "no loop I/O errors" [] errors;
+  Alcotest.(check (list string)) "one reply per non-blank line, then the final line"
+    (List.filter (fun l -> String.trim l <> "") lines @ [ "final line"; "" ])
+    (String.split_on_char '\n' !received)
+
+(* -- Lineio.conn -- *)
+
+let with_listener f =
+  let path = fresh_socket_path "clara_conn" in
+  let l = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind l (Unix.ADDR_UNIX path);
+  Unix.listen l 4;
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close l;
+      try Sys.remove path with Sys_error _ -> ())
+    (fun () -> f l path)
+
+let connecting l = match Unix.select [ l ] [] [] 0.0 with [], _, _ -> false | _ -> true
+
+let peer_lines fd n =
+  match Serve.Lineio.read_lines fd ~residue:"" ~n ~timeout_s:5.0 with
+  | Ok (lines, _) -> lines
+  | Error _ -> Alcotest.fail "peer read"
+
+let error_name = function
+  | Ok _ -> "Ok"
+  | Error Serve.Lineio.Timeout -> "Timeout"
+  | Error Serve.Lineio.Closed -> "Closed"
+  | Error (Serve.Lineio.Io _) -> "Io"
+
+let test_conn_lifecycle () =
+  let module L = Serve.Lineio in
+  with_listener @@ fun l path ->
+  let c = L.conn ~socket_path:path in
+  Alcotest.(check bool) "no connect before the first send" false (connecting l);
+  Alcotest.(check string) "recv before any send" "Closed" (error_name (L.recv c ~n:1 ~timeout_s:0.1));
+  Alcotest.(check string) "first send" "Ok" (error_name (L.send c [ "a"; "b" ]));
+  Alcotest.(check bool) "the first send connects" true (connecting l);
+  let fd, _ = Unix.accept ~cloexec:true l in
+  Alcotest.(check (list string)) "both lines arrive" [ "a"; "b" ] (peer_lines fd 2);
+  (* two replies in one write, then the peer hangs up: the second reply
+     can only come from the residue *)
+  L.write_all fd "r1\nr2\n";
+  Alcotest.(check (result (list string) string)) "first reply" (Ok [ "r1" ])
+    (Result.map_error (fun _ -> "error") (L.recv c ~n:1 ~timeout_s:5.0));
+  Unix.close fd;
+  Alcotest.(check (result (list string) string)) "second reply from the residue" (Ok [ "r2" ])
+    (Result.map_error (fun _ -> "error") (L.recv c ~n:1 ~timeout_s:5.0));
+  Alcotest.(check string) "a peer that hung up" "Closed" (error_name (L.recv c ~n:1 ~timeout_s:5.0));
+  (* the error closed the connection; the next send reconnects *)
+  Alcotest.(check bool) "no reconnect before the next send" false (connecting l);
+  Alcotest.(check string) "send after the error" "Ok" (error_name (L.send c [ "c" ]));
+  let fd, _ = Unix.accept ~cloexec:true l in
+  Alcotest.(check (list string)) "reconnected" [ "c" ] (peer_lines fd 1);
+  L.write_all fd "r3\n";
+  Alcotest.(check (result string string)) "call" (Ok "r3")
+    (Result.map_error (fun _ -> "error") (L.call c ~timeout_s:5.0 "d"));
+  Alcotest.(check (list string)) "call sent its line" [ "d" ] (peer_lines fd 1);
+  L.close c;
+  L.close c;
+  Alcotest.(check string) "close hangs up" "" (read_to_eof fd ~timeout_s:5.0);
+  Unix.close fd;
+  Alcotest.(check string) "send after close" "Ok" (error_name (L.send c [ "e" ]));
+  Alcotest.(check bool) "the send after close reconnects" true (connecting l);
+  L.close c
+
+let test_conn_errors () =
+  let module L = Serve.Lineio in
+  let missing = L.conn ~socket_path:"/nonexistent/clara.sock" in
+  (match L.call missing ~timeout_s:1.0 "x" with
+  | Error (L.Io msg) ->
+    Alcotest.(check bool) "names the failed call" true (String.starts_with ~prefix:"connect: " msg)
+  | r -> Alcotest.failf "missing socket: %s" (error_name r));
+  with_listener @@ fun l path ->
+  let c = L.conn ~socket_path:path in
+  (* connected through the backlog, never answered *)
+  Alcotest.(check string) "a mute peer" "Timeout" (error_name (L.call c ~timeout_s:0.05 "x"));
+  let fd, _ = Unix.accept ~cloexec:true l in
+  Unix.close fd;
+  Alcotest.(check string) "send" "Ok" (error_name (L.send c [ "y" ]));
+  let fd, _ = Unix.accept ~cloexec:true l in
+  (* read before hanging up: unread bytes would turn the EOF into a reset *)
+  Alcotest.(check (list string)) "peer got the line" [ "y" ] (peer_lines fd 1);
+  Unix.close fd;
+  Alcotest.(check string) "a peer that hangs up" "Closed" (error_name (L.recv c ~n:1 ~timeout_s:5.0))
+
 let () =
   Alcotest.run "serve"
     [ ( "jsonl",
@@ -407,4 +656,12 @@ let () =
           Alcotest.test_case "8-client concurrent burst" `Slow test_concurrent_burst ] );
       ( "lineio",
         [ Alcotest.test_case "write_all survives a signal mid-write" `Quick
-            test_write_all_survives_signal ] ) ]
+            test_write_all_survives_signal;
+          QCheck_alcotest.to_alcotest prop_read_lines_splits;
+          Alcotest.test_case "conn: lazy open, residue, reconnect" `Quick test_conn_lifecycle;
+          Alcotest.test_case "conn: Io, Timeout, Closed" `Quick test_conn_errors ] );
+      ( "evloop",
+        [ Alcotest.test_case "flush survives a signal mid-write" `Quick
+            test_flush_survives_signal;
+          Alcotest.test_case "fragmented stream, one reply per line" `Quick
+            test_evloop_fragmented_stream ] ) ]
