@@ -28,27 +28,27 @@ let error_to_string = function
 
 (* -- CRC-32 (IEEE 802.3, reflected) -- *)
 
+(* Computed on native ints (a CRC-32 fits in the low 32 bits of OCaml's
+   63-bit int); [Int32] appears only at the boundary. *)
 let crc_table =
   lazy
     (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
+         let c = ref n in
          for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
+           c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
          done;
          !c))
 
 let crc32 ?(crc = 0l) s =
   let table = Lazy.force crc_table in
-  let c = ref (Int32.lognot crc) in
-  String.iter
-    (fun ch ->
-      let idx = Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xffl) in
-      c := Int32.logxor (Int32.shift_right_logical !c 8) table.(idx))
-    s;
-  Int32.lognot !c
+  let c = ref (Int32.to_int crc land 0xffffffff lxor 0xffffffff) in
+  for i = 0 to String.length s - 1 do
+    (* the index is masked to 0..255 and [i] is in range *)
+    c :=
+      (!c lsr 8)
+      lxor Array.unsafe_get table ((!c lxor Char.code (String.unsafe_get s i)) land 0xff)
+  done;
+  Int32.of_int (!c lxor 0xffffffff)
 
 (* -- writer -- *)
 

@@ -139,13 +139,13 @@ let fresh_trace t () =
 let unavailable_reply t ~worker line =
   t.unavailable_count <- t.unavailable_count + 1;
   Obs.Metrics.inc m_unavailable;
-  let id, trace = Proto.identity ~mint:(fresh_trace t) line in
+  let id, trace = Proto.identity ~mint:(fresh_trace t) (Proto.salvage line) in
   Proto.error_reply ~unavailable:true ~extra:[ ("worker", Jsonl.Str worker) ] ~trace id
     (Printf.sprintf "worker %s unavailable; retry re-hashes to a live worker" worker)
 
 let quota_reply t ~tenant line =
   Obs.Metrics.inc m_quota_shed;
-  let id, trace = Proto.identity ~mint:(fresh_trace t) line in
+  let id, trace = Proto.identity ~mint:(fresh_trace t) (Proto.salvage line) in
   Proto.error_reply ~overloaded:true ~extra:[ ("tenant", Jsonl.Str tenant) ] ~trace id
     (Printf.sprintf "overloaded: tenant %s over its %d-lines-per-round quota" tenant
        (Quota.limit t.quota))
@@ -245,60 +245,24 @@ let probe t =
 
 (* -- placement -- *)
 
-(* One parse and one classification per line, read by both {!target}
-   and the batch path's [decide]: the router-local commands are listed
-   here and nowhere else. *)
+(* The router-local commands, listed here and nowhere else. *)
 type local = Health | Topology | Rollout | Promote | Rollback | Metrics | Reload | Shutdown
 
-type parsed =
-  | Malformed
-  | Parsed of { req : Jsonl.t; cmd : string option; local : local option }
+let local_of (r : Proto.request) =
+  match r.cmd with
+  | Some "health" -> Some Health
+  | Some "topology" -> Some Topology
+  | Some "rollout" -> Some Rollout
+  | Some "promote" -> Some Promote
+  | Some "rollback" -> Some Rollback
+  | Some "metrics" -> Some Metrics
+  | Some "reload" -> Some Reload
+  | Some "shutdown" -> Some Shutdown
+  | Some _ | None -> None
 
-let parse line =
-  match Jsonl.of_string line with
-  | Error _ -> Malformed
-  | Ok req ->
-    let cmd = Proto.cmd req in
-    let local =
-      match cmd with
-      | Some "health" -> Some Health
-      | Some "topology" -> Some Topology
-      | Some "rollout" -> Some Rollout
-      | Some "promote" -> Some Promote
-      | Some "rollback" -> Some Rollback
-      | Some "metrics" -> Some Metrics
-      | Some "reload" -> Some Reload
-      | Some "shutdown" -> Some Shutdown
-      | Some _ | None -> None
-    in
-    Parsed { req; cmd; local }
-
-(* The placement key: [analyze] requests collapse to "nf|workload" (an
-   inline program to its JSON and workload, never its id or trace id) so
-   one worker's flow cache warms per key; anything else (including
-   malformed lines, which the worker answers with typed errors) keys on
-   the raw line. *)
-let forward_key parsed line =
-  match parsed with
-  | Malformed ->
-    let tenant =
-      match Jsonl.salvage_member "tenant" line with Some (Jsonl.Str s) -> s | _ -> "default"
-    in
-    (line, tenant)
-  | Parsed { req; cmd; _ } ->
-    let tenant = Option.value (Jsonl.str_member "tenant" req) ~default:"default" in
-    let key =
-      match cmd with
-      | Some "analyze" -> (
-        match Jsonl.str_member "nf" req with
-        | Some nf -> Proto.flow_key nf (Proto.workload req)
-        | None -> (
-          match Jsonl.member "p4lite" req with
-          | Some program -> Proto.flow_key (Jsonl.to_string program) (Proto.workload req)
-          | None -> line))
-      | _ -> line
-    in
-    (key, tenant)
+(* One parse and one decode per line, read by both {!target} and the
+   batch path's [decide]; [None] for a line that does not parse. *)
+let read line = Result.to_option (Result.map Proto.decode (Jsonl.of_string line))
 
 let make_route t ~key ~tenant =
   let canary =
@@ -314,14 +278,25 @@ let make_route t ~key ~tenant =
   in
   { rt_worker = worker; rt_canary = canary; rt_key = key; rt_tenant = tenant }
 
-let route_of t parsed line =
-  let key, tenant = forward_key parsed line in
-  make_route t ~key ~tenant
+(* The placement key is the worker's flow key for an [analyze] request
+   (["nf|workload"], or an inline program's key and the workload), never
+   its id or trace id, so one worker's flow cache warms per key.
+   Anything else keys on the raw line: other commands, and the lines a
+   worker answers with typed errors — malformed JSON, an undecodable
+   program, an analyze naming no target. *)
+let place t line (r : Proto.request) =
+  let key =
+    match r.target with
+    | Nf { key; _ } | Program { key; _ } -> key
+    | Bad_program _ | No_target -> line
+  in
+  make_route t ~key ~tenant:r.tenant
 
 let target t line =
-  match parse line with
-  | Parsed { local = Some _; _ } -> None
-  | parsed -> Some (route_of t parsed line)
+  match read line with
+  | Some r when Option.is_some (local_of r) -> None
+  | Some r -> Some (place t line r)
+  | None -> Some (place t line (Proto.salvage line))
 
 (* -- rollout control -- *)
 
@@ -514,17 +489,17 @@ let shutdown_reply t ~trace id =
 type decision = Local of string | Forward of route
 
 let decide t line =
-  match parse line with
-  | Malformed -> Forward (route_of t Malformed line)
-  | Parsed { req; local; _ } as parsed -> (
+  match read line with
+  | None -> Forward (place t line (Proto.salvage line))
+  | Some r -> (
     (* Every parsed line settles its identity here, forwarded or not: a
        line without a trace id takes the next r-N either way. *)
-    let id, trace = Proto.identity ~mint:(fresh_trace t) ~req line in
-    match local with
-    | None -> Forward (route_of t parsed line)
+    let id, trace = Proto.identity ~mint:(fresh_trace t) r in
+    match local_of r with
+    | None -> Forward (place t line r)
     | Some Health -> Local (Proto.ok_reply ~trace id (healthz_fields t))
     | Some Topology -> Local (topology_reply t ~trace id)
-    | Some Rollout -> Local (rollout_reply t ~trace id req)
+    | Some Rollout -> Local (rollout_reply t ~trace id r.req)
     | Some Promote -> Local (promote_reply t ~trace id)
     | Some Rollback -> Local (rollback_reply t ~trace id)
     | Some Metrics ->

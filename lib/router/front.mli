@@ -6,12 +6,14 @@
     a router socket.  Per round (the {!Serve.Evloop.serve} loop the
     server runs too):
 
-    - {b Placement.}  Each forwarded line is keyed — [analyze] requests
-      by ["nf|workload"], inline programs by the program's JSON and the
-      workload ({!Serve.Proto.flow_key}, so a key's flow-cache entry warms
-      exactly one worker), everything else by the raw line — and looked up on a
-      consistent-hash ring ({!Chash}) over the live, non-draining
-      workers.  Lines for the same worker are pipelined down one
+    - {b Placement.}  Each forwarded line is decoded once
+      ({!Serve.Proto.decode}) and keyed — an [analyze] request by the
+      worker's own flow key ({!Serve.Proto.target}: ["nf|workload"], or
+      an inline program's key and the workload, so a key's flow-cache
+      entry warms exactly one worker whatever the program's spelling),
+      everything else (malformed lines and bad programs included) by the
+      raw line — and looked up on a consistent-hash ring ({!Chash}) over
+      the live, non-draining workers.  Lines for the same worker are pipelined down one
       persistent {!Serve.Lineio.conn}, opened on first use; all groups
       are written before any replies are read, so workers crunch
       concurrently.

@@ -240,7 +240,11 @@ let of_string s =
   | Ok _ as ok -> ok
   | Error (`Malformed msg | `Injected msg) -> Error msg
 
-let member key = function Obj l -> List.assoc_opt key l | _ -> None
+(* [String.equal], not [List.assoc_opt]'s polymorphic compare: a request
+   decode makes several lookups, most of them misses. *)
+let member key = function
+  | Obj l -> List.find_map (fun (k, v) -> if String.equal k key then Some v else None) l
+  | _ -> None
 
 (* -- best-effort member salvage from malformed text --
 

@@ -142,7 +142,7 @@ let volatile_request line =
   match Jsonl.of_string line with
   | Error _ -> false (* malformed lines get deterministic error replies *)
   | Ok req -> (
-    match Proto.cmd req with Some c -> List.mem c volatile_cmds | None -> false)
+    match (Proto.decode req).cmd with Some c -> List.mem c volatile_cmds | None -> false)
 
 let environmental_outcome = function
   | "overloaded" | "deadline" | "fault" -> true

@@ -8,11 +8,10 @@
    reload rebuilds every lane, dropping the memos with the old models. *)
 type lane = { l_lock : Mutex.t; l_compiled : Clara.Pipeline.compiled }
 
-(* [models]/[flows]/[lanes] are mutable for hot reload: the swap happens
+(* [flows]/[lanes] are mutable for hot reload: the swap happens
    inside the serial planning path, so every request line is answered
    entirely by one bundle version — never a torn mix. *)
 type t = {
-  mutable models : Clara.Pipeline.models;
   mutable flows : Fastpath.Entry.t Fastpath.Shards.t;  (* installed flow entries *)
   mutable lanes : lane array;
   mutable version : string;  (* bundle version token (Persist.Bundle.version) *)
@@ -54,8 +53,7 @@ let create ?(cache_capacity = 64) ?(shards = 8) ?slow_threshold_s ?deadline_ms
     | Some _ -> None (* an explicit 0 disables any environment default *)
     | None -> default_deadline_s ()
   in
-  { models;
-    flows = Fastpath.Shards.create ~shards ~capacity:cache_capacity ();
+  { flows = Fastpath.Shards.create ~shards ~capacity:cache_capacity ();
     lanes =
       Array.init shards (fun _ ->
           { l_lock = Mutex.create (); l_compiled = Clara.Pipeline.compile models });
@@ -80,18 +78,16 @@ let quality t = t.quality
 let drain_quality t = Quality.drain t.quality
 let quality_json ?now t = Quality.to_json_string ?now t.quality
 
-(* Inline p4lite programs are not in the corpus, so shadow evaluation
-   cannot re-derive their ground truth; skip offering them. *)
-let shadowable_key key =
-  String.length key < 7 || String.sub key 0 7 <> "p4lite:"
-
 (* The id token as rendered in the reply ("null" for an absent id):
    the shadow-sampling hash input, identical on both serving paths. *)
 let id_token = function Jsonl.Null -> "null" | id -> Jsonl.to_string id
 
-(* Offer one selected analyze answer for shadow evaluation. *)
+(* Offer one selected analyze answer for shadow evaluation.  Inline
+   programs are not in the corpus, so shadow evaluation cannot re-derive
+   their ground truth; they are never offered. *)
 let maybe_shadow t ~id ~key entry =
-  if Quality.enabled t.quality && shadowable_key key
+  if Quality.enabled t.quality
+     && (not (String.starts_with ~prefix:"p4lite:" key))
      && Quality.should_shadow t.quality ~id ~key
   then
     Quality.offer t.quality
@@ -115,7 +111,11 @@ let m_in_flight =
   Obs.Metrics.gauge ~help:"Request lines currently being processed" "clara_serve_in_flight"
 
 let m_latency =
-  Obs.Metrics.histogram ~help:"Per-request wall latency in seconds"
+  Obs.Metrics.histogram
+    ~help:
+      "Per-request wall latency in seconds, from batch start to when the line's reply \
+       bytes exist: at planning for hits and immediate replies, after the analysis \
+       fan-out for misses"
     ~buckets:(Obs.Metrics.latency_buckets ()) "clara_serve_request_seconds"
 
 let m_shed =
@@ -147,88 +147,6 @@ let workload_named name =
     Error
       (Printf.sprintf "unknown workload %S (one of: %s)" name
          (String.concat ", " (List.map fst workloads)))
-
-(* -- inline P4lite programs -- *)
-
-exception Bad_program of string
-
-let bad fmt = Printf.ksprintf (fun m -> raise (Bad_program m)) fmt
-
-let all_fields =
-  Nf_lang.Ast.
-    [ Eth_type; Ip_src; Ip_dst; Ip_proto; Ip_ttl; Ip_len; Ip_hl; Ip_tos; Ip_id; Ip_csum;
-      Tcp_sport; Tcp_dport; Tcp_seq; Tcp_ack; Tcp_off; Tcp_flags; Tcp_win; Tcp_csum;
-      Udp_sport; Udp_dport; Udp_len; Udp_csum ]
-
-let field_of_name s = List.find_opt (fun f -> Nf_lang.Ast.field_name f = s) all_fields
-
-(* Actions are compact strings: "drop" | "noop" | "dec_ttl" | "forward:PORT"
-   | "set:FIELD" | "count:NAME". *)
-let action_of_string s =
-  match s with
-  | "drop" -> Nf_lang.P4lite.Drop_packet
-  | "noop" -> Nf_lang.P4lite.No_op
-  | "dec_ttl" -> Nf_lang.P4lite.Decrement_ttl
-  | _ -> (
-    match String.index_opt s ':' with
-    | None -> bad "unknown action %S" s
-    | Some i -> (
-      let kind = String.sub s 0 i in
-      let arg = String.sub s (i + 1) (String.length s - i - 1) in
-      match kind with
-      | "forward" -> (
-        match int_of_string_opt arg with
-        | Some port -> Nf_lang.P4lite.Forward port
-        | None -> bad "forward wants a port number, got %S" arg)
-      | "set" -> (
-        match field_of_name arg with
-        | Some f -> Nf_lang.P4lite.Set_field f
-        | None -> bad "unknown header field %S" arg)
-      | "count" -> Nf_lang.P4lite.Count arg
-      | _ -> bad "unknown action %S" s))
-
-let string_list_member what key j =
-  match Jsonl.member key j with
-  | Some (Jsonl.Arr items) ->
-    List.map (function Jsonl.Str s -> s | _ -> bad "%s: %S wants strings" what key) items
-  | Some _ -> bad "%s: %S must be an array" what key
-  | None -> bad "%s: missing %S" what key
-
-let table_of_json j =
-  let name =
-    match Jsonl.str_member "name" j with Some s -> s | None -> bad "table: missing \"name\""
-  in
-  let keys =
-    List.map
-      (fun s ->
-        match field_of_name s with
-        | Some f -> f
-        | None -> bad "table %s: unknown key field %S" name s)
-      (string_list_member ("table " ^ name) "keys" j)
-  in
-  let actions = List.map action_of_string (string_list_member ("table " ^ name) "actions" j) in
-  let default_action =
-    match Jsonl.str_member "default" j with
-    | Some s -> action_of_string s
-    | None -> Nf_lang.P4lite.No_op
-  in
-  let size =
-    match Jsonl.num_member "size" j with Some f -> int_of_float f | None -> 64
-  in
-  if keys = [] then bad "table %s: needs at least one key" name;
-  if size < 1 then bad "table %s: size must be >= 1" name;
-  { Nf_lang.P4lite.t_name = name; keys; actions; default_action; size }
-
-let program_of_json j =
-  let p_name = Option.value (Jsonl.str_member "name" j) ~default:"p4lite" in
-  let pipeline =
-    match Jsonl.member "tables" j with
-    | Some (Jsonl.Arr tables) -> List.map table_of_json tables
-    | Some _ -> bad "\"tables\" must be an array"
-    | None -> bad "p4lite program: missing \"tables\""
-  in
-  if pipeline = [] then bad "p4lite program: empty pipeline";
-  { Nf_lang.P4lite.p_name; pipeline }
 
 (* -- request trace ids --
 
@@ -311,26 +229,23 @@ type miss = {
   deadline : float option;  (* absolute Clock seconds; None = no budget *)
 }
 
-(* A parsed request line: answered by the fast path, already answerable,
-   a cache hit, or an analysis to fan out.  [Fast] keeps the shard/trace
-   the scanner already had in hand for the flight recorder (both are
-   empty-ish when recording is off). *)
+(* A planned request line: answered by the fast path, already answered,
+   a slow-path cache hit (its reply rendered already; the shadow offer
+   waits for the render stage so offers keep plan order), or an analysis
+   for the run stage.  [Fast] keeps the shard the scanner already had in
+   hand for the flight recorder (-1 when recording is off). *)
 type plan =
-  | Fast of { reply : string; shard : int; trace : string }
+  | Fast of { reply : reply; shard : int }
   | Ready of reply
-  | Hit of { id : Jsonl.t; trace : string; key : string; entry : Fastpath.Entry.t }
+  | Hit of { reply : reply; id : Jsonl.t; key : string; entry : Fastpath.Entry.t }
   | Miss of miss
-
-let plan_trace = function
-  | Fast _ | Ready _ -> None
-  | Hit { trace; _ } | Miss { trace; _ } -> Some trace
 
 (* Per-request budget: the request's own ["deadline_ms"] wins (0 or
    negative disables), else the server default.  Stored as an absolute
    time so every later stage compares against the same clock. *)
-let deadline_of t ~now req =
+let deadline_of t ~now (r : Proto.request) =
   let budget_s =
-    match Jsonl.num_member "deadline_ms" req with
+    match r.deadline_ms with
     | Some ms when ms > 0.0 -> Some (ms /. 1000.0)
     | Some _ -> None
     | None -> t.deadline_s
@@ -342,43 +257,32 @@ let expired deadline = match deadline with Some d -> Obs.Clock.now_s () > d | No
 let deadline_reply ~trace id =
   err_reply ~outcome:`Deadline ~trace id "deadline exceeded before the analysis finished"
 
-let plan_analyze t ~now ~trace id req =
-  let deadline = deadline_of t ~now req in
-  let wname = Proto.workload req in
-  match workload_named wname with
+let plan_analyze t ~now ~trace (r : Proto.request) =
+  let id = r.id in
+  match workload_named r.workload with
   | Error msg -> Ready (err_reply ~trace id msg)
   | Ok spec -> (
-    let target =
-      match (Jsonl.str_member "nf" req, Jsonl.member "p4lite" req) with
-      | Some name, _ -> (
-        match Nf_lang.Corpus.find name with
-        | elt -> Ok (elt, name, Proto.flow_key name wname)
-        | exception Failure _ ->
-          Error
-            (err_reply ~valid:(corpus_names ()) ~trace id (Printf.sprintf "unknown NF %S" name)))
-      | None, Some pj -> (
-        match program_of_json pj with
-        | prog ->
-          let elt = Nf_lang.P4lite.compile prog in
-          let key =
-            Proto.flow_key
-              (Printf.sprintf "p4lite:%08lx" (Persist.Wire.crc32 (Nf_lang.Pp.to_string elt)))
-              wname
-          in
-          Ok (elt, elt.Nf_lang.Ast.name, key)
-        | exception Bad_program msg -> Error (err_reply ~trace id ("bad p4lite program: " ^ msg)))
-      | None, None -> Error (err_reply ~trace id "analyze wants \"nf\" or \"p4lite\"")
-    in
-    match target with
-    | Error reply -> Ready reply
-    | Ok (elt, nf_label, key) -> (
+    let plan elt nf_label key =
       match Fastpath.Shards.find t.flows key with
       | Some entry ->
         Obs.Metrics.inc m_cache_hits;
-        Hit { id; trace; key; entry }
+        Hit { reply = analyze_reply ~trace id ~cached:true ~path:"slow" entry; id; key; entry }
       | None ->
         Obs.Metrics.inc m_cache_misses;
-        Miss { id; trace; key; elt; spec; nf_label; wname; deadline }))
+        Miss
+          { id; trace; key; elt; spec; nf_label; wname = r.workload;
+            deadline = deadline_of t ~now r }
+    in
+    match r.target with
+    | Nf { name; key } -> (
+      match Nf_lang.Corpus.find name with
+      | elt -> plan elt name key
+      | exception Failure _ ->
+        Ready
+          (err_reply ~valid:(corpus_names ()) ~trace id (Printf.sprintf "unknown NF %S" name)))
+    | Program { elt; key } -> plan elt elt.Nf_lang.Ast.name key
+    | Bad_program msg -> Ready (err_reply ~trace id ("bad p4lite program: " ^ msg))
+    | No_target -> Ready (err_reply ~trace id "analyze wants \"nf\" or \"p4lite\""))
 
 (* The [trace] command: one request's span subtree, rebuilt from the ring
    buffer by trace-id filter.  Structure only — names, categories, order —
@@ -391,15 +295,6 @@ let rec tree_json (node : Obs.Span.tree) =
       ("cat", Jsonl.Str node.Obs.Span.span.Obs.Span.cat);
       ("dur_us", Jsonl.Num node.Obs.Span.span.Obs.Span.dur_us);
       ("children", Jsonl.Arr (List.map tree_json node.Obs.Span.children)) ]
-
-let trace_reply ~trace id req =
-  match Jsonl.str_member "trace_id" req with
-  | None -> err_reply ~trace id "trace wants \"trace_id\""
-  | Some wanted ->
-    ok_reply ~trace id
-      [ ("queried", Jsonl.Str wanted);
-        ("tracing", Jsonl.Bool (Obs.Span.enabled ()));
-        ("spans", Jsonl.Arr (List.map tree_json (Obs.Span.forest ~trace:wanted ()))) ]
 
 (* -- the fast path --
 
@@ -421,104 +316,76 @@ let trace_reply ~trace id req =
 
    Cache hits never consulted the deadline before the split and still do
    not: a hit is answered from memory well inside any budget. *)
+exception Not_fast
+
+(* The scan: the NF name, workload name, id span ([(0, 0)] when absent:
+   render null) and trace span ([None]: mint one) of a plain [analyze]
+   line, or [Not_fast]. *)
+let scan_analyze line =
+  let open Fastpath.Scan in
+  let need = function Some x -> x | None -> raise_notrace Not_fast in
+  if Obs.Fault.armed "jsonl.parse" then raise_notrace Not_fast;
+  let cmd = need (match member line "cmd" with Some _ as c -> c | None -> member line "op") in
+  if not (span_is line cmd "\"analyze\"") || Option.is_some (member line "p4lite") then
+    raise_notrace Not_fast;
+  let nf_off, nf_len = need (Option.bind (member line "nf") (string_contents line)) in
+  let wname =
+    match member line "workload" with
+    | None -> Proto.default_workload
+    | Some span ->
+      let w_off, w_len = need (string_contents line span) in
+      let w = String.sub line w_off w_len in
+      if List.mem_assoc w workloads then w else raise_notrace Not_fast
+  in
+  let id_span =
+    match member line "id" with
+    | None -> (0, 0)
+    | Some span -> if canonical_scalar line span then span else raise_notrace Not_fast
+  in
+  let trace_span =
+    Option.map (fun span -> need (string_contents line span)) (member line "trace_id")
+  in
+  (String.sub line nf_off nf_len, wname, id_span, trace_span)
+
 let fast_track t ~now line =
-  if Obs.Fault.armed "jsonl.parse" then None
-  else
-    let cmd =
-      match Fastpath.Scan.member line "cmd" with
-      | Some _ as c -> c
-      | None -> Fastpath.Scan.member line "op"
-    in
-    match cmd with
-    | Some cspan when Fastpath.Scan.span_is line cspan "\"analyze\"" -> (
-      match Fastpath.Scan.member line "p4lite" with
-      | Some _ -> None
-      | None -> (
-        match
-          Option.bind (Fastpath.Scan.member line "nf") (Fastpath.Scan.string_contents line)
-        with
-        | None -> None
-        | Some (nf_off, nf_len) -> (
-          let wname =
-            match Fastpath.Scan.member line "workload" with
-            | None -> Some Proto.default_workload
-            | Some wspan -> (
-              match Fastpath.Scan.string_contents line wspan with
-              | None -> None
-              | Some (w_off, w_len) ->
-                let w = String.sub line w_off w_len in
-                if List.mem_assoc w workloads then Some w else None)
-          in
-          match wname with
-          | None -> None
-          | Some wname -> (
-            let id_span =
-              match Fastpath.Scan.member line "id" with
-              | None -> Some (0, 0) (* absent: render null *)
-              | Some span ->
-                if Fastpath.Scan.canonical_scalar line span then Some span else None
-            in
-            match id_span with
-            | None -> None
-            | Some (id_off, id_len) -> (
-              let trace_span =
-                match Fastpath.Scan.member line "trace_id" with
-                | None -> Some `Fresh
-                | Some span -> (
-                  match Fastpath.Scan.string_contents line span with
-                  | Some (o, l) -> Some (`Span (o, l))
-                  | None -> None)
-              in
-              match trace_span with
-              | None -> None
-              | Some tr -> (
-                let key = Proto.flow_key (String.sub line nf_off nf_len) wname in
-                match Fastpath.Shards.probe t.flows key with
-                | None -> None
-                | Some entry ->
-                  t.served_count <- t.served_count + 1;
-                  Obs.Metrics.inc m_requests;
-                  Obs.Metrics.inc m_cache_hits;
-                  let b = t.fast_buf in
-                  Buffer.clear b;
-                  (* The flight recorder's shard/trace come from what the
-                     scanner already holds; when recording is off neither
-                     costs anything beyond one atomic-backed check. *)
-                  let fl = Obs.Flight.enabled t.flight in
-                  let ftrace =
-                    match tr with
-                    | `Span (t_off, t_len) ->
-                      Fastpath.Entry.render_into b entry ~id_src:line ~id_off ~id_len
-                        ~trace_src:line ~trace_off:t_off ~trace_len:t_len ~cached:true
-                        ~path:"fast";
-                      if fl then String.sub line t_off t_len else ""
-                    | `Fresh ->
-                      let trace = fresh_trace () in
-                      Fastpath.Entry.render_into b entry ~id_src:line ~id_off ~id_len
-                        ~trace_src:trace ~trace_off:0 ~trace_len:(String.length trace)
-                        ~cached:true ~path:"fast";
-                      trace
-                  in
-                  (* Quality telemetry costs one float compare when
-                     disabled, keeping the rate-0 fast path inside its
-                     bench envelope. *)
-                  if Quality.enabled t.quality then begin
-                    Quality.record_fast_latency t.quality
-                      ~shard:(Fastpath.Shards.shard_of_key t.flows key)
-                      ~nf:(Fastpath.Entry.nf entry)
-                      (Obs.Clock.now_s () -. now);
-                    let id =
-                      if id_len = 0 then "null" else String.sub line id_off id_len
-                    in
-                    maybe_shadow t ~id ~key entry
-                  end;
-                  Some
-                    (Fast
-                       { reply = Buffer.contents b;
-                         shard =
-                           (if fl then Fastpath.Shards.shard_of_key t.flows key else -1);
-                         trace = ftrace })))))))
-    | Some _ | None -> None
+  match scan_analyze line with
+  | exception Not_fast -> None
+  | nf, wname, (id_off, id_len), trace_span -> (
+    let key = Proto.flow_key nf wname in
+    match Fastpath.Shards.probe t.flows key with
+    | None -> None
+    | Some entry ->
+      t.served_count <- t.served_count + 1;
+      Obs.Metrics.inc m_requests;
+      Obs.Metrics.inc m_cache_hits;
+      let b = t.fast_buf in
+      Buffer.clear b;
+      let trace, t_off, t_len, trace_src =
+        match trace_span with
+        | Some (t_off, t_len) -> (String.sub line t_off t_len, t_off, t_len, line)
+        | None ->
+          let trace = fresh_trace () in
+          (trace, 0, String.length trace, trace)
+      in
+      Fastpath.Entry.render_into b entry ~id_src:line ~id_off ~id_len ~trace_src
+        ~trace_off:t_off ~trace_len:t_len ~cached:true ~path:"fast";
+      (* Quality telemetry costs one float compare when disabled, keeping
+         the rate-0 fast path inside its bench envelope. *)
+      if Quality.enabled t.quality then begin
+        Quality.record_fast_latency t.quality
+          ~shard:(Fastpath.Shards.shard_of_key t.flows key)
+          ~nf:(Fastpath.Entry.nf entry) (Obs.Clock.now_s () -. now);
+        let id = if id_len = 0 then "null" else String.sub line id_off id_len in
+        maybe_shadow t ~id ~key entry
+      end;
+      (* The flight recorder's shard comes from the key already in hand;
+         when recording is off it costs one atomic-backed check. *)
+      Some
+        (Fast
+           { reply = { text = Buffer.contents b; outcome = `Ok; trace };
+             shard =
+               (if Obs.Flight.enabled t.flight then Fastpath.Shards.shard_of_key t.flows key
+                else -1) }))
 
 (* -- hot reload --
 
@@ -573,7 +440,6 @@ let reload_reply t ~trace id req =
         let shards = Fastpath.Shards.shard_count t.flows in
         let capacity = Fastpath.Shards.capacity t.flows in
         let models = b.Persist.Bundle.models in
-        t.models <- models;
         t.lanes <-
           Array.init shards (fun _ ->
               { l_lock = Mutex.create (); l_compiled = Clara.Pipeline.compile models });
@@ -602,91 +468,89 @@ let plan_line_slow t ~now line =
     (* Even an unparseable line gets its id (and trace id) echoed back when
        one can be salvaged, so pipelined clients keep request/reply
        correlation. *)
-    let id, trace = Proto.identity ~mint:fresh_trace line in
+    let id, trace = Proto.identity ~mint:fresh_trace (Proto.salvage line) in
     let outcome, msg =
       match cause with `Malformed msg -> (`Error, msg) | `Injected msg -> (`Fault, msg)
     in
     Ready (err_reply ~outcome ~trace id ("malformed JSON: " ^ msg))
   | Ok req -> (
-    let id, trace = Proto.identity ~mint:fresh_trace ~req line in
+    let r = Proto.decode req in
+    let id, trace = Proto.identity ~mint:fresh_trace r in
     Obs.Span.with_trace trace @@ fun () ->
-    match Proto.cmd req with
-    | Some "ping" -> Ready (ok_reply ~trace id [ ("pong", Jsonl.Bool true) ])
-    | Some "list" ->
-      Ready
-        (ok_reply ~trace id
-           [ ("nfs", Jsonl.Arr (List.map (fun s -> Jsonl.Str s) (corpus_names ()))) ])
+    let ok fields = Ready (ok_reply ~trace id fields) in
+    let num n = Jsonl.Num (float_of_int n) in
+    match r.cmd with
+    | Some "ping" -> ok [ ("pong", Jsonl.Bool true) ]
+    | Some "list" -> ok [ ("nfs", Jsonl.Arr (List.map (fun s -> Jsonl.Str s) (corpus_names ()))) ]
     | Some "stats" ->
-      Ready
-        (ok_reply ~trace id
-           [ ("served", Jsonl.Num (float_of_int t.served_count));
-             ("cache_hits", Jsonl.Num (float_of_int (Fastpath.Shards.hits t.flows)));
-             ("cache_misses", Jsonl.Num (float_of_int (Fastpath.Shards.misses t.flows)));
-             ("cache_length", Jsonl.Num (float_of_int (Fastpath.Shards.length t.flows)));
-             ("cache_capacity", Jsonl.Num (float_of_int (Fastpath.Shards.capacity t.flows)));
-             ("cache_shards", Jsonl.Num (float_of_int (Fastpath.Shards.shard_count t.flows)));
-             ("cache_installs", Jsonl.Num (float_of_int (Fastpath.Shards.installs t.flows)));
-             ("cache_evictions", Jsonl.Num (float_of_int (Fastpath.Shards.evictions t.flows))) ])
+      ok
+        [ ("served", num t.served_count);
+          ("cache_hits", num (Fastpath.Shards.hits t.flows));
+          ("cache_misses", num (Fastpath.Shards.misses t.flows));
+          ("cache_length", num (Fastpath.Shards.length t.flows));
+          ("cache_capacity", num (Fastpath.Shards.capacity t.flows));
+          ("cache_shards", num (Fastpath.Shards.shard_count t.flows));
+          ("cache_installs", num (Fastpath.Shards.installs t.flows));
+          ("cache_evictions", num (Fastpath.Shards.evictions t.flows)) ]
     | Some "metrics" ->
       (* Snapshot under the registry locks, render outside them: a slow
          reader never holds the instruments hostage. *)
       Obs.Runtime.sample ();
       let snap = Obs.Metrics.snapshot () in
-      Ready (ok_reply ~trace id [ ("metrics", Jsonl.Str (Obs.Metrics.render_snapshot snap)) ])
+      ok [ ("metrics", Jsonl.Str (Obs.Metrics.render_snapshot snap)) ]
     | Some "health" ->
       (* One line of liveness for a fronting router: enough to decide
          membership (draining), attribute replies (version) and manage
          the process (pid) without scraping /metrics. *)
-      Ready
-        (ok_reply ~trace id
-           [ ("version", Jsonl.Str t.version);
-             ("draining", Jsonl.Bool (draining t));
-             ("pid", Jsonl.Num (float_of_int (Unix.getpid ())));
-             ("served", Jsonl.Num (float_of_int t.served_count));
-             ("shed", Jsonl.Num (float_of_int t.shed_count)) ])
-    | Some "reload" -> Ready (reload_reply t ~trace id req)
-    | Some "trace" -> Ready (trace_reply ~trace id req)
+      ok
+        [ ("version", Jsonl.Str t.version);
+          ("draining", Jsonl.Bool (draining t));
+          ("pid", num (Unix.getpid ()));
+          ("served", num t.served_count);
+          ("shed", num t.shed_count) ]
+    | Some "reload" -> Ready (reload_reply t ~trace id r.req)
+    | Some "trace" -> (
+      (* The queried id is the request's own ["trace_id"]. *)
+      match r.trace with
+      | None -> Ready (err_reply ~trace id "trace wants \"trace_id\"")
+      | Some wanted ->
+        ok
+          [ ("queried", Jsonl.Str wanted);
+            ("tracing", Jsonl.Bool (Obs.Span.enabled ()));
+            ("spans", Jsonl.Arr (List.map tree_json (Obs.Span.forest ~trace:wanted ()))) ])
     | Some "quality" ->
       (* Drain first so everything offered by earlier lines is visible
          in the same deterministic order it was enqueued. *)
-      Ready (ok_reply ~trace id [ ("quality", Jsonl.Str (quality_json t)) ])
+      ok [ ("quality", Jsonl.Str (quality_json t)) ]
     | Some "flight" ->
       (* On-demand snapshot; an optional "dump" member also writes the
          rings as a JSONL dump to that path on the server side. *)
       let dumped =
-        match Jsonl.str_member "dump" req with
+        match Jsonl.str_member "dump" r.req with
         | None -> []
         | Some path -> (
           match Obs.Flight.dump_to_file t.flight ~trigger:"manual" path with
           | () -> [ ("dumped", Jsonl.Str path) ]
           | exception Sys_error msg -> [ ("dump_error", Jsonl.Str msg) ])
       in
-      Ready
-        (ok_reply ~trace id
-           (("flight", Jsonl.Str (Obs.Flight.to_json_string t.flight)) :: dumped))
+      ok (("flight", Jsonl.Str (Obs.Flight.to_json_string t.flight)) :: dumped)
     | Some "profile" ->
-      Ready
-        (ok_reply ~trace id
-           [ ("profile", Jsonl.Str (Obs.Prof.to_json_string ()));
-             ("folded", Jsonl.Str (Obs.Prof.folded ())) ])
+      ok
+        [ ("profile", Jsonl.Str (Obs.Prof.to_json_string ()));
+          ("folded", Jsonl.Str (Obs.Prof.folded ())) ]
     | Some "shutdown" ->
       Evloop.request_stop t.control;
-      Ready (ok_reply ~trace id [ ("stopping", Jsonl.Bool true) ])
-    | Some "analyze" -> plan_analyze t ~now ~trace id req
+      ok [ ("stopping", Jsonl.Bool true) ]
+    | Some "analyze" -> plan_analyze t ~now ~trace r
     | Some other -> Ready (err_reply ~trace id (Printf.sprintf "unknown cmd %S" other))
     | None -> Ready (err_reply ~trace id "missing \"cmd\""))
 
-let plan_line t ~now line =
-  match fast_track t ~now line with
-  | Some plan -> plan
-  | None -> plan_line_slow t ~now line
-
-(* What one deduplicated analysis job produced.  A report carries the
-   raw predictions alongside the rendered text so the flow entry (and
-   shadow evaluation through it) sees them without re-parsing.  A failure
-   remembers whether an injected fault caused it. *)
+(* What one deduplicated analysis job produced: a fresh flow entry (the
+   reply bytes pre-serialized once, carrying the raw predictions for
+   shadow evaluation), or a failure that remembers whether an injected
+   fault caused it. *)
 type job_outcome =
-  | Report of { text : string; pc : float; pm : float }
+  | Report of Fastpath.Entry.t
   | Failed of { msg : string; fault : bool }
   | Timed_out
 
@@ -694,18 +558,6 @@ let failed e =
   Failed
     { msg = Printexc.to_string e;
       fault = (match e with Obs.Fault.Injected _ -> true | _ -> false) }
-
-(* Load shedding: a line past the [max_pending] admission bound is
-   answered immediately with an explicit retryable [overloaded] error
-   (id and trace id still salvaged from the raw text) instead of queuing
-   unbounded work behind the pool. *)
-let shed_reply t line =
-  t.served_count <- t.served_count + 1;
-  t.shed_count <- t.shed_count + 1;
-  Obs.Metrics.inc m_requests;
-  let id, trace = Proto.identity ~mint:fresh_trace line in
-  err_reply ~outcome:`Overloaded ~trace id
-    (Printf.sprintf "overloaded: server admits %d request lines per batch" t.max_pending)
 
 let split_at n l =
   let rec go n acc = function
@@ -715,186 +567,195 @@ let split_at n l =
   in
   go n [] l
 
-(* -- flight recording --
+(* -- the batch: plan -> run -> render --
 
-   Every reply line leaves one postmortem record behind (when the rings
-   are enabled), classed by the outcome its reply was built with.  A
-   deadline or fault outcome also pulls the matching dump trigger. *)
+   [process_batch] answers one event-loop round in three stages.  Plan
+   turns every admitted line into a [plan] and notes when its reply bytes
+   exist (now, for everything but a miss).  Run analyzes the batch's
+   distinct misses on the pool and installs their flow entries.  Render
+   gives every miss its reply and makes one [line_record] per reply line,
+   which is all the accounting (latency histogram, quality telemetry,
+   slow-request log, flight recorder) reads. *)
 
-let record_flight t ~now0 ~lines ~plans ~replies =
+(* One reply line as the accounting sees it: [shard] is -1 when the line
+   never reached a flow-cache shard, [latency_s] runs from batch start to
+   when the reply bytes existed. *)
+type line_record = { line : string; reply : reply; shard : int; path : string; latency_s : float }
+
+(* Load shedding: a line past the [max_pending] admission bound is
+   answered immediately with an explicit retryable [overloaded] error
+   (id and trace id still salvaged from the raw text) instead of queuing
+   unbounded work behind the pool. *)
+let shed_record t ~now0 line =
+  t.served_count <- t.served_count + 1;
+  t.shed_count <- t.shed_count + 1;
+  Obs.Metrics.inc m_requests;
+  let id, trace = Proto.identity ~mint:fresh_trace (Proto.salvage line) in
+  let reply =
+    err_reply ~outcome:`Overloaded ~trace id
+      (Printf.sprintf "overloaded: server admits %d request lines per batch" t.max_pending)
+  in
+  { line; reply; shard = -1; path = "slow"; latency_s = Obs.Clock.now_s () -. now0 }
+
+let plan_stage t ~now0 lines =
+  List.map
+    (fun line ->
+      let plan =
+        match fast_track t ~now:now0 line with
+        | Some plan -> plan
+        | None -> plan_line_slow t ~now:now0 line
+      in
+      (line, plan, Obs.Clock.now_s ()))
+    lines
+
+(* Deduplicate the batch's misses, keeping first-seen order (and the
+   first-seen request's trace id), then analyze the distinct jobs
+   concurrently.  The trace id is re-installed inside each task closure:
+   it lives in domain-local storage, so spans recorded on a worker domain
+   would otherwise lose their request attribution.  Deadlines are
+   enforced between the stages: a miss whose budget ran out during
+   planning never becomes a job, a job checks its budget again before
+   computing, and the render stage re-checks so a report that arrived
+   too late still answers [deadline_exceeded] (the entry is installed for
+   the next asker all the same).  Fresh entries are installed into their
+   key's shard for every later fast-path probe; they also answer this
+   batch's own requesters (even with caching disabled, where [install]
+   drops them).  Returns each job's outcome by key. *)
+let run_stage t planned =
+  let jobs =
+    List.fold_left
+      (fun acc (_, plan, _) ->
+        match plan with
+        | Miss m
+          when (not (expired m.deadline)) && not (List.exists (fun j -> j.key = m.key) acc) ->
+          m :: acc
+        | _ -> acc)
+      [] planned
+    |> List.rev
+  in
+  let results =
+    (* An armed [pool.task] fault aborts the whole fan-out; degrade it to
+       per-job failures so every requester still gets a typed reply.  Each
+       job runs on the lane of its key's shard: the compiled pipeline's
+       inference scratch is not shareable, and the lane mutex serializes
+       only same-shard jobs. *)
+    match
+      Util.Pool.parallel_map_list
+        (fun m ->
+          Obs.Span.with_trace m.trace @@ fun () ->
+          let outcome =
+            if expired m.deadline then Timed_out
+            else
+              try
+                let lane = t.lanes.(Fastpath.Shards.shard_of_key t.flows m.key) in
+                Mutex.lock lane.l_lock;
+                let ins =
+                  Fun.protect
+                    ~finally:(fun () -> Mutex.unlock lane.l_lock)
+                    (fun () -> Clara.Pipeline.analyze_compiled lane.l_compiled m.elt m.spec)
+                in
+                Report
+                  (Fastpath.Entry.make ~pred_compute:ins.Clara.Insights.predicted_compute
+                     ~pred_memory:ins.Clara.Insights.predicted_memory ~nf:m.nf_label
+                     ~workload:m.wname ~report:(Clara.Insights.render ins) ())
+              with e -> failed e
+          in
+          (m.key, outcome))
+        jobs
+    with
+    | results -> results
+    | exception e ->
+      let outcome = failed e in
+      List.map (fun m -> (m.key, outcome)) jobs
+  in
+  List.iter
+    (function
+      | key, Report entry -> Fastpath.Shards.install t.flows key entry
+      | _, (Failed _ | Timed_out) -> ())
+    results;
+  results
+
+let miss_reply t ~results m =
+  let { id; trace; key; deadline; _ } = m in
+  match List.assoc_opt key results with
+  | Some (Report entry) ->
+    if expired deadline then deadline_reply ~trace id
+    else begin
+      if Quality.enabled t.quality then maybe_shadow t ~id:(id_token id) ~key entry;
+      analyze_reply ~trace id ~cached:false ~path:"slow" entry
+    end
+  | Some (Failed { msg; fault }) ->
+    err_reply ~outcome:(if fault then `Fault else `Error) ~trace id ("analysis failed: " ^ msg)
+  | Some Timed_out | None -> deadline_reply ~trace id
+
+(* Serial and in plan order, so shadow offers land in the pending queue
+   deterministically. *)
+let render_stage t ~now0 ~results planned =
+  List.map
+    (fun (line, plan, at) ->
+      match plan with
+      | Fast { reply; shard } -> { line; reply; shard; path = "fast"; latency_s = at -. now0 }
+      | Ready reply -> { line; reply; shard = -1; path = "slow"; latency_s = at -. now0 }
+      | Hit { reply; id; key; entry } ->
+        if Quality.enabled t.quality then maybe_shadow t ~id:(id_token id) ~key entry;
+        let shard = Fastpath.Shards.shard_of_key t.flows key in
+        { line; reply; shard; path = "slow"; latency_s = at -. now0 }
+      | Miss m ->
+        let reply = miss_reply t ~results m in
+        let shard = Fastpath.Shards.shard_of_key t.flows m.key in
+        { line; reply; shard; path = "slow"; latency_s = Obs.Clock.now_s () -. now0 })
+    planned
+
+(* One reply line's accounting.  An admitted line's own latency feeds the
+   histogram, the latency SLO and, past the threshold, the slow-request
+   log.  Every line counts availability by its own outcome and leaves a
+   postmortem record (when the rings are enabled) classed the same way;
+   a deadline or fault outcome also pulls the matching dump trigger. *)
+let account t ~n_lines ~admitted r =
+  if admitted then begin
+    Obs.Metrics.observe m_latency r.latency_s;
+    if Quality.enabled t.quality then Quality.record_request_latency t.quality r.latency_s;
+    if r.latency_s > t.slow_s then
+      Obs.Log.warn
+        ~fields:
+          [ ("trace_id", Obs.Log.Str r.reply.trace);
+            ("latency_s", Obs.Log.Num r.latency_s);
+            ("threshold_s", Obs.Log.Num t.slow_s);
+            ("batch_lines", Obs.Log.Int n_lines) ]
+        "serve.slow_request"
+  end;
+  if Quality.enabled t.quality then Quality.record_reply t.quality ~ok:(r.reply.outcome = `Ok);
   if Obs.Flight.enabled t.flight then begin
-    let latency_us = (Obs.Clock.now_s () -. now0) *. 1e6 in
-    let rec go lines plans replies =
-      match (lines, plans, replies) with
-      | line :: ls, plan :: ps, (r : reply) :: rs ->
-        let shard, path =
-          match plan with
-          | Fast { shard; _ } -> (shard, "fast")
-          | Hit { key; _ } | Miss { key; _ } -> (Fastpath.Shards.shard_of_key t.flows key, "slow")
-          | Ready _ -> (-1, "slow")
-        in
-        (match r.outcome with
-        | `Deadline -> ignore (Obs.Flight.trigger t.flight "deadline")
-        | `Fault -> ignore (Obs.Flight.trigger t.flight "fault")
-        | `Ok | `Error | `Overloaded -> ());
-        Obs.Flight.record t.flight ~shard ~trace:r.trace ~path ~latency_us
-          ~outcome:(outcome_label r.outcome) ~request:line ~reply:r.text;
-        go ls ps rs
-      | _ -> ()
-    in
-    go lines plans replies
+    (match r.reply.outcome with
+    | `Deadline -> ignore (Obs.Flight.trigger t.flight "deadline")
+    | `Fault -> ignore (Obs.Flight.trigger t.flight "fault")
+    | `Ok | `Error | `Overloaded -> ());
+    Obs.Flight.record t.flight ~shard:r.shard ~trace:r.reply.trace ~path:r.path
+      ~latency_us:(r.latency_s *. 1e6) ~outcome:(outcome_label r.reply.outcome)
+      ~request:r.line ~reply:r.reply.text
   end
 
 let process_batch t lines =
   Obs.Span.with_ ~cat:"serve" "serve.batch" @@ fun () ->
   let now0 = Obs.Clock.now_s () in
   let admitted, overflow = split_at t.max_pending lines in
-  let shed_replies = List.map (shed_reply t) overflow in
+  let shed = List.map (shed_record t ~now0) overflow in
   let n_lines = List.length admitted in
   Obs.Metrics.add_gauge m_in_flight (float_of_int n_lines);
-  let batch_traces = ref [] in
-  let admitted_replies =
-    Fun.protect ~finally:(fun () ->
-        (* Replies for a batch are produced together, so each line's wall
-           latency is the batch's elapsed time. *)
-        let dt = Obs.Clock.now_s () -. now0 in
-        for _ = 1 to n_lines do
-          Obs.Metrics.observe m_latency dt;
-          if Quality.enabled t.quality then Quality.record_request_latency t.quality dt
-        done;
-        Obs.Metrics.add_gauge m_in_flight (-.float_of_int n_lines);
-        if dt > t.slow_s then begin
-          List.iter
-            (fun trace ->
-              Obs.Log.warn
-                ~fields:
-                  [ ("trace_id", Obs.Log.Str trace);
-                    ("latency_s", Obs.Log.Num dt);
-                    ("threshold_s", Obs.Log.Num t.slow_s);
-                    ("batch_lines", Obs.Log.Int n_lines) ]
-                "serve.slow_request")
-            !batch_traces;
-          ignore (Obs.Flight.trigger t.flight "slow_request")
-        end)
+  let served =
+    Fun.protect ~finally:(fun () -> Obs.Metrics.add_gauge m_in_flight (-.float_of_int n_lines))
     @@ fun () ->
-    let plans = List.map (plan_line t ~now:now0) admitted in
-    batch_traces := List.filter_map plan_trace plans;
-    (* Deduplicate this batch's cache misses, keeping first-seen order (and
-       the first-seen request's trace id), then analyze the distinct jobs
-       concurrently.  The trace id is re-installed inside each task closure:
-       it lives in domain-local storage, so spans recorded on a worker
-       domain would otherwise lose their request attribution.  Deadlines
-       are enforced between the pipeline stages: a miss whose budget ran
-       out during planning never becomes a job, a job checks its budget
-       again before computing, and the reply assembly below re-checks so
-       a report that arrived too late still answers [deadline_exceeded]
-       (the report is cached for the next asker all the same). *)
-    let jobs =
-      List.fold_left
-        (fun acc plan ->
-          match plan with
-          | Miss m
-            when (not (expired m.deadline)) && not (List.exists (fun j -> j.key = m.key) acc) ->
-            m :: acc
-          | _ -> acc)
-        [] plans
-      |> List.rev
-    in
-    let results =
-      (* An armed [pool.task] fault aborts the whole fan-out; degrade it
-         to per-job failures so every requester still gets a typed reply.
-         Each job runs on the lane of its key's shard: the compiled
-         pipeline's inference scratch is not shareable, and the lane
-         mutex serializes only same-shard jobs. *)
-      match
-        Util.Pool.parallel_map_list
-          (fun m ->
-            Obs.Span.with_trace m.trace @@ fun () ->
-            let outcome =
-              if expired m.deadline then Timed_out
-              else
-                try
-                  let lane = t.lanes.(Fastpath.Shards.shard_of_key t.flows m.key) in
-                  Mutex.lock lane.l_lock;
-                  Fun.protect
-                    ~finally:(fun () -> Mutex.unlock lane.l_lock)
-                    (fun () ->
-                      let ins = Clara.Pipeline.analyze_compiled lane.l_compiled m.elt m.spec in
-                      Report
-                        { text = Clara.Insights.render ins;
-                          pc = ins.Clara.Insights.predicted_compute;
-                          pm = ins.Clara.Insights.predicted_memory })
-                with e -> failed e
-            in
-            (m, outcome))
-          jobs
-      with
-      | results -> results
-      | exception e ->
-        let outcome = failed e in
-        List.map (fun m -> (m, outcome)) jobs
-    in
-    (* Fresh reports become flow entries: reply bytes pre-serialized once,
-       installed into the key's shard for every later fast-path probe.
-       The entry also answers this batch's own requesters (even with
-       caching disabled, where [install] drops it). *)
-    let entries =
-      List.filter_map
-        (function
-          | m, Report { text; pc; pm } ->
-            let entry =
-              Fastpath.Entry.make ~pred_compute:pc ~pred_memory:pm ~nf:m.nf_label
-                ~workload:m.wname ~report:text ()
-            in
-            Fastpath.Shards.install t.flows m.key entry;
-            Some (m.key, entry)
-          | _, (Failed _ | Timed_out) -> None)
-        results
-    in
-    (* Reply assembly is serial and in plan order, so shadow offers made
-       here land in the pending queue deterministically. *)
-    let assembled =
-      List.map
-        (function
-          | Fast { reply; trace; _ } -> { text = reply; outcome = `Ok; trace }
-          | Ready reply -> reply
-          | Hit { id; trace; key; entry } ->
-            if Quality.enabled t.quality then maybe_shadow t ~id:(id_token id) ~key entry;
-            analyze_reply ~trace id ~cached:true ~path:"slow" entry
-          | Miss { id; trace; key; deadline; _ } -> (
-            match List.find_map (fun (j, o) -> if j.key = key then Some o else None) results with
-            | Some (Report _) ->
-              if expired deadline then deadline_reply ~trace id
-              else begin
-                let entry = List.assoc key entries in
-                if Quality.enabled t.quality then maybe_shadow t ~id:(id_token id) ~key entry;
-                analyze_reply ~trace id ~cached:false ~path:"slow" entry
-              end
-            | Some (Failed { msg; fault }) ->
-              err_reply ~outcome:(if fault then `Fault else `Error) ~trace id
-                ("analysis failed: " ^ msg)
-            | Some Timed_out | None -> deadline_reply ~trace id))
-        plans
-    in
-    record_flight t ~now0 ~lines:admitted ~plans ~replies:assembled;
-    assembled
+    let planned = plan_stage t ~now0 admitted in
+    let results = run_stage t planned in
+    render_stage t ~now0 ~results planned
   in
+  List.iter (account t ~n_lines ~admitted:true) served;
+  if List.exists (fun r -> r.latency_s > t.slow_s) served then
+    ignore (Obs.Flight.trigger t.flight "slow_request");
   (* Shed lines leave postmortem records too: an overload burst is exactly
      the moment the black box exists for. *)
-  if Obs.Flight.enabled t.flight && overflow <> [] then begin
-    let latency_us = (Obs.Clock.now_s () -. now0) *. 1e6 in
-    List.iter2
-      (fun line (r : reply) ->
-        Obs.Flight.record t.flight ~shard:(-1) ~trace:r.trace ~path:"slow" ~latency_us
-          ~outcome:(outcome_label r.outcome) ~request:line ~reply:r.text)
-      overflow shed_replies
-  end;
-  let replies = admitted_replies @ shed_replies in
-  (* SLO accounting: every reply line counts availability by its own
-     outcome. *)
-  if Quality.enabled t.quality then
-    List.iter (fun r -> Quality.record_reply t.quality ~ok:(r.outcome = `Ok)) replies;
-  List.map (fun r -> r.text) replies
+  List.iter (account t ~n_lines ~admitted:false) shed;
+  List.map (fun r -> r.reply.text) (served @ shed)
 
 let handle_request t line =
   match process_batch t [ line ] with

@@ -56,8 +56,14 @@
     domains, and [{"cmd":"trace","trace_id":"abc"}] answers with that
     request's span subtree ([spans]: nested [name]/[cat]/[dur_us]/
     [children] objects).  The subtree's structure is identical for any
-    [CLARA_JOBS] value.  Batches slower than the slow-request threshold
-    log one [serve.slow_request] line per request through {!Obs.Log}.
+    [CLARA_JOBS] value.  Each request line slower than the slow-request
+    threshold logs one [serve.slow_request] line through {!Obs.Log}.
+
+    A batch is answered in three stages: {e plan} (each line, decoded
+    once by {!Proto.decode} unless the fast path answers it, becomes a
+    reply, a cache hit or a miss), {e run} (the distinct misses fan out)
+    and {e render}.  A line's latency is its own: from batch start to
+    when its reply bytes exist, which is after the run only for a miss.
 
     Reports are memoized per (NF, workload) in the bounded sharded flow
     cache; the distinct misses of a batch of lines are analyzed

@@ -298,6 +298,36 @@ let test_shed_records () =
   Alcotest.(check int) "shed lines leave overloaded records" 3 (List.length shed);
   Alcotest.(check int) "admitted lines recorded too" 5 (List.length snap)
 
+(* A line's latency is its own: from batch start to when its reply bytes
+   exist.  In one batch of [warm hit; cold miss] the hit is answered at
+   planning and the miss only after the analysis, so the hit's record
+   shows less time; each admitted line is still observed once. *)
+let test_per_line_latency () =
+  let server =
+    Serve.Server.create ~cache_capacity:16 ~shards:4 ~flight_capacity:16 (Lazy.force models)
+  in
+  let hit = {|{"id":1,"cmd":"analyze","nf":"tcpack","workload":"mixed","trace_id":"warm"}|} in
+  let miss = {|{"id":2,"cmd":"analyze","nf":"udpipencap","workload":"small","trace_id":"cold"}|} in
+  ignore (Serve.Server.process_batch server [ hit ]);
+  let histogram = Obs.Metrics.histogram "clara_serve_request_seconds" in
+  let before = Obs.Metrics.histogram_count histogram in
+  ignore (Serve.Server.process_batch server [ hit; miss ]);
+  Alcotest.(check int) "one observation per line" 2
+    (Obs.Metrics.histogram_count histogram - before);
+  let latency trace =
+    match
+      List.rev
+        (List.filter
+           (fun (r : Obs.Flight.record) -> r.Obs.Flight.trace = trace)
+           (Obs.Flight.snapshot (Serve.Server.flight server)))
+    with
+    | r :: _ -> r.Obs.Flight.latency_us
+    | [] -> Alcotest.failf "no flight record for %s" trace
+  in
+  let hit_us = latency "warm" and miss_us = latency "cold" in
+  if not (hit_us < miss_us) then
+    Alcotest.failf "hit latency %.1f us is not below the miss's %.1f us" hit_us miss_us
+
 (* The outcome class comes from what built the reply, not from its text:
    a client error that merely quotes "injected fault" is an ordinary
    error (no fault trigger, compared on replay), while a real injected
@@ -420,5 +450,6 @@ let () =
             test_fault_class_from_cause ] );
       ( "server",
         [ Alcotest.test_case "flight/profile socket commands" `Slow test_flight_socket_command;
-          Alcotest.test_case "flight_json renders the rings" `Slow test_flight_json_accessor ]
+          Alcotest.test_case "flight_json renders the rings" `Slow test_flight_json_accessor;
+          Alcotest.test_case "each line's latency is its own" `Quick test_per_line_latency ]
       ) ]

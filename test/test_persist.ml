@@ -94,6 +94,38 @@ let test_corrupt_frames_rejected () =
   | Result.Error e ->
     Alcotest.failf "wrong error for component mismatch: %s" (Persist.Wire.error_to_string e))
 
+(* Bit-at-a-time reflected CRC-32 on [Int32], written independently of
+   the table-driven [Persist.Wire.crc32]. *)
+let crc32_bitwise s =
+  let c = ref 0xFFFFFFFFl in
+  String.iter
+    (fun ch ->
+      c := Int32.logxor !c (Int32.of_int (Char.code ch));
+      for _ = 0 to 7 do
+        c :=
+          if Int32.logand !c 1l <> 0l then
+            Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+          else Int32.shift_right_logical !c 1
+      done)
+    s;
+  Int32.lognot !c
+
+let test_crc32_known_answer () =
+  Alcotest.(check int32) "check value of \"123456789\"" 0xCBF43926l
+    (Persist.Wire.crc32 "123456789");
+  Alcotest.(check int32) "empty string" 0l (Persist.Wire.crc32 "");
+  let rng = Util.Rng.create 0xc3c3 in
+  let whole = String.init 1000 (fun _ -> Char.chr (Util.Rng.int rng 256)) in
+  Alcotest.(check int32) "matches the bitwise reference" (crc32_bitwise whole)
+    (Persist.Wire.crc32 whole);
+  List.iter
+    (fun cut ->
+      let crc = Persist.Wire.crc32 (String.sub whole 0 cut) in
+      Alcotest.(check int32) (Printf.sprintf "chained ?crc split at %d" cut)
+        (Persist.Wire.crc32 whole)
+        (Persist.Wire.crc32 ~crc (String.sub whole cut (String.length whole - cut))))
+    [ 0; 1; 4; 333; 999; 1000 ]
+
 let test_manifest_roundtrip () =
   let m =
     { Persist.Bundle.seed = 501; epochs = 4; corpus_hash = "deadbeef"; built_at = "2026-01-01T00:00:00Z" }
@@ -435,7 +467,8 @@ let () =
         [ Alcotest.test_case "component round-trips" `Quick test_codec_roundtrips;
           Alcotest.test_case "special floats" `Quick test_special_floats_roundtrip;
           Alcotest.test_case "corrupt frames rejected" `Quick test_corrupt_frames_rejected;
-          Alcotest.test_case "manifest round-trip" `Quick test_manifest_roundtrip ] );
+          Alcotest.test_case "manifest round-trip" `Quick test_manifest_roundtrip;
+          Alcotest.test_case "crc32 known answer and chaining" `Quick test_crc32_known_answer ] );
       ( "crash",
         [ Alcotest.test_case "truncation and bit-flip matrix" `Quick test_crash_matrix;
           Alcotest.test_case "killed writer leaves old artifact" `Quick

@@ -255,6 +255,13 @@ let test_target_routing () =
   | None -> Alcotest.fail "malformed lines forward (workers answer them typed)"
   | Some r -> Alcotest.(check string) "salvaged tenant" "acme" r.Router.Front.rt_tenant
 
+(* The worker's flow key for an inline program, rebuilt here from the
+   program itself: the CRC of the compiled element's pretty-print. *)
+let program_key_reimpl prog workload =
+  Printf.sprintf "p4lite:%08lx|%s"
+    (Persist.Wire.crc32 (Nf_lang.Pp.to_string (Nf_lang.P4lite.compile prog)))
+    workload
+
 (* An inline program places on the program and workload, never on the
    id or trace id, so a repeat lands on the worker that cached it. *)
 let test_inline_program_placement () =
@@ -281,9 +288,70 @@ let test_inline_program_placement () =
     List.iter
       (fun r -> Alcotest.(check bool) (Printf.sprintf "program %d: one key, one worker" k) true (r = first))
       routes;
-    Alcotest.(check string) (Printf.sprintf "program %d: key is program|workload" k)
-      (Jsonl.to_string (parse (program k)) ^ "|large")
-      (fst first)
+    let prog =
+      { Nf_lang.P4lite.p_name = Printf.sprintf "p%d" k;
+        pipeline =
+          [ { Nf_lang.P4lite.t_name = "t"; keys = [ Nf_lang.Ast.Ip_src ];
+              actions = [ Nf_lang.P4lite.Drop_packet; Nf_lang.P4lite.Forward (k mod 3) ];
+              default_action = Nf_lang.P4lite.Forward 0; size = 16 } ] }
+    in
+    Alcotest.(check string) (Printf.sprintf "program %d: key is the worker's program|workload" k)
+      (program_key_reimpl prog "large") (fst first)
+  done
+
+(* Three spellings of one program: members in another order, and the
+   defaults ("size":64, "default":"noop") written out or left out.  Their
+   JSON texts differ, so only a key derived from the program itself puts
+   them on one worker. *)
+let respelled_program k =
+  [ Printf.sprintf
+      {|{"name":"resp%d","tables":[{"name":"t","keys":["ip_dst"],"actions":["drop","forward:2"],"default":"noop","size":64}]}|}
+      k;
+    Printf.sprintf
+      {|{"tables":[{"size":64,"actions":["drop","forward:2"],"keys":["ip_dst"],"name":"t"}],"name":"resp%d"}|}
+      k;
+    Printf.sprintf
+      {|{"name":"resp%d","tables":[{"name":"t","keys":["ip_dst"],"actions":["drop","forward:2"]}]}|}
+      k ]
+
+let program_line ~id program =
+  Printf.sprintf {|{"id":%d,"cmd":"analyze","p4lite":%s,"workload":"mixed"}|} id program
+
+let test_respelled_program_one_key () =
+  let t = dead_front () in
+  for k = 0 to 7 do
+    let routes =
+      List.mapi
+        (fun i program ->
+          let line = program_line ~id:i program in
+          match Router.Front.target t line with
+          | None -> Alcotest.fail "inline analyze must forward"
+          | Some r ->
+            (* the router's key is the one the worker caches under *)
+            let worker_key =
+              match (Serve.Proto.decode (parse line)).Serve.Proto.target with
+              | Serve.Proto.Program { key; _ } -> key
+              | _ -> Alcotest.fail "the worker decodes an inline program"
+            in
+            Alcotest.(check string) (Printf.sprintf "program %d: rt_key = worker key" k)
+              worker_key r.Router.Front.rt_key;
+            (r.Router.Front.rt_key, r.Router.Front.rt_worker))
+        (respelled_program k)
+    in
+    let first = List.hd routes in
+    List.iter
+      (fun r ->
+        Alcotest.(check bool) (Printf.sprintf "program %d: one key, one worker" k) true (r = first))
+      routes;
+    let prog =
+      { Nf_lang.P4lite.p_name = Printf.sprintf "resp%d" k;
+        pipeline =
+          [ { Nf_lang.P4lite.t_name = "t"; keys = [ Nf_lang.Ast.Ip_dst ];
+              actions = [ Nf_lang.P4lite.Drop_packet; Nf_lang.P4lite.Forward 2 ];
+              default_action = Nf_lang.P4lite.No_op; size = 64 } ] }
+    in
+    Alcotest.(check string) (Printf.sprintf "program %d: the worker's key" k)
+      (program_key_reimpl prog "mixed") (fst first)
   done
 
 let test_dead_worker_is_typed_unavailable () =
@@ -616,6 +684,32 @@ let test_routed_vs_direct () =
   Alcotest.(check int) "every line forwarded" (2 * List.length differential_stream)
     (Router.Front.forwarded fl.fl_front)
 
+(* A respelled program is a flow-cache hit through the router.  Program 2's
+   first two spellings have JSON texts that hash to different workers
+   (checked below), so the hit needs the program-derived key. *)
+let test_respelled_program_hits () =
+  with_fleet @@ fun fl ->
+  let p, p' =
+    match respelled_program 2 with a :: b :: _ -> (a, b) | _ -> assert false
+  in
+  let ring = Router.Chash.create ~vnodes:16 [ "w0"; "w1"; "w2" ] in
+  let text_worker program = Router.Chash.lookup ring (Jsonl.to_string (parse program) ^ "|mixed") in
+  Alcotest.(check bool) "the two JSON texts hash apart" true (text_worker p <> text_worker p');
+  let analyze program =
+    match Router.Front.route_batch fl.fl_front [ program_line ~id:1 program ] with
+    | [ reply ] -> parse reply
+    | _ -> Alcotest.fail "expected one reply"
+  in
+  let first = analyze p in
+  let second = analyze p' in
+  Alcotest.(check bool) "first spelling analyzed fresh" true
+    (Jsonl.member "cached" first = Some (Jsonl.Bool false));
+  Alcotest.(check bool) "second spelling is a cache hit" true
+    (Jsonl.member "cached" second = Some (Jsonl.Bool true));
+  match (Jsonl.str_member "report" first, Jsonl.str_member "report" second) with
+  | Some a, Some b -> Alcotest.(check string) "byte-identical report" a b
+  | _ -> Alcotest.fail "analyze replies carry a report"
+
 let test_client_through_router_socket () =
   with_fleet ~n:2 @@ fun fl ->
   let socket_path =
@@ -675,7 +769,8 @@ let () =
           Alcotest.test_case "dead worker is typed unavailable" `Quick
             test_dead_worker_is_typed_unavailable;
           Alcotest.test_case "quota shed is typed overloaded" `Quick
-            test_quota_shed_is_typed_overloaded ] );
+            test_quota_shed_is_typed_overloaded;
+          Alcotest.test_case "one program, one key" `Quick test_respelled_program_one_key ] );
       ( "topology",
         [ Alcotest.test_case "routed serving and health fan-in" `Quick test_routed_serving;
           Alcotest.test_case "worker-kill failover and re-admission" `Quick
@@ -683,4 +778,5 @@ let () =
           Alcotest.test_case "canary rollout, promote, rollback" `Quick test_canary_rollout;
           Alcotest.test_case "routed replies equal direct replies" `Quick test_routed_vs_direct;
           Alcotest.test_case "client unchanged through router socket" `Quick
-            test_client_through_router_socket ] ) ]
+            test_client_through_router_socket;
+          Alcotest.test_case "a respelled program is a hit" `Quick test_respelled_program_hits ] ) ]
