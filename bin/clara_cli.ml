@@ -585,6 +585,9 @@ let router_cmd =
         "cannot read fleet bundle";
       exit 1
     | Ok version ->
+      (* Each router client holds its own connection to each worker it
+         sends to, beside the router's health/control connection. *)
+      let worker_max_clients = Option.value worker_max_clients ~default:(max_clients + 1) in
       let spawned =
         List.init workers (fun k ->
             let name = Printf.sprintf "w%d" k in
@@ -657,7 +660,8 @@ let router_cmd =
   let forward_timeout_s =
     Arg.(value & opt float 5.0
          & info [ "forward-timeout" ] ~docv:"SECONDS"
-             ~doc:"Per-round budget for a worker's replies; overruns mark it down.")
+             ~doc:"How long a forwarded line may wait for its worker's reply; an overrun marks \
+                   the worker down.")
   in
   let max_clients =
     Arg.(value & opt int 64
@@ -685,9 +689,11 @@ let router_cmd =
              ~doc:"Each worker's per-batch admission bound.")
   in
   let worker_max_clients =
-    Arg.(value & opt int 64
+    Arg.(value & opt (some int) None
          & info [ "worker-max-clients" ] ~docv:"N"
-             ~doc:"Each worker's connection bound (the router holds one).")
+             ~doc:"Each worker's connection bound.  The router holds one connection per \
+                   client connection that sends the worker a line, plus one for health \
+                   probes and rollout control: the default is --max-clients plus one.")
   in
   Cmd.v
     (Cmd.info "router"

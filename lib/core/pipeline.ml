@@ -65,7 +65,10 @@ let train ?(quick = false) ?(with_scaleout = true) ?(with_colocation = false) ()
 let analyze_with ~(predict_block : int array -> float) ~(suggest : Nicsim.Perf.demand -> int option)
     (m : models) (elt : Ast.element) (spec : Workload.spec) : Insights.t =
   Obs.Span.with_ ~cat:"pipeline" "pipeline.analyze" @@ fun () ->
+  (* Stages are separated by yield points ({!Util.Coop.yield}): on the
+     serving loop a cold analysis runs in slices between hits. *)
   let prep = Prepare.prepare m.predictor.Predictor.vocab elt in
+  Util.Coop.yield ();
   (* performance parameters: LSTM for compute, direct count for memory *)
   let per_block = Predictor.predict_prepared predict_block prep in
   let predicted_compute = List.fold_left (fun acc (_, c, _) -> acc +. c) 0.0 per_block in
@@ -76,15 +79,18 @@ let analyze_with ~(predict_block : int array -> float) ~(suggest : Nicsim.Perf.d
       (fun (component, algorithm) -> { Insights.component; algorithm })
       (Algo_id.detect_ir m.algo elt prep.Prepare.ir)
   in
+  Util.Coop.yield ();
   let ported =
     Obs.Span.with_ ~cat:"pipeline" "nic.port" (fun () ->
         Nicsim.Nic.port_ir elt prep.Prepare.ir spec)
   in
+  Util.Coop.yield ();
   let suggested_cores = suggest ported.Nicsim.Nic.demand in
   let placement =
     if elt.Ast.state = [] then []
     else Obs.Span.with_ ~cat:"pipeline" "placement.solve" (fun () -> Placement.solve elt ported)
   in
+  Util.Coop.yield ();
   let packs =
     Obs.Span.with_ ~cat:"pipeline" "coalesce.suggest" (fun () ->
         Coalesce.suggest elt ported.Nicsim.Nic.profile)

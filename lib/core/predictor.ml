@@ -171,6 +171,7 @@ let predict_prepared predict_block (prep : Prepare.t) =
   Obs.Span.with_ ~cat:"pipeline" "predict" @@ fun () ->
   List.map
     (fun (b : Prepare.block_info) ->
+      Util.Coop.yield ();
       (b.Prepare.bid, predict_block b.Prepare.tokens, float_of_int b.Prepare.ir_mem_stateful))
     prep.Prepare.blocks
 

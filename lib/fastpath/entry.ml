@@ -6,8 +6,6 @@
 
 type t = {
   nf : string;
-  workload : string;
-  report : string;
   mid : string;  (** pre-escaped [,"nf":...,"workload":...] segment *)
   report_json : string;  (** pre-escaped report, quotes included *)
   pred_compute : float;
@@ -26,11 +24,9 @@ let make ?(pred_compute = 0.0) ?(pred_memory = 0.0) ~nf ~workload ~report () =
   Buffer.add_char rb '"';
   Obs.Json.add_escaped rb report;
   Buffer.add_char rb '"';
-  { nf; workload; report; mid; report_json = Buffer.contents rb; pred_compute; pred_memory }
+  { nf; mid; report_json = Buffer.contents rb; pred_compute; pred_memory }
 
 let nf t = t.nf
-let workload t = t.workload
-let report t = t.report
 let pred_compute t = t.pred_compute
 let pred_memory t = t.pred_memory
 

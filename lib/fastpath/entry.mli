@@ -19,8 +19,6 @@ val make :
   nf:string -> workload:string -> report:string -> unit -> t
 
 val nf : t -> string
-val workload : t -> string
-val report : t -> string
 val pred_compute : t -> float
 val pred_memory : t -> float
 

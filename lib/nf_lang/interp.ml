@@ -468,7 +468,22 @@ let flushed t f =
 (** Process one packet; returns the verdict. *)
 let push t pkt = flushed t (fun () -> step t pkt)
 
+(* Packets between the yield points of [run]: a cold analysis on the
+   serving loop suspends here so hits are answered between its slices. *)
+let yield_every = 32
+
 (** Process a whole packet list, returning the profile. *)
 let run t pkts =
-  flushed t (fun () -> List.iter (fun pkt -> ignore (step t pkt)) pkts);
+  flushed t (fun () ->
+      let rec go n = function
+        | [] -> ()
+        | pkt :: rest ->
+          ignore (step t pkt);
+          if n = yield_every then begin
+            Util.Coop.yield ();
+            go 1 rest
+          end
+          else go (n + 1) rest
+      in
+      go 1 pkts);
   t.profile

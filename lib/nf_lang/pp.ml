@@ -1,7 +1,10 @@
 (** Pretty-printer rendering an element as Click-flavored C++ source.
 
-    Used for human inspection and for the LoC column of the Table-2 corpus
-    inventory (the paper reports source lines of the unported elements). *)
+    Used for human inspection, for the LoC column of the Table-2 corpus
+    inventory (the paper reports source lines of the unported elements)
+    and, through the CRC of {!to_string}, for an inline program's flow
+    key on every request that names one.  One walker prints every line
+    into one buffer; {!loc} counts the lines it printed. *)
 
 open Ast
 
@@ -23,104 +26,234 @@ let cmpop_str = function
   | Gt -> ">"
   | Ge -> ">="
 
-let hdr_str f =
-  let prefix =
-    match field_proto f with Eth -> "eth->" | Ip -> "ip->" | Tcp -> "tcp->" | Udp -> "udp->"
-  in
-  prefix ^ field_name f
+let proto_prefix f =
+  match field_proto f with Eth -> "eth->" | Ip -> "ip->" | Tcp -> "tcp->" | Udp -> "udp->"
 
-let rec expr_str e =
+let add = Buffer.add_string
+
+let rec add_expr b e =
   match e with
-  | Int n -> string_of_int n
-  | Local v -> v
-  | Global v -> v
-  | Hdr f -> hdr_str f
-  | Payload_byte off -> Printf.sprintf "payload[%s]" (expr_str off)
-  | Packet_len -> "pkt->length()"
-  | Bin (op, a, b) -> Printf.sprintf "(%s %s %s)" (expr_str a) (binop_str op) (expr_str b)
-  | Cmp (op, a, b) -> Printf.sprintf "(%s %s %s)" (expr_str a) (cmpop_str op) (expr_str b)
-  | Not a -> Printf.sprintf "!%s" (expr_str a)
-  | And_also (a, b) -> Printf.sprintf "(%s && %s)" (expr_str a) (expr_str b)
-  | Or_else (a, b) -> Printf.sprintf "(%s || %s)" (expr_str a) (expr_str b)
-  | Arr_get (name, idx) -> Printf.sprintf "%s[%s]" name (expr_str idx)
-  | Vec_len name -> Printf.sprintf "%s.size()" name
+  | Int n -> add b (string_of_int n)
+  | Local v | Global v -> add b v
+  | Hdr f ->
+    add b (proto_prefix f);
+    add b (field_name f)
+  | Payload_byte off ->
+    add b "payload[";
+    add_expr b off;
+    add b "]"
+  | Packet_len -> add b "pkt->length()"
+  | Bin (op, x, y) -> add_infix b x (binop_str op) y
+  | Cmp (op, x, y) -> add_infix b x (cmpop_str op) y
+  | Not x ->
+    add b "!";
+    add_expr b x
+  | And_also (x, y) -> add_infix b x "&&" y
+  | Or_else (x, y) -> add_infix b x "||" y
+  | Arr_get (name, idx) ->
+    add b name;
+    add b "[";
+    add_expr b idx;
+    add b "]"
+  | Vec_len name ->
+    add b name;
+    add b ".size()"
   | Api_expr (name, args) ->
-    Printf.sprintf "%s(%s)" name (String.concat ", " (List.map expr_str args))
+    add b name;
+    add b "(";
+    add_exprs b args;
+    add b ")"
 
-let rec stmt_lines indent s =
-  let pad = String.make indent ' ' in
-  let line fmt = Printf.ksprintf (fun str -> [ pad ^ str ]) fmt in
+and add_infix b x op y =
+  add b "(";
+  add_expr b x;
+  add b " ";
+  add b op;
+  add b " ";
+  add_expr b y;
+  add b ")"
+
+and add_exprs b = function
+  | [] -> ()
+  | e :: rest ->
+    add_expr b e;
+    List.iter
+      (fun e ->
+        add b ", ";
+        add_expr b e)
+      rest
+
+(* -- the walker --
+
+   Every rendered line goes through [line]: lines are separated by
+   [sep] and indented by their depth unless [trim] is set, in which case
+   each line's text is trimmed instead. *)
+
+type out = { b : Buffer.t; sep : string; trim : bool; scratch : Buffer.t; mutable lines : int }
+
+let line o indent text =
+  if o.lines > 0 then add o.b o.sep;
+  o.lines <- o.lines + 1;
+  if o.trim then begin
+    Buffer.clear o.scratch;
+    text o.scratch;
+    add o.b (String.trim (Buffer.contents o.scratch))
+  end
+  else begin
+    for _ = 1 to indent do
+      Buffer.add_char o.b ' '
+    done;
+    text o.b
+  end
+
+let words ws b = List.iter (add b) ws
+
+let rec add_stmt o indent s =
+  let simple text = line o indent text in
+  let block head body =
+    line o indent head;
+    List.iter (add_stmt o (indent + 2)) body
+  in
   match s.node with
-  | Let (v, e) -> line "u32 %s = %s;" v (expr_str e)
-  | Set_global (v, e) -> line "%s = %s;" v (expr_str e)
-  | Set_hdr (f, e) -> line "%s = %s;" (hdr_str f) (expr_str e)
-  | Set_payload (off, v) -> line "payload[%s] = %s;" (expr_str off) (expr_str v)
-  | Arr_set (name, idx, v) -> line "%s[%s] = %s;" name (expr_str idx) (expr_str v)
+  | Let (v, e) ->
+    simple (fun b ->
+        words [ "u32 "; v; " = " ] b;
+        add_expr b e;
+        add b ";")
+  | Set_global (v, e) ->
+    simple (fun b ->
+        words [ v; " = " ] b;
+        add_expr b e;
+        add b ";")
+  | Set_hdr (f, e) ->
+    simple (fun b ->
+        words [ proto_prefix f; field_name f; " = " ] b;
+        add_expr b e;
+        add b ";")
+  | Set_payload (off, v) ->
+    simple (fun b ->
+        add b "payload[";
+        add_expr b off;
+        add b "] = ";
+        add_expr b v;
+        add b ";")
+  | Arr_set (name, idx, v) ->
+    simple (fun b ->
+        words [ name; "[" ] b;
+        add_expr b idx;
+        add b "] = ";
+        add_expr b v;
+        add b ";")
   | Map_find (m, key, dst) ->
-    line "bool %s = %s.find({%s});" dst m (String.concat ", " (List.map expr_str key))
-  | Map_read (m, field, dst) -> line "u32 %s = %s.entry()->%s;" dst m field
-  | Map_write (m, field, e) -> line "%s.entry()->%s = %s;" m field (expr_str e)
+    simple (fun b ->
+        words [ "bool "; dst; " = "; m; ".find({" ] b;
+        add_exprs b key;
+        add b "});")
+  | Map_read (m, field, dst) -> simple (words [ "u32 "; dst; " = "; m; ".entry()->"; field; ";" ])
+  | Map_write (m, field, e) ->
+    simple (fun b ->
+        words [ m; ".entry()->"; field; " = " ] b;
+        add_expr b e;
+        add b ";")
   | Map_insert (m, key, vals) ->
-    line "%s.insert({%s}, {%s});" m
-      (String.concat ", " (List.map expr_str key))
-      (String.concat ", " (List.map expr_str vals))
-  | Map_erase m -> line "%s.erase();" m
-  | Vec_append (v, e) -> line "%s.push_back(%s);" v (expr_str e)
-  | Vec_get (v, idx, dst) -> line "u32 %s = %s[%s];" dst v (expr_str idx)
-  | Vec_set (v, idx, e) -> line "%s[%s] = %s;" v (expr_str idx) (expr_str e)
-  | If (c, t, []) ->
-    (pad ^ Printf.sprintf "if %s {" (expr_str c))
-    :: List.concat_map (stmt_lines (indent + 2)) t
-    @ [ pad ^ "}" ]
+    simple (fun b ->
+        words [ m; ".insert({" ] b;
+        add_exprs b key;
+        add b "}, {";
+        add_exprs b vals;
+        add b "});")
+  | Map_erase m -> simple (words [ m; ".erase();" ])
+  | Vec_append (v, e) ->
+    simple (fun b ->
+        words [ v; ".push_back(" ] b;
+        add_expr b e;
+        add b ");")
+  | Vec_get (v, idx, dst) ->
+    simple (fun b ->
+        words [ "u32 "; dst; " = "; v; "[" ] b;
+        add_expr b idx;
+        add b "];")
+  | Vec_set (v, idx, e) ->
+    simple (fun b ->
+        words [ v; "[" ] b;
+        add_expr b idx;
+        add b "] = ";
+        add_expr b e;
+        add b ";")
   | If (c, t, f) ->
-    (pad ^ Printf.sprintf "if %s {" (expr_str c))
-    :: List.concat_map (stmt_lines (indent + 2)) t
-    @ [ pad ^ "} else {" ]
-    @ List.concat_map (stmt_lines (indent + 2)) f
-    @ [ pad ^ "}" ]
+    block
+      (fun b ->
+        add b "if ";
+        add_expr b c;
+        add b " {")
+      t;
+    if f <> [] then block (add_s "} else {") f;
+    simple (add_s "}")
   | While (c, body) ->
-    (pad ^ Printf.sprintf "while %s {" (expr_str c))
-    :: List.concat_map (stmt_lines (indent + 2)) body
-    @ [ pad ^ "}" ]
+    block
+      (fun b ->
+        add b "while ";
+        add_expr b c;
+        add b " {")
+      body;
+    simple (add_s "}")
   | For (v, lo, hi, body) ->
-    (pad
-    ^ Printf.sprintf "for (u32 %s = %s; %s < %s; %s++) {" v (expr_str lo) v (expr_str hi) v)
-    :: List.concat_map (stmt_lines (indent + 2)) body
-    @ [ pad ^ "}" ]
+    block
+      (fun b ->
+        words [ "for (u32 "; v; " = " ] b;
+        add_expr b lo;
+        words [ "; "; v; " < " ] b;
+        add_expr b hi;
+        words [ "; "; v; "++) {" ] b)
+      body;
+    simple (add_s "}")
   | Api_stmt (name, args) ->
-    line "%s(%s);" name (String.concat ", " (List.map expr_str args))
-  | Emit port -> line "output(%d).push(pkt);" port
-  | Drop -> line "pkt->kill();"
-  | Call_sub name -> line "%s();" name
-  | Return -> line "return;"
+    simple (fun b ->
+        words [ name; "(" ] b;
+        add_exprs b args;
+        add b ");")
+  | Emit port -> simple (words [ "output("; string_of_int port; ").push(pkt);" ])
+  | Drop -> simple (add_s "pkt->kill();")
+  | Call_sub name -> simple (words [ name; "();" ])
+  | Return -> simple (add_s "return;")
 
-let state_lines d =
-  match d with
-  | Scalar { name; width; init } -> [ Printf.sprintf "  u%d %s = %d;" width name init ]
-  | Array { name; width; length } -> [ Printf.sprintf "  u%d %s[%d];" width name length ]
-  | Map { name; key_widths; val_fields; capacity } ->
-    [ Printf.sprintf "  HashMap<key%d, value%d> %s; // capacity %d"
-        (List.length key_widths) (List.length val_fields) name capacity ]
-  | Vector { name; elem_width; capacity } ->
-    [ Printf.sprintf "  Vector<u%d> %s; // capacity %d" elem_width name capacity ]
+and add_s text b = add b text
 
-let element_lines (elt : element) =
-  let header = [ Printf.sprintf "class %s : public Element {" elt.name ] in
-  let state = List.concat_map state_lines elt.state in
-  let sub (name, body) =
-    (Printf.sprintf "  void %s() {" name)
-    :: List.concat_map (stmt_lines 4) body
-    @ [ "  }" ]
+let add_state o d =
+  let w n = string_of_int n in
+  line o 2
+    (words
+       (match d with
+       | Scalar { name; width; init } -> [ "u"; w width; " "; name; " = "; w init; ";" ]
+       | Array { name; width; length } -> [ "u"; w width; " "; name; "["; w length; "];" ]
+       | Map { name; key_widths; val_fields; capacity } ->
+         [ "HashMap<key"; w (List.length key_widths); ", value"; w (List.length val_fields); "> ";
+           name; "; // capacity "; w capacity ]
+       | Vector { name; elem_width; capacity } ->
+         [ "Vector<u"; w elem_width; "> "; name; "; // capacity "; w capacity ]))
+
+let render (elt : element) =
+  let o =
+    { b = Buffer.create 1024; sep = "\n"; trim = false; scratch = Buffer.create 0; lines = 0 }
   in
-  let subs = List.concat_map sub elt.subs in
-  let handler =
-    "  void simple_action(Packet *pkt) {"
-    :: List.concat_map (stmt_lines 4) elt.handler
-    @ [ "  }" ]
-  in
-  header @ state @ subs @ handler @ [ "};" ]
+  line o 0 (words [ "class "; elt.name; " : public Element {" ]);
+  List.iter (add_state o) elt.state;
+  List.iter
+    (fun (name, body) ->
+      line o 2 (words [ "void "; name; "() {" ]);
+      List.iter (add_stmt o 4) body;
+      line o 2 (add_s "}"))
+    elt.subs;
+  line o 2 (add_s "void simple_action(Packet *pkt) {");
+  List.iter (add_stmt o 4) elt.handler;
+  line o 2 (add_s "}");
+  line o 0 (add_s "};");
+  o
 
-let to_string elt = String.concat "\n" (element_lines elt)
+let to_string elt = Buffer.contents (render elt).b
+let loc elt = (render elt).lines
 
-(** Source-lines-of-code metric (non-empty rendered lines). *)
-let loc elt = List.length (element_lines elt)
+let stmt_text s =
+  let o = { b = Buffer.create 64; sep = " "; trim = true; scratch = Buffer.create 64; lines = 0 } in
+  add_stmt o 0 s;
+  Buffer.contents o.b

@@ -1,17 +1,13 @@
-(** Pretty-printer rendering an element as Click-flavored C++ source; used
-    for human inspection and the LoC column of the Table-2 inventory. *)
+(** Pretty-printer rendering an element as Click-flavored C++ source;
+    used for human inspection, the LoC column of the Table-2 inventory
+    and an inline program's flow key (the CRC of {!to_string}).  One
+    walker prints every line into one buffer. *)
 
-val binop_str : Ast.binop -> string
-val cmpop_str : Ast.cmpop -> string
-val hdr_str : Ast.header_field -> string
-val expr_str : Ast.expr -> string
-
-(** Rendered lines of one statement at the given indent. *)
-val stmt_lines : int -> Ast.stmt -> string list
-
-val state_lines : Ast.state_decl -> string list
-val element_lines : Ast.element -> string list
+(** The element's source, lines separated by newlines. *)
 val to_string : Ast.element -> string
 
-(** Source-lines-of-code metric (rendered lines). *)
+(** Source-lines-of-code metric: the lines {!to_string} renders. *)
 val loc : Ast.element -> int
+
+(** One statement's rendered lines, each trimmed, joined by spaces. *)
+val stmt_text : Ast.stmt -> string

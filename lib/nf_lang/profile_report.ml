@@ -28,7 +28,7 @@ let statement_text (elt : element) sid =
   let found = ref None in
   let rec walk (s : stmt) =
     if s.sid = sid && !found = None then
-      found := Some (String.concat " " (List.map String.trim (Pp.stmt_lines 0 s)) |> fun t ->
+      found := Some (Pp.stmt_text s |> fun t ->
                      if String.length t > 60 then String.sub t 0 57 ^ "..." else t);
     match s.node with
     | If (_, t, f) ->

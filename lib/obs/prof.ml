@@ -134,6 +134,21 @@ let exit_ () =
     if not (Atomic.get memprof_on) then
       add_alloc names (Float.max 0.0 (total -. f.f_child_w))
 
+(* A cooperative job suspended mid-span keeps its own frames: the
+   caller saves this domain's stack before resuming it and puts it back
+   after, so the ticker never samples the job under the caller's spans
+   nor the caller under the job's. *)
+type saved = frame list * string list
+
+let save () =
+  let c = Domain.DLS.get cell_key in
+  (c.c_frames, Atomic.get c.c_names)
+
+let restore (frames, names) =
+  let c = Domain.DLS.get cell_key in
+  c.c_frames <- frames;
+  Atomic.set c.c_names names
+
 (* -- the ticker domain -- *)
 
 let ticker_lock = Mutex.create ()

@@ -61,6 +61,14 @@ val enter : string -> bool
     self-allocation. *)
 val exit_ : unit -> unit
 
+(** This domain's published stack, as {!Span.save} captures it. *)
+type saved
+
+val save : unit -> saved
+
+(** Make [saved] this domain's published stack again. *)
+val restore : saved -> unit
+
 (** {2 Export} *)
 
 type stack = { path : string; samples : int; alloc_w : float }

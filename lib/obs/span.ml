@@ -94,6 +94,20 @@ let with_trace trace f =
 let current_id () =
   match Domain.DLS.get open_spans with [] -> -1 | (id, _) :: _ -> id
 
+(* Everything a span records from domain-local state: the trace id, the
+   open-span stack and the profiler's published stack.  A cooperative
+   job swaps it at every suspend and resume. *)
+type context = { c_trace : string; c_spans : (int * int) list; c_prof : Prof.saved }
+
+let save () =
+  { c_trace = Domain.DLS.get current_trace_key; c_spans = Domain.DLS.get open_spans;
+    c_prof = Prof.save () }
+
+let restore c =
+  Domain.DLS.set current_trace_key c.c_trace;
+  Domain.DLS.set open_spans c.c_spans;
+  Prof.restore c.c_prof
+
 let now_us () = Unix.gettimeofday () *. 1e6
 let alloc_words () = Gc.minor_words ()
 

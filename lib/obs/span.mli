@@ -64,6 +64,19 @@ val current_trace : unit -> string
     none (spans only open while {!enabled}). *)
 val current_id : unit -> int
 
+(** This domain's span context: its trace id, its stack of open spans
+    and the profiler's published stack ({!Prof}).  A cooperative job
+    ([Util.Coop]) that suspends inside spans saves its context and
+    restores the caller's, and swaps back on resume, so spans recorded
+    between its slices are neither children of the job's open spans nor
+    attributed to its trace. *)
+type context
+
+val save : unit -> context
+
+(** Make [context] this domain's again. *)
+val restore : context -> unit
+
 (** Drop all buffered events (the id counter keeps advancing). *)
 val reset : unit -> unit
 

@@ -47,7 +47,6 @@ let create ?(vnodes = 64) names =
   { points; members; vnodes }
 
 let members t = t.members
-let vnodes t = t.vnodes
 
 (* First vnode clockwise from the key's hash (wrapping), so removing a
    member only remaps keys that pointed at its vnodes — ~1/n of them. *)

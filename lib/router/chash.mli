@@ -33,8 +33,6 @@ val create : ?vnodes:int -> string list -> t
 (** Sorted, deduplicated member set. *)
 val members : t -> string list
 
-val vnodes : t -> int
-
 (** The member owning [key] — first vnode clockwise of [fnv64 key],
     wrapping; [None] iff the ring is empty. *)
 val lookup : t -> string -> string option

@@ -5,13 +5,14 @@ module Lineio = Serve.Lineio
 module Proto = Serve.Proto
 
 type worker = {
+  w_index : int;  (* position in [t.workers] *)
   w_name : string;
   w_socket : string;
   mutable w_up : bool;
   mutable w_draining : bool;
   mutable w_version : string;
   mutable w_pid : int;
-  w_conn : Lineio.conn;  (* the persistent connection, opened on first use *)
+  w_conn : Lineio.conn;  (* health probes and rollout control, opened on first use *)
   mutable w_forwarded : int;
 }
 
@@ -25,8 +26,20 @@ type rollout =
       canaries : string list;
     }
 
+(* One client connection's stream of forwarded lines to one worker,
+   opened on the first line the client sends that worker.  The worker
+   answers a connection's lines in order, so each reply fills the oldest
+   slot still owed. *)
+type upstream = {
+  u_worker : worker;
+  u_conn : Lineio.conn;
+  u_owed : (Serve.Evloop.slot * string * float) Queue.t;  (* slot, request line, sent at *)
+  mutable u_out : string list;  (* this round's lines to send, newest first *)
+}
+
 type t = {
   workers : worker array;  (* sorted by name; membership is fixed *)
+  clients : (int, upstream option array) Hashtbl.t;  (* per client: one slot per worker *)
   vnodes : int;
   quota : Quota.t;
   forward_timeout_s : float;
@@ -109,16 +122,17 @@ let create ?(vnodes = 64) ?(tenant_quota = 0) ?(forward_timeout_s = 5.0)
     invalid_arg "Front.create: worker names must be unique";
   let workers =
     List.sort (fun (a, _) (b, _) -> String.compare a b) workers
-    |> List.map (fun (name, socket) ->
+    |> List.mapi (fun w_index (name, socket) ->
            (* Presumed up until a probe or a failed forward says otherwise:
               the ring must be well-defined before the first health sweep. *)
-           { w_name = name; w_socket = socket; w_up = true; w_draining = false;
+           { w_index; w_name = name; w_socket = socket; w_up = true; w_draining = false;
              w_version = "unknown"; w_pid = 0; w_conn = Lineio.conn ~socket_path:socket;
              w_forwarded = 0 })
     |> Array.of_list
   in
   let t =
-    { workers; vnodes; quota = Quota.create ~limit:tenant_quota (); forward_timeout_s;
+    { workers; clients = Hashtbl.create 8; vnodes; quota = Quota.create ~limit:tenant_quota ();
+      forward_timeout_s;
       health_period_s; canary_seed; max_clients; active_bundle;
       ring = Chash.create ~vnodes []; canary_ring = Chash.create ~vnodes [];
       rollout = Idle; served_count = 0; forwarded_count = 0; conn_shed_count = 0;
@@ -492,94 +506,168 @@ let decide t line =
   match read line with
   | None -> Forward (place t line (Proto.salvage line))
   | Some r -> (
-    (* Every parsed line settles its identity here, forwarded or not: a
-       line without a trace id takes the next r-N either way. *)
-    let id, trace = Proto.identity ~mint:(fresh_trace t) r in
     match local_of r with
     | None -> Forward (place t line r)
-    | Some Health -> Local (Proto.ok_reply ~trace id (healthz_fields t))
-    | Some Topology -> Local (topology_reply t ~trace id)
-    | Some Rollout -> Local (rollout_reply t ~trace id r.req)
-    | Some Promote -> Local (promote_reply t ~trace id)
-    | Some Rollback -> Local (rollback_reply t ~trace id)
-    | Some Metrics ->
-      Local (Proto.ok_reply ~trace id [ ("metrics", Jsonl.Str (Obs.Metrics.exposition ())) ])
-    | Some Reload ->
-      Local
-        (Proto.error_reply ~trace id
-           "reload is worker-scoped; drive fleet versions with rollout/promote/rollback")
-    | Some Shutdown -> Local (shutdown_reply t ~trace id))
+    | Some local -> (
+      (* Only a reply the router writes itself needs a trace id: a
+         forwarded line takes the worker's. *)
+      let id, trace = Proto.identity ~mint:(fresh_trace t) r in
+      match local with
+      | Health -> Local (Proto.ok_reply ~trace id (healthz_fields t))
+      | Topology -> Local (topology_reply t ~trace id)
+      | Rollout -> Local (rollout_reply t ~trace id r.req)
+      | Promote -> Local (promote_reply t ~trace id)
+      | Rollback -> Local (rollback_reply t ~trace id)
+      | Metrics ->
+        Local (Proto.ok_reply ~trace id [ ("metrics", Jsonl.Str (Obs.Metrics.exposition ())) ])
+      | Reload ->
+        Local
+          (Proto.error_reply ~trace id
+             "reload is worker-scoped; drive fleet versions with rollout/promote/rollback")
+      | Shutdown -> Local (shutdown_reply t ~trace id)))
 
-(* -- the batch path -- *)
+(* -- relaying: the completion contract --
 
-let route_batch t lines =
-  Quota.begin_round t.quota;
-  let lines_a = Array.of_list lines in
-  let n = Array.length lines_a in
-  let replies = Array.make n "" in
-  (* worker name -> reversed [(index, line)] *)
-  let groups : (string, (int * string) list ref) Hashtbl.t = Hashtbl.create 8 in
-  let membership_changed = ref false in
-  Array.iteri
-    (fun i line ->
-      t.served_count <- t.served_count + 1;
-      Obs.Metrics.inc m_requests;
-      match decide t line with
-      | Local reply -> replies.(i) <- reply
-      | Forward { rt_worker = None; _ } -> replies.(i) <- unavailable_reply t ~worker:"none" line
-      | Forward { rt_worker = Some name; rt_canary; rt_tenant; _ } ->
-        if not (Quota.admit t.quota ~tenant:rt_tenant) then
-          replies.(i) <- quota_reply t ~tenant:rt_tenant line
-        else begin
-          if rt_canary then begin
-            t.canary_count <- t.canary_count + 1;
-            Obs.Metrics.inc m_canaried
-          end;
-          let g =
-            match Hashtbl.find_opt groups name with
-            | Some g -> g
-            | None ->
-              let g = ref [] in
-              Hashtbl.add groups name g;
-              g
-          in
-          g := (i, line) :: !g
-        end)
-    lines_a;
-  let fail_group w items e =
-    ignore (mark_down t w e);
-    membership_changed := true;
-    List.iter (fun (i, line) -> replies.(i) <- unavailable_reply t ~worker:w.w_name line) items
+   A round's lines are decided in order.  A line the router answers
+   itself fills its slot at once; a forwarded line joins its client's
+   upstream to the line's worker and fills its slot when that worker's
+   reply arrives, whatever the other workers and clients are doing.
+   Each upstream's lines of a round go out in one write. *)
+
+let upstream t client w =
+  let row =
+    match Hashtbl.find_opt t.clients client with
+    | Some row -> row
+    | None ->
+      let row = Array.make (Array.length t.workers) None in
+      Hashtbl.replace t.clients client row;
+      row
   in
-  (* Phase 1: write every group; phase 2: read counted replies.  Writes
-     all go first so the workers crunch their batches concurrently. *)
-  let pending =
-    Array.to_list t.workers
-    |> List.filter_map (fun w ->
-           match Hashtbl.find_opt groups w.w_name with
-           | None -> None
-           | Some g -> Some (w, List.rev !g))
-    |> List.filter (fun (w, items) ->
-           match Lineio.send w.w_conn (List.map snd items) with
-           | Error e ->
-             fail_group w items e;
-             false
-           | Ok () -> true)
+  match row.(w.w_index) with
+  | Some u -> u
+  | None ->
+    let u =
+      { u_worker = w; u_conn = Lineio.conn ~socket_path:w.w_socket; u_owed = Queue.create ();
+        u_out = [] }
+    in
+    row.(w.w_index) <- Some u;
+    u
+
+let iter_upstreams t f = Hashtbl.iter (fun _ row -> Array.iter (Option.iter f) row) t.clients
+
+(* A worker that failed an upstream — connect, write, EOF, or a reply
+   later than [forward_timeout_s] — is marked down, and every line the
+   upstream owes is answered unavailable (typed retryable: the retry
+   re-hashes over the survivors). *)
+let fail_upstream t u e =
+  Lineio.close u.u_conn;
+  u.u_out <- [];
+  ignore (mark_down t u.u_worker e);
+  let owed = Queue.create () in
+  Queue.transfer u.u_owed owed;
+  Queue.iter
+    (fun (slot, line, _) ->
+      Serve.Evloop.fill slot (unavailable_reply t ~worker:u.u_worker.w_name line))
+    owed;
+  rebuild_rings t;
+  refresh_healthz t
+
+let route t batches =
+  Quota.begin_round t.quota;
+  let now = Obs.Clock.now_s () in
+  let sending = ref [] in
+  let decide_line client line =
+    t.served_count <- t.served_count + 1;
+    Obs.Metrics.inc m_requests;
+    match decide t line with
+    | Local reply -> Serve.Evloop.filled reply
+    | Forward { rt_worker = None; _ } ->
+      Serve.Evloop.filled (unavailable_reply t ~worker:"none" line)
+    | Forward { rt_worker = Some name; rt_canary; rt_tenant; _ } ->
+      if not (Quota.admit t.quota ~tenant:rt_tenant) then
+        Serve.Evloop.filled (quota_reply t ~tenant:rt_tenant line)
+      else begin
+        if rt_canary then begin
+          t.canary_count <- t.canary_count + 1;
+          Obs.Metrics.inc m_canaried
+        end;
+        let w = Option.get (Array.find_opt (fun w -> w.w_name = name) t.workers) in
+        let u = upstream t client w in
+        if u.u_out = [] then sending := u :: !sending;
+        u.u_out <- line :: u.u_out;
+        let slot = Serve.Evloop.slot () in
+        Queue.push (slot, line, now) u.u_owed;
+        slot
+      end
+  in
+  let slots =
+    List.concat_map (fun (client, lines) -> List.map (decide_line client) lines) batches
   in
   List.iter
-    (fun (w, items) ->
-      let count = List.length items in
-      match Lineio.recv w.w_conn ~n:count ~timeout_s:t.forward_timeout_s with
-      | Ok worker_replies ->
-        w.w_forwarded <- w.w_forwarded + count;
-        t.forwarded_count <- t.forwarded_count + count;
-        Obs.Metrics.add m_forwarded count;
-        List.iter2 (fun (i, _) reply -> replies.(i) <- reply) items worker_replies
-      | Error e -> fail_group w items e)
-    pending;
-  if !membership_changed then rebuild_rings t;
+    (fun u ->
+      let lines = List.rev u.u_out in
+      u.u_out <- [];
+      match Lineio.send u.u_conn lines with Ok () -> () | Error e -> fail_upstream t u e)
+    (List.rev !sending);
   refresh_healthz t;
-  Array.to_list replies
+  slots
+
+(* Upstreams owing replies: the fds the loop waits on. *)
+let watch t =
+  let fds = ref [] in
+  iter_upstreams t (fun u ->
+      if not (Queue.is_empty u.u_owed) then
+        Option.iter (fun fd -> fds := fd :: !fds) (Lineio.fd u.u_conn));
+  !fds
+
+(* Relay what the [ready] upstreams sent, then fail every upstream whose
+   oldest owed line outwaited [forward_timeout_s]. *)
+let relay t ready =
+  iter_upstreams t (fun u ->
+      match Lineio.fd u.u_conn with
+      | Some fd when List.memq fd ready -> (
+        let w = u.u_worker in
+        let got reply =
+          match Queue.take_opt u.u_owed with
+          | Some (slot, _, _) ->
+            w.w_forwarded <- w.w_forwarded + 1;
+            t.forwarded_count <- t.forwarded_count + 1;
+            Obs.Metrics.inc m_forwarded;
+            Serve.Evloop.fill slot reply
+          | None -> ()
+        in
+        match Lineio.read_ready u.u_conn got with Ok () -> () | Error e -> fail_upstream t u e)
+      | Some _ | None -> ());
+  let now = Obs.Clock.now_s () in
+  iter_upstreams t (fun u ->
+      match Queue.peek_opt u.u_owed with
+      | Some (_, _, sent) when now -. sent > t.forward_timeout_s ->
+        fail_upstream t u Lineio.Timeout
+      | Some _ | None -> ())
+
+let drop_client t client =
+  match Hashtbl.find_opt t.clients client with
+  | None -> ()
+  | Some row ->
+    Array.iter (Option.iter (fun u -> Lineio.close u.u_conn)) row;
+    Hashtbl.remove t.clients client
+
+(* The in-process harness entry: a client of its own, driven until every
+   line is answered. *)
+let batch_client = -1
+
+let route_batch t lines =
+  let slots = route t [ (batch_client, lines) ] in
+  let answered s = Option.is_some (Serve.Evloop.reply s) in
+  while not (List.for_all answered slots) do
+    let ready =
+      match Unix.select (watch t) [] [] 0.05 with
+      | ready, _, _ -> ready
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
+    in
+    relay t ready
+  done;
+  List.map (fun s -> Option.get (Serve.Evloop.reply s)) slots
 
 (* -- counters -- *)
 
@@ -587,10 +675,11 @@ let served t = t.served_count
 let forwarded t = t.forwarded_count
 let shed t = Quota.shed t.quota + t.conn_shed_count
 let unavailable t = t.unavailable_count
-let canaried t = t.canary_count
 let failovers t = t.failover_count
 let request_drain t = Serve.Evloop.request_drain t.control
-let close t = Array.iter (fun w -> Lineio.close w.w_conn) t.workers
+let close t =
+  Array.iter (fun w -> Lineio.close w.w_conn) t.workers;
+  List.iter (drop_client t) (Hashtbl.fold (fun client _ acc -> client :: acc) t.clients [])
 
 (* -- the socket service -- *)
 
@@ -615,8 +704,18 @@ let run t ~socket_path =
   let io_fields ~fn err =
     [ ("fn", Obs.Log.Str fn); ("error", Obs.Log.Str (Unix.error_message err)) ]
   in
-  Serve.Evloop.serve ~name:"router" ~socket_path ~max_clients:t.max_clients
-    ~control:t.control ~handle_batch:(route_batch t) ~on_tick
+  let handler =
+    { Serve.Evloop.handle_batch = route t;
+      watch = (fun () -> watch t);
+      service =
+        (fun ready ->
+          relay t ready;
+          false);
+      on_close = drop_client t;
+      on_tick }
+  in
+  Serve.Evloop.run ~name:"router" ~socket_path ~max_clients:t.max_clients ~control:t.control
+    ~handler
     ~reject:(fun () ->
       t.conn_shed_count <- t.conn_shed_count + 1;
       Proto.error_reply ~overloaded:true ~trace:(fresh_trace t ()) Jsonl.Null

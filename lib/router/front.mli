@@ -3,8 +3,8 @@
 
     Speaks the same line-delimited JSON protocol as a single server, on
     the same kind of Unix socket — [clara query] works unchanged against
-    a router socket.  Per round (the {!Serve.Evloop.serve} loop the
-    server runs too):
+    a router socket.  It serves through {!Serve.Evloop.run}, the loop the
+    server runs too:
 
     - {b Placement.}  Each forwarded line is decoded once
       ({!Serve.Proto.decode}) and keyed — an [analyze] request by the
@@ -13,17 +13,21 @@
       entry warms exactly one worker whatever the program's spelling),
       everything else (malformed lines and bad programs included) by the
       raw line — and looked up on a consistent-hash ring ({!Chash}) over
-      the live, non-draining workers.  Lines for the same worker are pipelined down one
-      persistent {!Serve.Lineio.conn}, opened on first use; all groups
-      are written before any replies are read, so workers crunch
-      concurrently.
+      the live, non-draining workers.
+    - {b Relay.}  A forwarded line goes down its client's own upstream
+      to the owning worker — one {!Serve.Lineio.conn} per (client
+      connection, worker), opened on the client's first line for that
+      worker, closed with the client — and each worker reply is relayed
+      as soon as it arrives (upstream fds join the loop's poll set).
+      A miss holds back only its own client's later replies.
     - {b Admission.}  Per-tenant quotas ({!Quota}) shed over-quota lines
       router-side with typed ["overloaded":true] replies, layered on the
       workers' own [max_pending]/[max_clients] shedding and the router's
       own [max_clients] connection bound.
-    - {b Failover.}  A connect/write/read failure (one
-      {!Serve.Lineio.error}, which closes the connection) marks the
-      worker down: its in-flight lines are answered ["ok":false,
+    - {b Failover.}  A connect/write/read failure on an upstream (one
+      {!Serve.Lineio.error}, which closes the connection), its EOF, or
+      its oldest line waiting longer than [forward_timeout_s] marks the
+      worker down: the upstream's owed lines are answered ["ok":false,
       "unavailable":true]
       (typed retryable — {!Serve.Client} backs off and retries, and the
       retry re-hashes over the survivors), the rings are rebuilt, and the
@@ -61,8 +65,8 @@ type route = {
 (** [create ~workers ()] with [(name, socket_path)] pairs (sorted by
     name; names must be unique).  [vnodes] per worker on the ring
     (default 64); [tenant_quota] lines per tenant per round (default 0 =
-    unlimited); [forward_timeout_s] per-round worker reply budget
-    (default 5); [health_period_s] between probe sweeps in {!run}
+    unlimited); [forward_timeout_s] how long a forwarded line may wait
+    for its worker's reply (default 5); [health_period_s] between probe sweeps in {!run}
     (default 0.5); [canary_seed] the default rollout draw seed (default
     1); [max_clients] the router's own connection bound (default 64);
     [active_bundle] the bundle directory the fleet currently serves —
@@ -79,9 +83,11 @@ val create :
   unit ->
   t
 
-(** Route one batch of request lines; replies come back in order.  The
-    in-process harness entry ({!run}'s rounds call it too).  Never
-    raises: worker failures become typed replies. *)
+(** Route one batch of request lines as one client of its own and
+    relay until every line is answered; replies come back in order.
+    The in-process harness entry: {!run}'s rounds take the same path
+    without waiting.  Never raises: worker failures become typed
+    replies. *)
 val route_batch : t -> string list -> string list
 
 (** Where would [line] go right now?  Pure: no I/O, no counters. *)
@@ -89,7 +95,7 @@ val target : t -> string -> route option
 
 (** One health sweep: refresh every worker's up/version/draining/pid and
     rebuild the rings.  Every worker, up or down, is asked [health] over
-    its persistent connection (reconnecting one a failure closed) — a
+    its health/control connection (reconnecting one a failure closed) — a
     respawned worker is re-admitted here. *)
 val probe : t -> unit
 
@@ -120,29 +126,29 @@ val healthz_json : t -> string
 val healthz_cached : t -> string
 
 (** Counters: lines entering the router / forwarded to workers / shed
-    (quota + connection) / answered unavailable / steered to canaries /
-    worker down-transitions. *)
+    (quota + connection) / answered unavailable / worker
+    down-transitions. *)
 val served : t -> int
 
 val forwarded : t -> int
 val shed : t -> int
 val unavailable : t -> int
-val canaried : t -> int
 val failovers : t -> int
 
 (** Ask {!run} to drain and return (what its SIGTERM handler calls). *)
 val request_drain : t -> unit
 
-(** Close the persistent worker connections (idempotent; a later round
-    reconnects).  In-process harnesses should call it before checking
+(** Close every worker connection: the health/control ones and every
+    client's upstreams (idempotent; a later round reconnects).  In-process harnesses should call it before checking
     fd hygiene. *)
 val close : t -> unit
 
 (** Bind [socket_path] and serve until [shutdown] or a drain is
     requested (SIGTERM / {!request_drain}).  The loop is
-    {!Serve.Evloop.serve}, the same one {!Serve.Server.run} uses
-    (batched rounds, coalesced writes, graceful drain window), answering
-    each round's lines with one {!route_batch} call.  The router adds a
+    {!Serve.Evloop.run}, the same one {!Serve.Server.run} uses
+    (batched rounds, coalesced writes, graceful drain window): router
+    commands are answered in their round, forwarded lines when their
+    worker replies.  The router adds a
     {!probe} sweep once at start and then, checked before every poll,
     whenever [health_period_s] has elapsed since the last one.  Worker
     connections are closed on the way out. *)

@@ -107,4 +107,3 @@ let wait t =
     t.sp_reaped <- true
   end
 
-let alive t = not (reap t)

@@ -61,5 +61,3 @@ val reap : t -> bool
 (** Blocking reap; idempotent. *)
 val wait : t -> unit
 
-(** Has the process neither exited nor been reaped? *)
-val alive : t -> bool

@@ -1,8 +1,9 @@
 (** Blocking line I/O to one worker socket.
 
-    The router keeps one persistent connection per live worker and
-    pipelines each round's request lines down it (a
-    {!Serve.Lineio.conn}); these helpers are {!Serve.Lineio} with every
+    The router holds {!Serve.Lineio.conn}s to its workers — one per
+    (client connection, worker) for forwarded lines, one per worker for
+    health probes and rollout control; these helpers are
+    {!Serve.Lineio} with every
     [Unix_error] (and timeout, and EOF) mapped to [Error msg], so the
     caller can treat "this worker just died" as data.  All sockets are
     opened close-on-exec: respawned worker children must not inherit the

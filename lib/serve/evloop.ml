@@ -2,19 +2,35 @@
 
 (* Per-connection state machine:
 
-     Reading --(EOF with buffered partial line)--> Closing --(write
-     buffer drained)--> Dead
+     Reading --(EOF with a final partial line or replies owed)--> Closing
+     --(every reply written)--> Dead
 
    [Reading] connections contribute complete lines to each round's batch;
-   [Closing] connections only drain their pending replies (the peer
-   half-closed after a final unterminated line); [Dead] is closed and
-   detached.  Writes are coalesced: every reply of a round is appended to
-   the connection's write buffer and drained in as few [write] calls as
-   the kernel allows when the round flushes. *)
+   [Closing] connections only await and drain their replies (the peer
+   half-closed); [Dead] is closed and detached.  Every line a connection
+   sent owns one slot in its FIFO [slots], in request order; whenever
+   the slots at its head are filled, their replies move to the write
+   buffer, so replies leave in request order however they complete.
+   Writes are coalesced: a wake's replies are drained in as few [write]
+   calls as the kernel allows. *)
+
+type slot = { mutable reply : string option }
+
+let slot () = { reply = None }
+let filled reply = { reply = Some reply }
+
+let fill s reply =
+  match s.reply with
+  | None -> s.reply <- Some reply
+  | Some _ -> invalid_arg "Evloop.fill: slot already filled"
+
+let reply s = s.reply
 
 type conn = {
+  id : int;
   fd : Unix.file_descr;
   rbuf : Buffer.t;  (** the partial line after the last newline read *)
+  slots : slot Queue.t;  (** replies owed, in request order *)
   wbuf : Buffer.t;  (** replies not yet handed to [write] *)
   mutable wpend : string;  (** in-flight flush remainder *)
   mutable woff : int;
@@ -26,6 +42,7 @@ type callbacks = {
   on_reject : Unix.file_descr -> unit;
   on_disconnect : fn:string -> Unix.error -> unit;
   on_error : ctx:string -> fn:string -> Unix.error -> unit;
+  on_close : int -> unit;
 }
 
 type t = {
@@ -34,12 +51,13 @@ type t = {
   cb : callbacks;
   mutable conns : conn list;  (** accept order, newest last *)
   mutable n_conns : int;
+  mutable next_id : int;
   mutable listening : bool;  (** listener open and polled *)
   chunk : Bytes.t;
 }
 
 let create ~listener ~max_clients cb =
-  { listener; max_clients; cb; conns = []; n_conns = 0; listening = true;
+  { listener; max_clients; cb; conns = []; n_conns = 0; next_id = 0; listening = true;
     chunk = Bytes.create 65536 }
 
 let drop t c =
@@ -47,29 +65,39 @@ let drop t c =
     c.dead <- true;
     t.conns <- List.filter (fun c' -> c' != c) t.conns;
     t.n_conns <- t.n_conns - 1;
-    (try Unix.close c.fd with Unix.Unix_error _ -> ())
+    (try Unix.close c.fd with Unix.Unix_error _ -> ());
+    t.cb.on_close c.id
   end
 
 let close_all t = List.iter (fun c -> drop t c) t.conns
 
-let send c reply =
-  Buffer.add_string c.wbuf reply;
-  Buffer.add_char c.wbuf '\n'
+(* Move the filled head of the slot FIFO to the write buffer. *)
+let emit c =
+  let rec go () =
+    match Queue.peek_opt c.slots with
+    | Some { reply = Some reply } ->
+      ignore (Queue.pop c.slots);
+      Buffer.add_string c.wbuf reply;
+      Buffer.add_char c.wbuf '\n';
+      go ()
+    | Some { reply = None } | None -> ()
+  in
+  go ()
 
-let pending c = c.woff < String.length c.wpend || Buffer.length c.wbuf > 0
-
+let unwritten c = c.woff < String.length c.wpend || Buffer.length c.wbuf > 0
+let pending c = unwritten c || not (Queue.is_empty c.slots)
 let has_pending t = List.exists pending t.conns
 
-(* Drain the connection's whole write queue in one go: a round's replies
+(* Drain the connection's whole write queue in one go: a wake's replies
    are coalesced into as few [write] calls as the kernel allows, and the
    fds stay blocking so no reply is ever stranded in user space at
-   shutdown (matching the pre-event-loop server, which wrote replies
-   synchronously).  [woff] advances by exactly what each write sent, so
-   a signal mid-flush never resends a byte.  EPIPE/ECONNRESET (and the
+   shutdown.  [woff] advances by exactly what each write sent, so a
+   signal mid-flush never resends a byte.  EPIPE/ECONNRESET (and the
    armed serve.write fault) are the peer's lifecycle: count, log at info
-   via the callback, drop. *)
+   via the callback, drop.  A closing connection goes once it owes
+   nothing more. *)
 let flush_conn t c =
-  if (not c.dead) && pending c then begin
+  if (not c.dead) && unwritten c then begin
     try
       if Obs.Fault.fire "serve.write" then
         raise (Unix.Unix_error (Unix.EPIPE, "write", "injected fault: serve.write"));
@@ -83,8 +111,7 @@ let flush_conn t c =
           end
           else continue := false
         else c.woff <- c.woff + Lineio.write c.fd c.wpend c.woff (String.length c.wpend - c.woff)
-      done;
-      if c.closing then drop t c
+      done
     with
     | Unix.Unix_error (((Unix.EPIPE | Unix.ECONNRESET) as err), _, _) ->
       t.cb.on_disconnect ~fn:"write" err;
@@ -92,9 +119,18 @@ let flush_conn t c =
     | Unix.Unix_error (err, _, _) ->
       t.cb.on_error ~ctx:"serve.write_error" ~fn:"write" err;
       drop t c
-  end
+  end;
+  if c.closing && not (pending c) then drop t c
 
-let flush t = List.iter (fun c -> flush_conn t c) t.conns
+(* Write every connection's filled prefix. *)
+let deliver t =
+  List.iter
+    (fun c ->
+      if not c.dead then begin
+        emit c;
+        flush_conn t c
+      end)
+    t.conns
 
 let accept_one t =
   try
@@ -104,9 +140,10 @@ let accept_one t =
     if t.n_conns >= t.max_clients then t.cb.on_reject fd
     else begin
       let c =
-        { fd; rbuf = Buffer.create 256; wbuf = Buffer.create 256; wpend = ""; woff = 0;
-          closing = false; dead = false }
+        { id = t.next_id; fd; rbuf = Buffer.create 256; slots = Queue.create ();
+          wbuf = Buffer.create 256; wpend = ""; woff = 0; closing = false; dead = false }
       in
+      t.next_id <- t.next_id + 1;
       t.conns <- t.conns @ [ c ];
       t.n_conns <- t.n_conns + 1
     end
@@ -120,7 +157,8 @@ let read_conn t c acc =
       raise (Unix.Unix_error (Unix.ECONNRESET, "read", "injected fault: serve.read"));
     let n = Unix.read c.fd t.chunk 0 (Bytes.length t.chunk) in
     if n = 0 then begin
-      (* EOF: answer a final unterminated line before closing *)
+      (* EOF: answer a final unterminated line, and every line still
+         owed a reply, before closing *)
       let rest = String.trim (Buffer.contents c.rbuf) in
       Buffer.clear c.rbuf;
       if rest <> "" then begin
@@ -152,12 +190,20 @@ let read_conn t c acc =
     drop t c;
     acc
 
-let poll t ~timeout_s =
+(* One wait: flush what the kernel can take, accept at most one client,
+   and collect the complete lines that arrived (in accept order) plus
+   which of the caller's [watch] fds are readable. *)
+let poll t ~watch ~timeout_s =
   let rfds =
-    let conn_fds = List.filter_map (fun c -> if c.dead || c.closing then None else Some c.fd) t.conns in
-    if t.listening then t.listener :: conn_fds else conn_fds
+    let conn_fds =
+      List.filter_map (fun c -> if c.dead || c.closing then None else Some c.fd) t.conns
+    in
+    let fds = List.rev_append watch conn_fds in
+    if t.listening then t.listener :: fds else fds
   in
-  let wfds = List.filter_map (fun c -> if (not c.dead) && pending c then Some c.fd else None) t.conns in
+  let wfds =
+    List.filter_map (fun c -> if (not c.dead) && unwritten c then Some c.fd else None) t.conns
+  in
   match Unix.select rfds wfds [] timeout_s with
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> `Eintr
   | readable, writable, _ ->
@@ -172,7 +218,8 @@ let poll t ~timeout_s =
           else acc)
         [] t.conns
     in
-    `Round (List.rev batches)
+    let ready = if watch = [] then [] else List.filter (fun fd -> List.memq fd readable) watch in
+    `Round (List.rev batches, ready)
 
 (* -- the serving skeleton -- *)
 
@@ -187,26 +234,46 @@ let draining c = c.drain
    wakes the wait at once through EINTR. *)
 let poll_timeout_s = 0.25
 
+type handler = {
+  handle_batch : (int * string list) list -> slot list;
+  watch : unit -> Unix.file_descr list;
+  service : Unix.file_descr list -> bool;
+  on_close : int -> unit;
+  on_tick : unit -> unit;
+}
+
 (* Every complete line of a round goes to [handle_batch] as one batch,
-   so independent clients share the pool fan-out (and the admission
-   bound applies across them); each connection then gets its replies
-   back in order, coalesced into one flush. *)
-let answer t handle_batch batches =
-  if batches <> [] then begin
-    let replies = ref (handle_batch (List.concat_map snd batches)) in
-    List.iter
-      (fun (conn, lines) ->
-        List.iter
-          (fun _ ->
-            match !replies with
-            | reply :: rest ->
-              replies := rest;
-              send conn reply
-            | [] -> ())
-          lines)
-      batches;
-    flush t
-  end
+   so the admission bound applies across clients; each line's slot joins
+   its connection's FIFO in request order. *)
+let enqueue t handle_batch batches =
+  let slots = ref (handle_batch (List.map (fun (c, lines) -> (c.id, lines)) batches)) in
+  List.iter
+    (fun (c, lines) ->
+      List.iter
+        (fun _ ->
+          match !slots with
+          | s :: rest ->
+            slots := rest;
+            if not c.dead then Queue.push s c.slots
+          | [] -> invalid_arg "Evloop: handle_batch returned fewer slots than lines")
+        lines)
+    batches;
+  deliver t
+
+(* One turn of the loop: tick, wait (not at all while [busy]: the
+   handler has work it wants to continue), hand the round's lines to
+   [handle_batch] and write what is filled, then let [service] run its
+   slice and write what that filled.  Returns whether lines arrived and
+   whether the handler is still busy. *)
+let turn t h ~busy ~timeout_s =
+  h.on_tick ();
+  match poll t ~watch:(h.watch ()) ~timeout_s:(if busy then 0.0 else timeout_s) with
+  | `Eintr -> (false, busy)
+  | `Round (batches, ready) ->
+    if batches <> [] then enqueue t h.handle_batch batches;
+    let busy = h.service ready in
+    deliver t;
+    (batches <> [], busy)
 
 (* Connection-level shedding: tell the client it is the load, not the
    request, then hang up. *)
@@ -229,8 +296,12 @@ let with_signal signal behavior f =
         (fun h -> try Sys.set_signal signal h with Invalid_argument _ | Sys_error _ -> ())
         old)
 
-let serve ~name ~socket_path ~max_clients ~control:c ~handle_batch ~on_tick ~reject
-    ~on_disconnect ~on_error =
+(* A connection that sends nothing more once the drain window closed:
+   it keeps what it is owed and goes when that is written. *)
+let stop_reading t =
+  List.iter (fun c -> if pending c then c.closing <- true else drop t c) t.conns
+
+let run ~name ~socket_path ~max_clients ~control:c ~handler:h ~reject ~on_disconnect ~on_error =
   (if Sys.os_type = "Unix" then
      try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   with_signal Sys.sigterm (Sys.Signal_handle (fun _ -> request_drain c)) @@ fun () ->
@@ -239,7 +310,8 @@ let serve ~name ~socket_path ~max_clients ~control:c ~handle_batch ~on_tick ~rej
   Unix.bind listener (Unix.ADDR_UNIX socket_path);
   Unix.listen listener 16;
   let t =
-    create ~listener ~max_clients { on_reject = reject_with reject; on_disconnect; on_error }
+    create ~listener ~max_clients
+      { on_reject = reject_with reject; on_disconnect; on_error; on_close = h.on_close }
   in
   (* Runs at most once: a second close could hit a reused fd number. *)
   let teardown_listener () =
@@ -249,28 +321,37 @@ let serve ~name ~socket_path ~max_clients ~control:c ~handle_batch ~on_tick ~rej
       try Unix.unlink socket_path with Unix.Unix_error _ -> ()
     end
   in
+  let busy = ref false in
   while not (c.stop || c.drain) do
-    on_tick ();
-    match poll t ~timeout_s:poll_timeout_s with
-    | `Eintr -> ()
-    | `Round batches -> answer t handle_batch batches
+    busy := snd (turn t h ~busy:!busy ~timeout_s:poll_timeout_s)
   done;
   (* Graceful drain: the listener goes first, so new connections fail
-     fast while buffered requests still get real answers.  In-flight
-     clients get a short grace window; an idle 50ms round means nothing
-     more is coming and the drain completes early. *)
+     fast while buffered requests still get real answers.  Lines read
+     within the grace window are answered, however long their replies
+     take; an idle 50ms round that owes nothing ends the drain early. *)
   if not c.stop then begin
     Obs.Log.info ~fields:[ ("clients", Obs.Log.Int t.n_conns) ] (name ^ ".drain");
     teardown_listener ();
     let drain_until = Obs.Clock.now_s () +. 0.5 in
     let quiescent = ref false in
-    while (not !quiescent) && (not c.stop) && t.n_conns > 0 && Obs.Clock.now_s () < drain_until do
-      on_tick ();
-      match poll t ~timeout_s:0.05 with
-      | `Eintr -> ()
-      | `Round [] -> if not (has_pending t) then quiescent := true
-      | `Round batches -> answer t handle_batch batches
+    while (not !quiescent) && (not c.stop) && t.n_conns > 0 do
+      if Obs.Clock.now_s () >= drain_until then stop_reading t;
+      let got, more = turn t h ~busy:!busy ~timeout_s:0.05 in
+      busy := more;
+      if (not got) && (not more) && not (has_pending t) then quiescent := true
     done
   end;
   close_all t;
   teardown_listener ()
+
+let serve ~name ~socket_path ~max_clients ~control ~handle_batch ~on_tick ~reject
+    ~on_disconnect ~on_error =
+  let handler =
+    { handle_batch =
+        (fun batches -> List.map filled (handle_batch (List.concat_map snd batches)));
+      watch = (fun () -> []);
+      service = (fun _ -> false);
+      on_close = ignore;
+      on_tick }
+  in
+  run ~name ~socket_path ~max_clients ~control ~handler ~reject ~on_disconnect ~on_error

@@ -123,5 +123,26 @@ let recv c ~n ~timeout_s =
       Ok lines
     | Error e -> fail c e)
 
+let fd c = c.fd
+
+(* One read buffer per domain, reused by every [read_ready]. *)
+let ready_chunk = Domain.DLS.new_key (fun () -> Bytes.create 65536)
+
+let read_ready c emit =
+  match c.fd with
+  | None -> Error Closed
+  | Some fd -> (
+    let chunk = Domain.DLS.get ready_chunk in
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | 0 -> fail c Closed
+    | r ->
+      let line = Buffer.create (String.length c.residue + r) in
+      Buffer.add_string line c.residue;
+      ignore (split line (Bytes.sub_string chunk 0 r) ~max:max_int emit);
+      c.residue <- Buffer.contents line;
+      Ok ()
+    | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> Ok ()
+    | exception Unix.Unix_error (err, fn, _) -> fail c (Io (unix_msg fn err)))
+
 let call c ~timeout_s line =
   Result.bind (send c [ line ]) (fun () -> Result.map List.hd (recv c ~n:1 ~timeout_s))

@@ -60,6 +60,15 @@ val send : conn -> string list -> (unit, error) result
 (** The next [n] lines within [timeout_s]; [Closed] when not open. *)
 val recv : conn -> n:int -> timeout_s:float -> (string list, error) result
 
+(** The open fd, for a caller that waits on it in its own poll set. *)
+val fd : conn -> Unix.file_descr option
+
+(** One read on an open connection the caller's poll found readable:
+    each line it completes goes to [emit], in order, and the bytes after
+    the last one stay as residue.  [Error Closed] at EOF or when not
+    open. *)
+val read_ready : conn -> (string -> unit) -> (unit, error) result
+
 (** One line out, one line back: {!send} then {!recv}. *)
 val call : conn -> timeout_s:float -> string -> (string, error) result
 

@@ -187,7 +187,6 @@ let drain t =
   in
   loop ()
 
-let pending t = with_lock t.pending_lock (fun () -> Queue.length t.pending)
 let sampled t = Atomic.get t.sampled
 let evaluated t = Atomic.get t.evaluated
 let eval_errors t = Atomic.get t.eval_errors

@@ -66,13 +66,7 @@ val drain : t -> unit
     known amount even when the learned compute model fits poorly.
     Serialized; call off the reply path. *)
 
-val pending : t -> int
-val sampled : t -> int
 val evaluated : t -> int
-
-val eval_errors : t -> int
-(** Offers whose ground truth could not be derived (e.g. inline p4lite
-    programs not in the corpus). *)
 
 val drift_active : t -> string -> bool
 

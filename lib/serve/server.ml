@@ -8,6 +8,71 @@
    reload rebuilds every lane, dropping the memos with the old models. *)
 type lane = { l_lock : Mutex.t; l_compiled : Clara.Pipeline.compiled }
 
+(* -- replies, misses and jobs --
+
+   A reply is built together with what it says: its outcome class and its
+   trace id.  The flight recorder, its dump triggers and the SLO
+   availability count read those, never the rendered bytes. *)
+
+type outcome = [ `Ok | `Error | `Deadline | `Overloaded | `Fault ]
+type reply = { text : string; outcome : outcome; trace : string }
+
+(* A cache miss: the analysis job it joins (deduplicated by [key]) and
+   what its reply needs. *)
+type miss = {
+  id : Jsonl.t;
+  trace : string;
+  key : string;
+  elt : Nf_lang.Ast.element;
+  spec : Workload.spec;
+  nf_label : string;
+  wname : string;
+  deadline : float option;  (* absolute Clock seconds; None = no budget *)
+}
+
+(* What one deduplicated analysis job produced: a fresh flow entry (the
+   reply bytes pre-serialized once, carrying the raw predictions for
+   shadow evaluation), or a failure that remembers whether an injected
+   fault caused it. *)
+type job_outcome = Report of Fastpath.Entry.t | Failed of { msg : string; fault : bool }
+
+(* One reply line as the accounting sees it: [shard] is -1 when the line
+   never reached a flow-cache shard, [latency_s] runs from batch start to
+   when the reply bytes existed, and [offer] is a slow-path answer to
+   offer for shadow evaluation when the line is accounted. *)
+type line_record = {
+  line : string;
+  reply : reply;
+  shard : int;
+  path : string;
+  latency_s : float;
+  offer : (Jsonl.t * string * Fastpath.Entry.t) option;
+}
+
+(* One batch of lines: each line's reply slot and, once the reply
+   exists, its record, in line order; the first [admitted] were
+   admitted, the rest shed. *)
+type cell = { slot : Evloop.slot; mutable record : line_record option }
+
+type round = {
+  now0 : float;
+  admitted : int;
+  mutable cells : cell list;
+  mutable unfilled : int;
+}
+
+(* A line waiting on a job, and the job: the flow table it was planned
+   against (a reload swaps the table; the job then installs nothing),
+   its waiters (newest first) and its cooperative run. *)
+type waiter = { round : round; cell : cell; line : string; miss : miss }
+
+type job = {
+  j_key : string;
+  j_flows : Fastpath.Entry.t Fastpath.Shards.t;
+  j_run : job_outcome Util.Coop.t;
+  mutable waiters : waiter list;
+}
+
 (* [flows]/[lanes] are mutable for hot reload: the swap happens
    inside the serial planning path, so every request line is answered
    entirely by one bundle version — never a torn mix. *)
@@ -26,6 +91,9 @@ type t = {
   mutable shed_count : int;
   control : Evloop.control;  (* shutdown / drain flags *)
   mutable flight_dump_requested : bool;  (* set by the SIGQUIT handler *)
+  jobs : job Queue.t;  (* the miss FIFO; its head runs *)
+  by_key : (string, job) Hashtbl.t;  (* queued jobs a later miss joins *)
+  mutable waiting : int;  (* lines waiting on jobs; they count against max_pending *)
 }
 
 (* Default slow-request threshold: CLARA_SLOW_MS, else 1s. *)
@@ -62,7 +130,8 @@ let create ?(cache_capacity = 64) ?(shards = 8) ?slow_threshold_s ?deadline_ms
     slow_s; deadline_s; max_pending; max_clients; fast_buf = Buffer.create 1024;
     flight = Obs.Flight.create ~shards ?capacity:flight_capacity ?dir:flight_dir ();
     served_count = 0; shed_count = 0; control = Evloop.control ();
-    flight_dump_requested = false }
+    flight_dump_requested = false; jobs = Queue.create (); by_key = Hashtbl.create 16;
+    waiting = 0 }
 
 let served t = t.served_count
 let shed t = t.shed_count
@@ -162,13 +231,7 @@ let trace_counter = Atomic.make 0
 
 let fresh_trace () = Printf.sprintf "t-%d" (1 + Atomic.fetch_and_add trace_counter 1)
 
-(* -- replies --
-
-   A reply is built together with what it says: its outcome class and its
-   trace id.  The flight recorder, its dump triggers and the SLO
-   availability count read those, never the rendered bytes. *)
-
-type outcome = [ `Ok | `Error | `Deadline | `Overloaded | `Fault ]
+(* -- replies -- *)
 
 let outcome_label : outcome -> string = function
   | `Ok -> "ok"
@@ -176,8 +239,6 @@ let outcome_label : outcome -> string = function
   | `Deadline -> "deadline"
   | `Overloaded -> "overloaded"
   | `Fault -> "fault"
-
-type reply = { text : string; outcome : outcome; trace : string }
 
 let ok_reply ~trace id fields = { text = Proto.ok_reply ~trace id fields; outcome = `Ok; trace }
 
@@ -215,19 +276,6 @@ let analyze_reply ~trace id ~cached ~path entry =
     trace }
 
 (* -- request planning -- *)
-
-(* A cache miss: the analysis job it becomes (deduplicated by [key]) and
-   what its reply needs. *)
-type miss = {
-  id : Jsonl.t;
-  trace : string;
-  key : string;
-  elt : Nf_lang.Ast.element;
-  spec : Workload.spec;
-  nf_label : string;
-  wname : string;
-  deadline : float option;  (* absolute Clock seconds; None = no budget *)
-}
 
 (* A planned request line: answered by the fast path, already answered,
    a slow-path cache hit (its reply rendered already; the shadow offer
@@ -444,6 +492,8 @@ let reload_reply t ~trace id req =
           Array.init shards (fun _ ->
               { l_lock = Mutex.create (); l_compiled = Clara.Pipeline.compile models });
         t.flows <- Fastpath.Shards.create ~shards ~capacity ();
+        (* queued jobs finish on the old models; a later miss starts anew *)
+        Hashtbl.reset t.by_key;
         let previous = t.version in
         t.version <- next;
         Obs.Metrics.inc m_reloads;
@@ -545,20 +595,6 @@ let plan_line_slow t ~now line =
     | Some other -> Ready (err_reply ~trace id (Printf.sprintf "unknown cmd %S" other))
     | None -> Ready (err_reply ~trace id "missing \"cmd\""))
 
-(* What one deduplicated analysis job produced: a fresh flow entry (the
-   reply bytes pre-serialized once, carrying the raw predictions for
-   shadow evaluation), or a failure that remembers whether an injected
-   fault caused it. *)
-type job_outcome =
-  | Report of Fastpath.Entry.t
-  | Failed of { msg : string; fault : bool }
-  | Timed_out
-
-let failed e =
-  Failed
-    { msg = Printexc.to_string e;
-      fault = (match e with Obs.Fault.Injected _ -> true | _ -> false) }
-
 let split_at n l =
   let rec go n acc = function
     | rest when n = 0 -> (List.rev acc, rest)
@@ -567,144 +603,27 @@ let split_at n l =
   in
   go n [] l
 
+let failed e =
+  Failed
+    { msg = Printexc.to_string e;
+      fault = (match e with Obs.Fault.Injected _ -> true | _ -> false) }
+
 (* -- the batch: plan -> run -> render --
 
-   [process_batch] answers one event-loop round in three stages.  Plan
-   turns every admitted line into a [plan] and notes when its reply bytes
-   exist (now, for everything but a miss).  Run analyzes the batch's
-   distinct misses on the pool and installs their flow entries.  Render
-   gives every miss its reply and makes one [line_record] per reply line,
-   which is all the accounting (latency histogram, quality telemetry,
-   slow-request log, flight recorder) reads. *)
+   [submit] answers one batch of lines — an event-loop round, or one
+   [process_batch] call — with one reply slot per line.  Plan turns
+   every admitted line into a [plan] and fills its slot at once, all but
+   the misses.  Run: each distinct miss becomes a job in one FIFO (a
+   later miss on a queued key joins that job), and [work] runs the head
+   job one cooperative slice at a time ({!Util.Coop}), so the event loop
+   answers hits between slices.  Render: a finished job installs its
+   flow entry and fills its waiting lines' slots.  A line's latency is
+   its own, from batch start to when its reply bytes exist.
 
-(* One reply line as the accounting sees it: [shard] is -1 when the line
-   never reached a flow-cache shard, [latency_s] runs from batch start to
-   when the reply bytes existed. *)
-type line_record = { line : string; reply : reply; shard : int; path : string; latency_s : float }
-
-(* Load shedding: a line past the [max_pending] admission bound is
-   answered immediately with an explicit retryable [overloaded] error
-   (id and trace id still salvaged from the raw text) instead of queuing
-   unbounded work behind the pool. *)
-let shed_record t ~now0 line =
-  t.served_count <- t.served_count + 1;
-  t.shed_count <- t.shed_count + 1;
-  Obs.Metrics.inc m_requests;
-  let id, trace = Proto.identity ~mint:fresh_trace (Proto.salvage line) in
-  let reply =
-    err_reply ~outcome:`Overloaded ~trace id
-      (Printf.sprintf "overloaded: server admits %d request lines per batch" t.max_pending)
-  in
-  { line; reply; shard = -1; path = "slow"; latency_s = Obs.Clock.now_s () -. now0 }
-
-let plan_stage t ~now0 lines =
-  List.map
-    (fun line ->
-      let plan =
-        match fast_track t ~now:now0 line with
-        | Some plan -> plan
-        | None -> plan_line_slow t ~now:now0 line
-      in
-      (line, plan, Obs.Clock.now_s ()))
-    lines
-
-(* Deduplicate the batch's misses, keeping first-seen order (and the
-   first-seen request's trace id), then analyze the distinct jobs
-   concurrently.  The trace id is re-installed inside each task closure:
-   it lives in domain-local storage, so spans recorded on a worker domain
-   would otherwise lose their request attribution.  Deadlines are
-   enforced between the stages: a miss whose budget ran out during
-   planning never becomes a job, a job checks its budget again before
-   computing, and the render stage re-checks so a report that arrived
-   too late still answers [deadline_exceeded] (the entry is installed for
-   the next asker all the same).  Fresh entries are installed into their
-   key's shard for every later fast-path probe; they also answer this
-   batch's own requesters (even with caching disabled, where [install]
-   drops them).  Returns each job's outcome by key. *)
-let run_stage t planned =
-  let jobs =
-    List.fold_left
-      (fun acc (_, plan, _) ->
-        match plan with
-        | Miss m
-          when (not (expired m.deadline)) && not (List.exists (fun j -> j.key = m.key) acc) ->
-          m :: acc
-        | _ -> acc)
-      [] planned
-    |> List.rev
-  in
-  let results =
-    (* An armed [pool.task] fault aborts the whole fan-out; degrade it to
-       per-job failures so every requester still gets a typed reply.  Each
-       job runs on the lane of its key's shard: the compiled pipeline's
-       inference scratch is not shareable, and the lane mutex serializes
-       only same-shard jobs. *)
-    match
-      Util.Pool.parallel_map_list
-        (fun m ->
-          Obs.Span.with_trace m.trace @@ fun () ->
-          let outcome =
-            if expired m.deadline then Timed_out
-            else
-              try
-                let lane = t.lanes.(Fastpath.Shards.shard_of_key t.flows m.key) in
-                Mutex.lock lane.l_lock;
-                let ins =
-                  Fun.protect
-                    ~finally:(fun () -> Mutex.unlock lane.l_lock)
-                    (fun () -> Clara.Pipeline.analyze_compiled lane.l_compiled m.elt m.spec)
-                in
-                Report
-                  (Fastpath.Entry.make ~pred_compute:ins.Clara.Insights.predicted_compute
-                     ~pred_memory:ins.Clara.Insights.predicted_memory ~nf:m.nf_label
-                     ~workload:m.wname ~report:(Clara.Insights.render ins) ())
-              with e -> failed e
-          in
-          (m.key, outcome))
-        jobs
-    with
-    | results -> results
-    | exception e ->
-      let outcome = failed e in
-      List.map (fun m -> (m.key, outcome)) jobs
-  in
-  List.iter
-    (function
-      | key, Report entry -> Fastpath.Shards.install t.flows key entry
-      | _, (Failed _ | Timed_out) -> ())
-    results;
-  results
-
-let miss_reply t ~results m =
-  let { id; trace; key; deadline; _ } = m in
-  match List.assoc_opt key results with
-  | Some (Report entry) ->
-    if expired deadline then deadline_reply ~trace id
-    else begin
-      if Quality.enabled t.quality then maybe_shadow t ~id:(id_token id) ~key entry;
-      analyze_reply ~trace id ~cached:false ~path:"slow" entry
-    end
-  | Some (Failed { msg; fault }) ->
-    err_reply ~outcome:(if fault then `Fault else `Error) ~trace id ("analysis failed: " ^ msg)
-  | Some Timed_out | None -> deadline_reply ~trace id
-
-(* Serial and in plan order, so shadow offers land in the pending queue
-   deterministically. *)
-let render_stage t ~now0 ~results planned =
-  List.map
-    (fun (line, plan, at) ->
-      match plan with
-      | Fast { reply; shard } -> { line; reply; shard; path = "fast"; latency_s = at -. now0 }
-      | Ready reply -> { line; reply; shard = -1; path = "slow"; latency_s = at -. now0 }
-      | Hit { reply; id; key; entry } ->
-        if Quality.enabled t.quality then maybe_shadow t ~id:(id_token id) ~key entry;
-        let shard = Fastpath.Shards.shard_of_key t.flows key in
-        { line; reply; shard; path = "slow"; latency_s = at -. now0 }
-      | Miss m ->
-        let reply = miss_reply t ~results m in
-        let shard = Fastpath.Shards.shard_of_key t.flows m.key in
-        { line; reply; shard; path = "slow"; latency_s = Obs.Clock.now_s () -. now0 })
-    planned
+   A batch is accounted (latency histogram, quality telemetry,
+   slow-request log, flight recorder) once every one of its replies
+   exists, in plan order, so it leaves the same records in the same
+   order however its misses interleave with later batches. *)
 
 (* One reply line's accounting.  An admitted line's own latency feeds the
    histogram, the latency SLO and, past the threshold, the slow-request
@@ -735,27 +654,244 @@ let account t ~n_lines ~admitted r =
       ~request:r.line ~reply:r.reply.text
   end
 
-let process_batch t lines =
+(* Shadow offers first, in plan order; then the admitted lines' records;
+   then the shed lines' — an overload burst is exactly the moment the
+   black box exists for. *)
+let close_round t round =
+  let n_lines = round.admitted in
+  Obs.Metrics.add_gauge m_in_flight (-.float_of_int n_lines);
+  let records = List.map (fun c -> Option.get c.record) round.cells in
+  round.cells <- [];
+  if Quality.enabled t.quality then
+    List.iter
+      (fun r ->
+        Option.iter (fun (id, key, entry) -> maybe_shadow t ~id:(id_token id) ~key entry) r.offer)
+      records;
+  let slow = ref false in
+  List.iteri
+    (fun i r ->
+      if i < n_lines then begin
+        account t ~n_lines ~admitted:true r;
+        if r.latency_s > t.slow_s then slow := true
+      end)
+    records;
+  if !slow then ignore (Obs.Flight.trigger t.flight "slow_request");
+  List.iteri (fun i r -> if i >= n_lines then account t ~n_lines ~admitted:false r) records
+
+let release t round =
+  round.unfilled <- round.unfilled - 1;
+  if round.unfilled = 0 then close_round t round
+
+let fill t round cell record =
+  cell.record <- Some record;
+  Evloop.fill cell.slot record.reply.text;
+  release t round
+
+(* Load shedding: a line past the [max_pending] admission bound is
+   answered immediately with an explicit retryable [overloaded] error
+   (id and trace id still salvaged from the raw text) instead of queuing
+   unbounded work behind the misses. *)
+let shed_record t ~now0 line =
+  t.served_count <- t.served_count + 1;
+  t.shed_count <- t.shed_count + 1;
+  Obs.Metrics.inc m_requests;
+  let id, trace = Proto.identity ~mint:fresh_trace (Proto.salvage line) in
+  let reply =
+    err_reply ~outcome:`Overloaded ~trace id
+      (Printf.sprintf "overloaded: server admits %d request lines per batch" t.max_pending)
+  in
+  { line; reply; shard = -1; path = "slow"; latency_s = Obs.Clock.now_s () -. now0; offer = None }
+
+(* A waiting line's reply, and the answer to offer for shadow
+   evaluation. *)
+let answer t w (reply, offer) =
+  t.waiting <- t.waiting - 1;
+  fill t w.round w.cell
+    { line = w.line; reply; shard = Fastpath.Shards.shard_of_key t.flows w.miss.key;
+      path = "slow"; latency_s = Obs.Clock.now_s () -. w.round.now0; offer }
+
+(* A finished job's reply to one waiter.  A report that arrived too late
+   still answers [deadline_exceeded]; its entry was installed for the
+   next asker all the same. *)
+let job_reply m = function
+  | Report entry when not (expired m.deadline) ->
+    (analyze_reply ~trace:m.trace m.id ~cached:false ~path:"slow" entry, Some (m.id, m.key, entry))
+  | Report _ -> (deadline_reply ~trace:m.trace m.id, None)
+  | Failed { msg; fault } ->
+    ( err_reply ~outcome:(if fault then `Fault else `Error) ~trace:m.trace m.id
+        ("analysis failed: " ^ msg),
+      None )
+
+(* The analysis task of one job, on the lane of its key's shard (the
+   compiled pipeline's inference scratch is not shareable).  The trace id
+   is installed inside the body so the job's spans carry it across every
+   suspension.  [pool.task] is the analysis fault point: its draws are
+   keyed by the job's index among its batch's new jobs, so a batch's
+   outcomes do not depend on scheduling. *)
+let analysis ~k lane m () =
+  Obs.Span.with_trace m.trace @@ fun () ->
+  try
+    Obs.Fault.guard ~k "pool.task";
+    Mutex.lock lane.l_lock;
+    let ins =
+      Fun.protect
+        ~finally:(fun () -> Mutex.unlock lane.l_lock)
+        (fun () -> Clara.Pipeline.analyze_compiled lane.l_compiled m.elt m.spec)
+    in
+    Report
+      (Fastpath.Entry.make ~pred_compute:ins.Clara.Insights.predicted_compute
+         ~pred_memory:ins.Clara.Insights.predicted_memory ~nf:m.nf_label ~workload:m.wname
+         ~report:(Clara.Insights.render ins) ())
+  with e -> failed e
+
+(* A miss joins the queued job for its key, or starts one on the lane its
+   key maps to now: a reload later swaps the lanes, and the job keeps
+   the one it was planned on. *)
+let join t ~fresh round cell line m =
+  let job =
+    match Hashtbl.find_opt t.by_key m.key with
+    | Some j -> j
+    | None ->
+      let k = !fresh in
+      incr fresh;
+      let lane = t.lanes.(Fastpath.Shards.shard_of_key t.flows m.key) in
+      let j =
+        { j_key = m.key; j_flows = t.flows; j_run = Util.Coop.create (analysis ~k lane m);
+          waiters = [] }
+      in
+      Queue.push j t.jobs;
+      Hashtbl.replace t.by_key m.key j;
+      j
+  in
+  job.waiters <- { round; cell; line; miss = m } :: job.waiters;
+  t.waiting <- t.waiting + 1
+
+let submit t lines =
   Obs.Span.with_ ~cat:"serve" "serve.batch" @@ fun () ->
   let now0 = Obs.Clock.now_s () in
-  let admitted, overflow = split_at t.max_pending lines in
-  let shed = List.map (shed_record t ~now0) overflow in
-  let n_lines = List.length admitted in
-  Obs.Metrics.add_gauge m_in_flight (float_of_int n_lines);
-  let served =
-    Fun.protect ~finally:(fun () -> Obs.Metrics.add_gauge m_in_flight (-.float_of_int n_lines))
-    @@ fun () ->
-    let planned = plan_stage t ~now0 admitted in
-    let results = run_stage t planned in
-    render_stage t ~now0 ~results planned
+  let n = List.length lines in
+  let admitted, overflow = split_at (max 0 (t.max_pending - t.waiting)) lines in
+  (* one extra count, held until the cells are listed *)
+  let round = { now0; admitted = n - List.length overflow; cells = []; unfilled = n + 1 } in
+  let cell () = { slot = Evloop.slot (); record = None } in
+  Obs.Metrics.add_gauge m_in_flight (float_of_int round.admitted);
+  (* shed lines are answered first (they mint their trace ids before the
+     admitted lines do); the round lists them last, in line order *)
+  let shed =
+    List.map
+      (fun line ->
+        let c = cell () in
+        fill t round c (shed_record t ~now0 line);
+        c)
+      overflow
   in
-  List.iter (account t ~n_lines ~admitted:true) served;
-  if List.exists (fun r -> r.latency_s > t.slow_s) served then
-    ignore (Obs.Flight.trigger t.flight "slow_request");
-  (* Shed lines leave postmortem records too: an overload burst is exactly
-     the moment the black box exists for. *)
-  List.iter (account t ~n_lines ~admitted:false) shed;
-  List.map (fun r -> r.reply.text) (served @ shed)
+  let fresh = ref 0 in
+  let plan_one line =
+    let c = cell () in
+    let plan =
+      match fast_track t ~now:now0 line with
+      | Some plan -> plan
+      | None -> plan_line_slow t ~now:now0 line
+    in
+    let record reply shard path offer =
+      fill t round c { line; reply; shard; path; latency_s = Obs.Clock.now_s () -. now0; offer }
+    in
+    (match plan with
+    | Fast { reply; shard } -> record reply shard "fast" None
+    | Ready reply -> record reply (-1) "slow" None
+    | Hit { reply; id; key; entry } ->
+      record reply (Fastpath.Shards.shard_of_key t.flows key) "slow" (Some (id, key, entry))
+    | Miss m when expired m.deadline ->
+      (* the budget ran out during planning: never a job *)
+      record (deadline_reply ~trace:m.trace m.id) (Fastpath.Shards.shard_of_key t.flows m.key)
+        "slow" None
+    | Miss m -> join t ~fresh round c line m);
+    c
+  in
+  let cells = List.map plan_one admitted @ shed in
+  round.cells <- cells;
+  release t round;
+  List.map (fun c -> c.slot) cells
+
+(* Waiters whose budget ran out are answered [deadline_exceeded] at once;
+   a job no line waits on any more is dropped if it has not started. *)
+let expire t =
+  if t.waiting > 0 then begin
+    let late = ref false in
+    Queue.iter
+      (fun j ->
+        if List.exists (fun w -> expired w.miss.deadline) j.waiters then begin
+          let gone, live = List.partition (fun w -> expired w.miss.deadline) j.waiters in
+          j.waiters <- live;
+          late := true;
+          List.iter
+            (fun w -> answer t w (deadline_reply ~trace:w.miss.trace w.miss.id, None))
+            (List.rev gone)
+        end)
+      t.jobs;
+    if !late then begin
+      let keep = Queue.create () in
+      Queue.iter
+        (fun j ->
+          if j.waiters = [] && not (Util.Coop.started j.j_run) then begin
+            if Hashtbl.find_opt t.by_key j.j_key == Some j then Hashtbl.remove t.by_key j.j_key
+          end
+          else Queue.push j keep)
+        t.jobs;
+      Queue.clear t.jobs;
+      Queue.transfer keep t.jobs
+    end
+  end
+
+let finish_job t j outcome =
+  (match Hashtbl.find_opt t.by_key j.j_key with
+  | Some j' when j' == j -> Hashtbl.remove t.by_key j.j_key
+  | Some _ | None -> ());
+  (match outcome with
+  | Report entry when t.flows == j.j_flows -> Fastpath.Shards.install t.flows j.j_key entry
+  | Report _ | Failed _ -> ());
+  List.iter (fun w -> answer t w (job_reply w.miss outcome)) (List.rev j.waiters);
+  j.waiters <- []
+
+(* One slice of the head job; [true] while jobs remain. *)
+let work t =
+  expire t;
+  (match Queue.peek_opt t.jobs with
+  | None -> ()
+  | Some j -> (
+    match Util.Coop.step j.j_run with
+    | None -> ()
+    | Some outcome ->
+      ignore (Queue.pop t.jobs);
+      finish_job t j outcome));
+  not (Queue.is_empty t.jobs)
+
+(* The loop stopped: a suspended job is discontinued (its [Fun.protect]
+   releases the lane), and every line still waiting is answered
+   retry-later, as shedding does: the stop was the server's, not the
+   request's. *)
+let abandon t =
+  Queue.iter
+    (fun j ->
+      Util.Coop.cancel j.j_run;
+      List.iter
+        (fun w ->
+          answer t w
+            ( err_reply ~outcome:`Overloaded ~trace:w.miss.trace w.miss.id
+                "overloaded: server stopped before the analysis finished",
+              None ))
+        (List.rev j.waiters);
+      j.waiters <- [])
+    t.jobs;
+  Queue.clear t.jobs;
+  Hashtbl.reset t.by_key
+
+let process_batch t lines =
+  let slots = submit t lines in
+  while work t do
+    ()
+  done;
+  List.map (fun s -> Option.get (Evloop.reply s)) slots
 
 let handle_request t line =
   match process_batch t [ line ] with
@@ -803,8 +939,8 @@ let run t ~socket_path =
   (* An exception escaping a batch is a server bug: dump the black box
      (its last records are the requests in flight) before the crash
      propagates. *)
-  let handle_batch lines =
-    try process_batch t lines
+  let handle_batch batches =
+    try submit t (List.concat_map snd batches)
     with e ->
       let bt = Printexc.get_raw_backtrace () in
       (match Obs.Flight.dump_now t.flight ~trigger:"exception" with
@@ -831,8 +967,14 @@ let run t ~socket_path =
     end;
     if Quality.enabled t.quality then drain_quality t
   in
-  Evloop.serve ~name:"serve" ~socket_path ~max_clients:t.max_clients
-    ~control:t.control ~handle_batch ~on_tick
+  (* Hits and errors are answered in their round; the misses' jobs run
+     one slice per turn, and the loop waits without blocking while any
+     is queued. *)
+  let handler =
+    { Evloop.handle_batch; watch = (fun () -> []); service = (fun _ -> work t);
+      on_close = ignore; on_tick }
+  in
+  Evloop.run ~name:"serve" ~socket_path ~max_clients:t.max_clients ~control:t.control ~handler
     ~reject:(fun () ->
       t.shed_count <- t.shed_count + 1;
       (err_reply ~outcome:`Overloaded ~trace:(fresh_trace ()) Jsonl.Null
@@ -848,6 +990,7 @@ let run t ~socket_path =
     ~on_error:(fun ~ctx ~fn err ->
       maybe_fault_trigger ();
       Obs.Log.warn ~fields:(io_fields ~fn err) ctx);
+  abandon t;
   on_tick ();
   Obs.Log.info
     ~fields:

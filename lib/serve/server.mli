@@ -61,27 +61,35 @@
 
     A batch is answered in three stages: {e plan} (each line, decoded
     once by {!Proto.decode} unless the fast path answers it, becomes a
-    reply, a cache hit or a miss), {e run} (the distinct misses fan out)
-    and {e render}.  A line's latency is its own: from batch start to
-    when its reply bytes exist, which is after the run only for a miss.
+    reply, a cache hit or a miss — every reply but a miss's exists
+    now), {e run} (each distinct miss becomes a job in one FIFO; a later
+    miss on a queued key joins that job) and {e render} (a finished job
+    installs its flow entry and answers the lines waiting on it).  A
+    line's latency is its own: from batch start to when its reply bytes
+    exist.
 
-    Reports are memoized per (NF, workload) in the bounded sharded flow
-    cache; the distinct misses of a batch of lines are analyzed
-    concurrently over [Util.Pool] (so a pipelined client, or several
-    clients arriving in the same event-loop round, fan out across
-    domains), each on the serving lane of its key's shard.
+    {b Hits never wait behind misses.}  In {!run} the head job runs as
+    cooperative slices on the loop domain ({!Util.Coop}: yield points
+    in the interpreter, the predictor and between pipeline stages), one
+    slice per loop turn, so hits, errors and commands that arrive while
+    a miss is analyzed are answered between its slices; each connection
+    still gets its replies in request order.  Jobs run one at a time,
+    each on the serving lane of its key's shard; parallelism inside one
+    analysis is unchanged.
 
     {b Deadlines.}  An [analyze] request may carry ["deadline_ms"]: its
-    time budget, measured from batch arrival.  The budget is checked
-    between pipeline stages (before fan-out, inside the task, at reply
-    assembly); when it runs out the reply is ["ok":false] with
-    ["deadline_exceeded":true] — the server answers rather than hangs.
+    time budget, measured from batch arrival.  The budget is checked at
+    planning, on every loop turn while the line waits on its job, and
+    when the job's report arrives; when it runs out the reply is
+    ["ok":false] with ["deadline_exceeded":true] at once — the server
+    answers rather than hangs.
     [deadline_ms] on {!create} (or [CLARA_DEADLINE_MS]) sets the default
     budget for requests that do not name one; a request's own field wins,
     and a value [<= 0] means unlimited.
 
     {b Backpressure.}  At most [max_pending] request lines are admitted
-    per batch; the rest are shed immediately with ["ok":false],
+    per batch, counting the lines still waiting on queued misses; the
+    rest are shed immediately with ["ok":false],
     ["overloaded":true] — a machine-readable "retry later" (see
     {!Client}, which backs off and retries exactly these).  At most
     [max_clients] connections are held; a connection beyond that is sent
@@ -144,7 +152,8 @@ type t
     log threshold in seconds (default: [CLARA_SLOW_MS] in milliseconds,
     else 1s).  [deadline_ms] is the default per-request budget (default:
     [CLARA_DEADLINE_MS], else unlimited; [<= 0] forces unlimited).
-    [max_pending] bounds request lines admitted per batch (default 256);
+    [max_pending] bounds request lines admitted per batch, lines
+    waiting on queued misses included (default 256);
     [max_clients] bounds held connections (default 64); both must be
     [>= 1].  [shadow_rate] is the shadow-evaluation sampling rate in
     [[0, 1]] (default: [CLARA_SHADOW_RATE], else 0 = disabled) and
@@ -189,8 +198,9 @@ val workload_named : string -> (Workload.spec, string) result
     Never raises: protocol problems become ["ok":false] replies. *)
 val handle_request : t -> string -> string
 
-(** Handle a batch of request lines: cache misses are deduplicated and
-    analyzed in parallel, then replies come back in request order. *)
+(** Handle a batch of request lines: plan them all, run the distinct
+    misses' jobs to completion, and return the replies in request order
+    — the loop's own path, driven synchronously. *)
 val process_batch : t -> string list -> string list
 
 (** Counters for [stats] and the bench harness. *)
@@ -234,12 +244,13 @@ val flight_json : t -> string
 
 (** Bind [socket_path] (unlinking any stale socket), accept clients, and
     serve until a [shutdown] request arrives or a drain is requested
-    (SIGTERM / {!request_drain}).  The loop is {!Evloop.serve}
+    (SIGTERM / {!request_drain}).  The loop is {!Evloop.run}
     (level-triggered rounds, per-connection state machines, reads split
-    by {!Lineio.split}, coalesced writes through {!Lineio.write}),
-    answering each round's lines with one {!process_batch} call;
-    analysis parallelism comes from there.  The server adds its own
-    pieces: SIGQUIT ({!Evloop.with_signal}, restored on return) dumps
+    by {!Lineio.split}, coalesced writes through {!Lineio.write}): each
+    round's lines are planned at once and the misses' jobs advance one
+    slice per turn (see above).  A job still suspended when the loop
+    stops is discontinued and its lines answered with an error.  The
+    server adds its own pieces: SIGQUIT ({!Evloop.with_signal}, restored on return) dumps
     the flight rings on the next loop turn; before every poll (so after the previous round's
     replies left) it writes a requested flight dump and evaluates pending
     shadow tasks; an exception escaping a batch dumps the flight rings

@@ -131,6 +131,8 @@ let inside_task : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
     [width ()]. *)
 let size () = if Domain.DLS.get inside_task then 1 else width ()
 
+let in_task () = Domain.DLS.get inside_task
+
 let worker_loop () =
   let rec next () =
     (* called with [lock] held *)

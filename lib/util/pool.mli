@@ -29,6 +29,9 @@ val width : unit -> int
     should use this instead of re-reading [CLARA_JOBS]. *)
 val size : unit -> int
 
+(** Is the calling domain running a pool task right now? *)
+val in_task : unit -> bool
+
 (** Override the job count (e.g. for serial/parallel equivalence tests).
     Takes effect for subsequent regions; already-spawned workers are kept
     parked, which never changes results.

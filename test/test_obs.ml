@@ -506,6 +506,91 @@ let test_request_trace () =
   Alcotest.(check (list (pair string int)))
     "identical subtree under a 4-domain pool" reference parallel
 
+(* -- spans across a suspended miss --
+
+   On the serving loop a miss runs as cooperative slices between hits.
+   Each slice swaps the span context in and out, so a hit answered while
+   the miss is suspended records under its own trace only, and the
+   miss's trace tree is exactly a synchronous run's.  Three slow cold
+   analyses from another connection are queued first, so the hit lands
+   while the miss still waits. *)
+
+let connect path =
+  let rec go n =
+    match Serve.Lineio.connect ~socket_path:path with
+    | Ok fd -> fd
+    | Error e when n = 0 -> Alcotest.failf "connect %s: %s" path e
+    | Error _ ->
+      Unix.sleepf 0.01;
+      go (n - 1)
+  in
+  let fd = go 300 in
+  (fd, Unix.in_channel_of_descr fd)
+
+let send (fd, _) lines =
+  Serve.Lineio.write_all fd (String.concat "" (List.map (fun l -> l ^ "\n") lines))
+
+let recv (_, ic) = parse_reply (input_line ic)
+let quiet (fd, _) = match Unix.select [ fd ] [] [] 0.0 with [], _, _ -> true | _ -> false
+
+let analyze_traced ?(id = 1) nf workload trace =
+  Printf.sprintf {|{"id":%d,"cmd":"analyze","nf":"%s","workload":"%s","trace_id":"%s"}|} id nf
+    workload trace
+
+let test_trace_across_suspension () =
+  let m = Lazy.force models in
+  with_spans @@ fun () ->
+  let shape trace = List.map Obs.Span.flatten (Obs.Span.forest ~trace ()) in
+  let cold run =
+    [ analyze_traced "wepdecap" "small" (run ^ "cold-1");
+      analyze_traced "wepdecap" "large" (run ^ "cold-2");
+      analyze_traced "cmsketch" "small" (run ^ "cold-3") ]
+  in
+  let misses = [ "cold-1"; "cold-2"; "cold-3"; "miss" ] in
+  let direct = Serve.Server.create ~cache_capacity:8 m in
+  ignore (Serve.Server.process_batch direct [ analyze_traced "tcpack" "mixed" "s-warm" ]);
+  ignore
+    (Serve.Server.process_batch direct
+       (cold "s-" @ [ analyze_traced "Mazu-NAT" "small" "s-miss"; analyze_traced "tcpack" "mixed" "s-hit" ]));
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) "a synchronous miss has its pipeline tree" true (shape ("s-" ^ k) <> []))
+    misses;
+  let s = Serve.Server.create ~cache_capacity:8 m in
+  let path = Filename.temp_file "clara_obs_loop" ".sock" in
+  Sys.remove path;
+  let loop = Domain.spawn (fun () -> Serve.Server.run s ~socket_path:path) in
+  Fun.protect
+    ~finally:(fun () ->
+      Serve.Server.request_drain s;
+      Domain.join loop)
+  @@ fun () ->
+  let loader = connect path and a = connect path and b = connect path in
+  send b [ analyze_traced "tcpack" "mixed" "l-warm" ];
+  ignore (recv b);
+  send loader (cold "l-");
+  (* let the first cold job start: the hit's round then runs between
+     its slices *)
+  Unix.sleepf 0.003;
+  send a [ analyze_traced "Mazu-NAT" "small" "l-miss" ];
+  send b [ analyze_traced "tcpack" "mixed" "l-hit" ];
+  let hit = recv b in
+  Alcotest.(check bool) "the hit is answered while the misses wait" true (quiet a);
+  Alcotest.(check (option string)) "hit keeps its trace" (Some "l-hit")
+    (Serve.Jsonl.str_member "trace_id" hit);
+  ignore (recv a);
+  for _ = 1 to 3 do
+    ignore (recv loader)
+  done;
+  Alcotest.(check (list (list (pair string int)))) "the hit carries only its own spans"
+    (shape "s-hit") (shape "l-hit");
+  List.iter
+    (fun k ->
+      Alcotest.(check (list (list (pair string int))))
+        (k ^ ": the tree is the synchronous run's") (shape ("s-" ^ k)) (shape ("l-" ^ k)))
+    misses;
+  Alcotest.(check int) "no orphans" 0 (List.length (Obs.Span.orphans ()))
+
 (* -- JSON exports parse -- *)
 
 let test_json_exports () =
@@ -549,7 +634,8 @@ let () =
       ("runtime", [ Alcotest.test_case "GC gauges and sampler" `Quick test_runtime_gauges ]);
       ( "pipeline",
         [ Alcotest.test_case "analyze span tree is stable" `Slow test_analyze_span_tree;
-          Alcotest.test_case "request-scoped trace subtree" `Slow test_request_trace ] );
+          Alcotest.test_case "request-scoped trace subtree" `Slow test_request_trace;
+          Alcotest.test_case "spans across a suspended miss" `Slow test_trace_across_suspension ] );
       ( "metrics",
         [ Alcotest.test_case "exposition golden" `Quick test_exposition;
           Alcotest.test_case "JSON exports parse" `Quick test_json_exports ] ) ]

@@ -93,6 +93,57 @@ let test_clara_analyzes_p4 () =
   Alcotest.(check bool) "hot table counters leave EMEM" true
     (List.assoc "ipv4_fwd_misses" placement <> Nicsim.Mem.EMEM)
 
+(* -- the pretty-printer against its list-printer oracle --
+
+   An inline program's flow key is the CRC of its pretty-print, so the
+   one-buffer printer must render every element byte for byte as the
+   list printer did: the corpus, fitted synthetic NFs, and seeded P4lite
+   programs drawn like the verification recipe's (1-3 tables, 1-2 keys,
+   1-3 actions, a default and a size each). *)
+
+let pick rng a = a.(Util.Rng.int rng (Array.length a))
+let fields = Ast.[| Ip_src; Ip_dst; Ip_proto; Tcp_sport; Tcp_dport; Udp_dport; Eth_type |]
+
+let actions =
+  P4lite.[| Drop_packet; No_op; Decrement_ttl; Forward 1; Forward 2; Count "hits"; Set_field Ast.Ip_tos |]
+
+let seeded_program rng k =
+  let table i =
+    { P4lite.t_name = Printf.sprintf "t%d" i;
+      keys = List.sort_uniq compare (List.init (1 + Util.Rng.int rng 2) (fun _ -> pick rng fields));
+      actions = List.sort_uniq compare (List.init (1 + Util.Rng.int rng 3) (fun _ -> pick rng actions));
+      default_action = pick rng actions;
+      size = pick rng [| 16; 32; 64; 128; 256 |] }
+  in
+  { P4lite.p_name = Printf.sprintf "fresh%d" k; pipeline = List.init (1 + Util.Rng.int rng 3) table }
+
+let rec statements (s : Ast.stmt) =
+  s
+  :: (match s.Ast.node with
+     | Ast.If (_, t, f) -> List.concat_map statements (t @ f)
+     | Ast.While (_, b) | Ast.For (_, _, _, b) -> List.concat_map statements b
+     | _ -> [])
+
+let same_print what (elt : Ast.element) =
+  Alcotest.(check string) (what ^ ": to_string") (Pp_oracle.to_string elt) (Pp.to_string elt);
+  Alcotest.(check int) (what ^ ": loc") (Pp_oracle.loc elt) (Pp.loc elt);
+  List.iter
+    (fun s ->
+      Alcotest.(check string) (what ^ ": stmt_text")
+        (String.concat " " (List.map String.trim (Pp_oracle.stmt_lines 0 s)))
+        (Pp.stmt_text s))
+    (List.concat_map statements (elt.Ast.handler @ List.concat_map snd elt.Ast.subs))
+
+let test_pp_matches_oracle () =
+  let corpus = Corpus.all () in
+  Alcotest.(check int) "29 corpus elements" 29 (List.length corpus);
+  List.iter (fun elt -> same_print elt.Ast.name elt) corpus;
+  List.iter (fun elt -> same_print elt.Ast.name elt) (Synth.Generator.batch ~seed:3 50);
+  let rng = Util.Rng.create 0x7e57 in
+  for k = 0 to 199 do
+    same_print (Printf.sprintf "fresh%d" k) (P4lite.compile (seeded_program rng k))
+  done
+
 let () =
   Alcotest.run "p4lite"
     [ ( "compile",
@@ -103,4 +154,6 @@ let () =
           Alcotest.test_case "egress steering" `Quick test_egress_steering;
           Alcotest.test_case "count" `Quick test_count_action;
           Alcotest.test_case "set field" `Quick test_set_field_action ] );
-      ("clara", [ Alcotest.test_case "end-to-end analysis" `Quick test_clara_analyzes_p4 ]) ]
+      ("clara", [ Alcotest.test_case "end-to-end analysis" `Quick test_clara_analyzes_p4 ]);
+      ("pp", [ Alcotest.test_case "one buffer walker = list printer" `Quick test_pp_matches_oracle ])
+    ]

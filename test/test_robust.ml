@@ -326,39 +326,59 @@ let fresh_socket_path tag =
   Sys.remove path;
   path
 
-(* A stand-in worker for one router connection: answers every request
-   line with a healthy [health] reply until the router hangs up.  Joining
-   it says whether that hang-up (EOF) came within 10s. *)
+(* A stand-in worker: serves every connection the router opens (its
+   health probe's, and one per router client that sends it a line),
+   answering every request line with a healthy [health] reply.  [stop]
+   asks it to return once every connection it accepted has hung up;
+   joining it says whether that happened within 10s — the router closed
+   every worker connection it opened. *)
 let stub_worker path =
   let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind listener (Unix.ADDR_UNIX path);
   Unix.listen listener 8;
-  Domain.spawn (fun () ->
-      let ready fd = match Unix.select [ fd ] [] [] 10.0 with [], _, _ -> false | _ -> true in
-      let saw_eof =
-        ready listener
-        &&
-        let fd, _ = Unix.accept listener in
+  let stop = Atomic.make false in
+  let d =
+    Domain.spawn (fun () ->
         let buf = Bytes.create 4096 in
-        let rec answer () =
-          ready fd
-          &&
-          match Unix.read fd buf 0 (Bytes.length buf) with
-          | 0 -> true
-          | n ->
-            for i = 0 to n - 1 do
-              if Bytes.get buf i = '\n' then
-                write_line fd {|{"id":"hc","ok":true,"version":"stub","draining":false,"pid":1}|}
-            done;
-            answer ()
+        let deadline = ref infinity in
+        let rec serve conns =
+          if Atomic.get stop && !deadline = infinity then deadline := Unix.gettimeofday () +. 10.0;
+          if Atomic.get stop && conns = [] then true
+          else if Unix.gettimeofday () > !deadline then false
+          else
+            match Unix.select (listener :: conns) [] [] 0.05 with
+            | ready, _, _ ->
+              let accepted =
+                if List.memq listener ready then [ fst (Unix.accept listener) ] else []
+              in
+              let open_ =
+                List.filter
+                  (fun fd ->
+                    (not (List.memq fd ready))
+                    ||
+                    match Unix.read fd buf 0 (Bytes.length buf) with
+                    | 0 | (exception Unix.Unix_error _) ->
+                      Unix.close fd;
+                      false
+                    | n ->
+                      for i = 0 to n - 1 do
+                        if Bytes.get buf i = '\n' then
+                          try
+                            write_line fd
+                              {|{"id":"hc","ok":true,"version":"stub","draining":false,"pid":1}|}
+                          with Unix.Unix_error _ -> ()
+                      done;
+                      true)
+                  conns
+              in
+              serve (accepted @ open_)
         in
-        let eof = answer () in
-        Unix.close fd;
-        eof
-      in
-      Unix.close listener;
-      (try Sys.remove path with Sys_error _ -> ());
-      saw_eof)
+        let all_closed = serve [] in
+        Unix.close listener;
+        (try Sys.remove path with Sys_error _ -> ());
+        all_closed)
+  in
+  (stop, d)
 
 (* What a case needs of a serving process, so one body covers both
    [Serve.Server.run] and [Router.Front.run].  [finish] runs after [run]
@@ -377,18 +397,20 @@ let server_frontend ?max_clients () =
     shed = (fun () -> Serve.Server.shed s);
     finish = ignore }
 
-(* A one-worker router over [stub_worker]; its startup probe opens the
-   persistent worker connection that [finish] checks was closed. *)
+(* A one-worker router over [stub_worker]; its startup probe and its
+   clients' forwarded lines open the worker connections that [finish]
+   checks were all closed. *)
 let router_frontend ?max_clients () =
   let worker_path = fresh_socket_path "clara_robust_worker" in
-  let worker = stub_worker worker_path in
+  let stop, worker = stub_worker worker_path in
   let f = Router.Front.create ?max_clients ~workers:[ ("w0", worker_path) ] () in
   { run = Router.Front.run f;
     request_drain = (fun () -> Router.Front.request_drain f);
     shed = (fun () -> Router.Front.shed f);
     finish =
       (fun () ->
-        Alcotest.(check bool) "router closed its worker connection" true (Domain.join worker)) }
+        Atomic.set stop true;
+        Alcotest.(check bool) "router closed every worker connection" true (Domain.join worker)) }
 
 (* Run [fe] in its own domain for the duration of [body path]; a drain
    stops it. *)

@@ -369,6 +369,33 @@ let test_dead_worker_is_typed_unavailable () =
     Alcotest.(check bool) "failover counted" true (Router.Front.failovers t >= 1)
   | _ -> Alcotest.fail "expected exactly one reply"
 
+(* A worker that takes lines and never answers: the line waits
+   [forward_timeout_s], then comes back typed unavailable and the worker
+   is marked down. *)
+let test_mute_worker_times_out () =
+  let path = Filename.temp_file "clara_router_mute" ".sock" in
+  Sys.remove path;
+  let listener = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind listener (Unix.ADDR_UNIX path);
+  Unix.listen listener 8;
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close listener;
+      try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  let t = Router.Front.create ~forward_timeout_s:0.2 ~workers:[ ("w0", path) ] () in
+  let t0 = Unix.gettimeofday () in
+  let replies = Router.Front.route_batch t [ analyze_line ~id:7 ~nf:"tcpack" ~workload:"mixed" () ] in
+  let waited = Unix.gettimeofday () -. t0 in
+  Router.Front.close t;
+  match List.map parse replies with
+  | [ r ] ->
+    Alcotest.(check bool) "typed unavailable" true (flagged "unavailable" r);
+    Alcotest.(check (option string)) "names the worker" (Some "w0") (Jsonl.str_member "worker" r);
+    Alcotest.(check bool) "after the forward timeout" true (waited >= 0.2 && waited < 5.0);
+    Alcotest.(check int) "worker marked down" 1 (Router.Front.failovers t)
+  | _ -> Alcotest.fail "expected one reply"
+
 let test_quota_shed_is_typed_overloaded () =
   let t = dead_front ~tenant_quota:1 () in
   let mk id = analyze_line ~id ~nf:"tcpack" ~workload:"mixed" ~tenant:"noisy" () in
@@ -684,6 +711,74 @@ let test_routed_vs_direct () =
   Alcotest.(check int) "every line forwarded" (2 * List.length differential_stream)
     (Router.Front.forwarded fl.fl_front)
 
+(* -- relay as replies arrive --
+
+   Through the real router loop over real workers: client A's misses do
+   not hold back client B's hits, even on the same worker.  A queues
+   slow cold analyses on B's worker; B's hit is relayed while A is still
+   owed every reply.  Each client has its own upstream connection to the
+   worker, and the worker answers the hit between the misses' slices. *)
+let test_miss_does_not_delay_other_client () =
+  with_fleet ~n:2 @@ fun fl ->
+  let hit_line = analyze_line ~id:1 ~nf:"tcpack" ~workload:"mixed" () in
+  let owner line =
+    match Router.Front.target fl.fl_front line with
+    | Some { Router.Front.rt_worker = Some w; _ } -> w
+    | _ -> Alcotest.fail "no owner"
+  in
+  let w = owner hit_line in
+  let slow =
+    List.concat_map
+      (fun nf -> List.map (fun wl -> (nf, wl)) [ "small"; "large"; "mixed" ])
+      [ "wepdecap"; "cmsketch"; "Mazu-NAT"; "DNSProxy" ]
+    |> List.mapi (fun i (nf, workload) -> (100 + i, analyze_line ~id:(100 + i) ~nf ~workload ()))
+    |> List.filter (fun (_, l) -> owner l = w)
+    |> List.filteri (fun i _ -> i < 4)
+  in
+  Alcotest.(check bool) "slow keys on the hit's worker" true (List.length slow >= 3);
+  let socket_path =
+    Printf.sprintf "%s/clara_rt_%d_relay.sock" (Filename.get_temp_dir_name ()) (Unix.getpid ())
+  in
+  let front_domain = Domain.spawn (fun () -> Router.Front.run fl.fl_front ~socket_path) in
+  Fun.protect
+    ~finally:(fun () ->
+      Router.Front.request_drain fl.fl_front;
+      Domain.join front_domain)
+  @@ fun () ->
+  let connect () =
+    let rec go n =
+      match Serve.Lineio.connect ~socket_path with
+      | Ok fd -> fd
+      | Error e when n = 0 -> Alcotest.failf "router socket: %s" e
+      | Error _ ->
+        Unix.sleepf 0.02;
+        go (n - 1)
+    in
+    let fd = go 500 in
+    (fd, Unix.in_channel_of_descr fd)
+  in
+  let send (fd, _) lines =
+    Serve.Lineio.write_all fd (String.concat "" (List.map (fun l -> l ^ "\n") lines))
+  in
+  let recv (_, ic) = parse (input_line ic) in
+  let quiet (fd, _) = match Unix.select [ fd ] [] [] 0.0 with [], _, _ -> true | _ -> false in
+  let a = connect () and b = connect () in
+  send b [ hit_line ];
+  Alcotest.(check bool) "warm-up ok" true (flagged "ok" (recv b));
+  send a (List.map snd slow);
+  send b [ analyze_line ~id:2 ~nf:"tcpack" ~workload:"mixed" () ];
+  let hit = recv b in
+  Alcotest.(check bool) "B's hit relayed while A is owed every reply" true (quiet a);
+  Alcotest.(check bool) "a cache hit" true (flagged "cached" hit);
+  List.iter
+    (fun (id, _) ->
+      let r = recv a in
+      Alcotest.(check bool) "A's misses answered" true (flagged "ok" r && not (flagged "cached" r));
+      Alcotest.(check (option (float 0.0))) "in request order" (Some (float_of_int id))
+        (Jsonl.num_member "id" r))
+    slow;
+  List.iter (fun (fd, _) -> Unix.close fd) [ a; b ]
+
 (* A respelled program is a flow-cache hit through the router.  Program 2's
    first two spellings have JSON texts that hash to different workers
    (checked below), so the hit needs the program-derived key. *)
@@ -768,6 +863,8 @@ let () =
             test_inline_program_placement;
           Alcotest.test_case "dead worker is typed unavailable" `Quick
             test_dead_worker_is_typed_unavailable;
+          Alcotest.test_case "a mute worker times out unavailable" `Quick
+            test_mute_worker_times_out;
           Alcotest.test_case "quota shed is typed overloaded" `Quick
             test_quota_shed_is_typed_overloaded;
           Alcotest.test_case "one program, one key" `Quick test_respelled_program_one_key ] );
@@ -777,6 +874,8 @@ let () =
             test_worker_kill_failover;
           Alcotest.test_case "canary rollout, promote, rollback" `Quick test_canary_rollout;
           Alcotest.test_case "routed replies equal direct replies" `Quick test_routed_vs_direct;
+          Alcotest.test_case "one client's miss does not delay another's hits" `Quick
+            test_miss_does_not_delay_other_client;
           Alcotest.test_case "client unchanged through router socket" `Quick
             test_client_through_router_socket;
           Alcotest.test_case "a respelled program is a hit" `Quick test_respelled_program_hits ] ) ]

@@ -557,6 +557,224 @@ let test_evloop_fragmented_stream () =
     (List.filter (fun l -> String.trim l <> "") lines @ [ "final line"; "" ])
     (String.split_on_char '\n' !received)
 
+(* -- the completion contract through the real loop --
+
+   A worker answers hits while a miss is analyzed: the miss runs as
+   cooperative slices between the loop's waits, and each connection gets
+   its replies in request order.  Each case front-loads the miss queue
+   from a connection of its own (three distinct slow analyses), so the
+   lines under test wait behind tens of milliseconds of cold work, far
+   longer than a hit's round trip. *)
+
+(* A client connection; [quiet] says no reply bytes are waiting. *)
+type peer = { fd : Unix.file_descr; ic : in_channel }
+
+let peer path =
+  let fd = connect_retry path 200 in
+  { fd; ic = Unix.in_channel_of_descr fd }
+
+let send p lines = Serve.Lineio.write_all p.fd (String.concat "" (List.map (fun l -> l ^ "\n") lines))
+let recv p = parse_reply (input_line p.ic)
+let quiet p = match Unix.select [ p.fd ] [] [] 0.0 with [], _, _ -> true | _ -> false
+let close_peer p = close_in p.ic
+
+let analyze ?(extra = "") id nf workload =
+  Printf.sprintf {|{"id":%d,"cmd":"analyze","nf":"%s","workload":"%s"%s}|} id nf workload extra
+
+(* Three slow cold analyses (the corpus's costliest keys); [settle]
+   gives the loop time to start the first, so the lines sent next are
+   planned between its slices. *)
+let cold_work = [ analyze 101 "wepdecap" "small"; analyze 102 "wepdecap" "large"; analyze 103 "cmsketch" "small" ]
+let settle () = Unix.sleepf 0.003
+
+(* [body server path] against a server running on its own domain. *)
+let with_running ?(server = fresh_server ()) body =
+  let path = fresh_socket_path "clara_contract" in
+  let loop = Domain.spawn (fun () -> Serve.Server.run server ~socket_path:path) in
+  Fun.protect
+    ~finally:(fun () ->
+      Serve.Server.request_drain server;
+      Domain.join loop)
+    (fun () -> body server path)
+
+let id_of r = Option.map int_of_float (Serve.Jsonl.num_member "id" r)
+let cached r = Serve.Jsonl.member "cached" r = Some (Serve.Jsonl.Bool true)
+
+let test_hit_beside_suspended_miss () =
+  with_running @@ fun _ path ->
+  let loader = peer path and a = peer path and b = peer path in
+  send b [ analyze 1 "tcpack" "mixed" ];
+  Alcotest.(check bool) "warm-up analyzed" false (cached (recv b));
+  send loader cold_work;
+  settle ();
+  send a [ analyze 2 "Mazu-NAT" "small" ];
+  send b [ analyze 3 "tcpack" "mixed" ];
+  let hit = recv b in
+  Alcotest.(check bool) "the miss is still owed" true (quiet a);
+  Alcotest.(check (option int)) "hit answered" (Some 3) (id_of hit);
+  Alcotest.(check (option string)) "on the fast path" (Some "fast")
+    (Serve.Jsonl.str_member "path" hit);
+  let miss = recv a in
+  Alcotest.(check bool) "then the miss, analyzed" true (is_ok miss && not (cached miss));
+  List.iter (fun _ -> Alcotest.(check bool) "cold work ok" true (is_ok (recv loader))) cold_work;
+  List.iter close_peer [ loader; a; b ]
+
+(* [miss; hit] pipelined on one connection come back in request order:
+   the hit is answered at once but waits in its connection's reply FIFO
+   behind the miss, while another connection is answered meanwhile. *)
+let test_pipelined_in_order () =
+  with_running @@ fun _ path ->
+  let loader = peer path and a = peer path and b = peer path in
+  send a [ analyze 1 "tcpack" "mixed" ];
+  ignore (recv a);
+  send loader cold_work;
+  settle ();
+  send a [ analyze 2 "Mazu-NAT" "small"; analyze 3 "tcpack" "mixed" ];
+  send b [ {|{"id":4,"cmd":"stats"}|} ];
+  let stats = recv b in
+  Alcotest.(check bool) "nothing reached the pipelined connection yet" true (quiet a);
+  Alcotest.(check (option (float 0.0))) "its hit was answered already" (Some 1.0)
+    (Serve.Jsonl.num_member "cache_hits" stats);
+  let first = recv a in
+  let second = recv a in
+  Alcotest.(check (list (option int))) "request order" [ Some 2; Some 3 ] [ id_of first; id_of second ];
+  Alcotest.(check bool) "miss then hit" true ((not (cached first)) && cached second);
+  List.iter (fun _ -> ignore (recv loader)) cold_work;
+  List.iter close_peer [ loader; a; b ]
+
+(* A reload planned while misses are queued swaps the models at once;
+   the queued jobs finish on the lanes they were planned on and install
+   nothing into the new flow table. *)
+let test_reload_with_queued_miss () =
+  let dir = Filename.temp_file "clara_contract_bundle" ".d" in
+  Sys.remove dir;
+  let manifest =
+    { Persist.Bundle.seed = 1; epochs = 1; corpus_hash = Persist.Bundle.corpus_hash ();
+      built_at = "1970-01-01T00:00:00Z" }
+  in
+  Persist.Bundle.save ~dir manifest (Lazy.force models);
+  Fun.protect ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Unix.rmdir dir)
+  @@ fun () ->
+  with_running @@ fun server path ->
+  let loader = peer path and a = peer path and b = peer path and c = peer path in
+  send loader cold_work;
+  settle ();
+  send a [ analyze 1 "Mazu-NAT" "small" ];
+  send b [ Printf.sprintf {|{"id":2,"cmd":"reload","bundle":"%s"}|} dir ];
+  let reloaded = recv b in
+  Alcotest.(check bool) "reload answered while the miss is queued" true (quiet a);
+  Alcotest.(check bool) "reload ok" true (is_ok reloaded);
+  Alcotest.(check string) "new version serving" (Persist.Bundle.version manifest)
+    (Serve.Server.version server);
+  (* the same key after the reload, its old job still queued: a job of
+     its own, on the new models *)
+  send c [ analyze 3 "Mazu-NAT" "small" ];
+  let miss = recv a in
+  Alcotest.(check bool) "queued miss answered" true (is_ok miss && not (cached miss));
+  Alcotest.(check bool) "the key is analyzed again" false (cached (recv c));
+  List.iter (fun _ -> Alcotest.(check bool) "cold work ok" true (is_ok (recv loader))) cold_work;
+  send b [ {|{"id":4,"cmd":"stats"}|} ];
+  Alcotest.(check (option (float 0.0)))
+    "only the new job installed into the new table" (Some 1.0)
+    (Serve.Jsonl.num_member "cache_installs" (recv b));
+  List.iter close_peer [ loader; a; b; c ]
+
+(* SIGTERM with a miss queued: the drain keeps answering hits at once,
+   answers the queued miss when its job is done, then closes. *)
+let test_sigterm_drain_answers_queued_miss () =
+  let server = fresh_server () in
+  with_running ~server @@ fun _ path ->
+  let loader = peer path and a = peer path and b = peer path in
+  send b [ analyze 1 "tcpack" "mixed" ];
+  ignore (recv b);
+  send loader cold_work;
+  settle ();
+  send a [ analyze 2 "Mazu-NAT" "small" ];
+  Unix.kill (Unix.getpid ()) Sys.sigterm;
+  send b [ analyze 3 "tcpack" "mixed" ];
+  let hit = recv b in
+  Alcotest.(check bool) "hit answered during the drain, miss still owed" true (quiet a);
+  Alcotest.(check bool) "hit ok" true (is_ok hit && cached hit);
+  let miss = recv a in
+  Alcotest.(check bool) "queued miss answered by the drain" true (is_ok miss);
+  List.iter (fun _ -> Alcotest.(check bool) "cold work ok" true (is_ok (recv loader))) cold_work;
+  List.iter
+    (fun p ->
+      match input_line p.ic with
+      | line -> Alcotest.failf "expected EOF after the drain, got %s" line
+      | exception End_of_file -> close_peer p)
+    [ loader; a; b ];
+  Alcotest.(check bool) "drained" true (Serve.Server.draining server)
+
+let flagged name r = Serve.Jsonl.member name r = Some (Serve.Jsonl.Bool true)
+
+(* Lines waiting on queued misses count against [max_pending]: the loop
+   keeps reading while jobs run, so the bound is what stops the queue
+   from growing without limit. *)
+let test_queued_misses_hold_admission () =
+  let server = Serve.Server.create ~cache_capacity:8 ~max_pending:3 (Lazy.force models) in
+  with_running ~server @@ fun _ path ->
+  let loader = peer path and b = peer path in
+  send loader cold_work;
+  settle ();
+  send b [ {|{"id":1,"cmd":"ping"}|} ];
+  let shed = recv b in
+  Alcotest.(check bool) "shed while three misses wait" true (flagged "overloaded" shed);
+  Alcotest.(check (option int)) "id echoed" (Some 1) (id_of shed);
+  List.iter (fun _ -> Alcotest.(check bool) "cold work ok" true (is_ok (recv loader))) cold_work;
+  send b [ {|{"id":2,"cmd":"ping"}|} ];
+  Alcotest.(check bool) "admitted once they are answered" true (is_ok (recv b));
+  List.iter close_peer [ loader; b ]
+
+(* A waiting line whose budget runs out is answered at once, not when
+   the work queued ahead of it is done. *)
+let test_queued_deadline_answered_at_once () =
+  with_running @@ fun _ path ->
+  let loader = peer path and a = peer path in
+  send loader cold_work;
+  send a [ analyze ~extra:{|,"deadline_ms":1|} 1 "Mazu-NAT" "small" ];
+  let late = recv a in
+  Alcotest.(check bool) "answered while the cold work runs" true (quiet loader);
+  Alcotest.(check bool) "deadline_exceeded" true (flagged "deadline_exceeded" late);
+  List.iter (fun _ -> Alcotest.(check bool) "cold work ok" true (is_ok (recv loader))) cold_work;
+  List.iter close_peer [ loader; a ]
+
+(* A shutdown while a job is suspended: the loop stops at once, the job
+   is discontinued (its [Fun.protect] releases the lane mutex) and every
+   line still waiting is answered retry-later — the flight recorder holds
+   each one — so nothing is left queued: the same key is analyzed afresh
+   on the loop's own domain. *)
+let test_shutdown_discontinues_suspended_job () =
+  let server = fresh_server () in
+  let path = fresh_socket_path "clara_contract" in
+  let client =
+    Domain.spawn (fun () ->
+        let loader = peer path and b = peer path in
+        send loader cold_work;
+        settle ();
+        send b [ {|{"id":1,"cmd":"shutdown"}|} ];
+        let stopping = recv b in
+        List.iter close_peer [ loader; b ];
+        stopping)
+  in
+  Serve.Server.run server ~socket_path:path;
+  Alcotest.(check bool) "shutdown answered" true (is_ok (Domain.join client));
+  let outcome line =
+    List.find_map
+      (fun (r : Obs.Flight.record) ->
+        if r.Obs.Flight.request = line then Some r.Obs.Flight.outcome else None)
+      (Obs.Flight.snapshot (Serve.Server.flight server))
+  in
+  List.iter
+    (fun line ->
+      Alcotest.(check (option string)) "waiting line answered retry-later" (Some "overloaded")
+        (outcome line))
+    cold_work;
+  let again = parse_reply (Serve.Server.handle_request server (List.hd cold_work)) in
+  Alcotest.(check bool) "analyzed afresh" true (is_ok again && not (cached again))
+
 (* -- Lineio.conn -- *)
 
 let with_listener f =
@@ -660,6 +878,18 @@ let () =
           QCheck_alcotest.to_alcotest prop_read_lines_splits;
           Alcotest.test_case "conn: lazy open, residue, reconnect" `Quick test_conn_lifecycle;
           Alcotest.test_case "conn: Io, Timeout, Closed" `Quick test_conn_errors ] );
+      ( "contract",
+        [ Alcotest.test_case "a hit beside a suspended miss" `Quick test_hit_beside_suspended_miss;
+          Alcotest.test_case "pipelined miss then hit, in order" `Quick test_pipelined_in_order;
+          Alcotest.test_case "reload with a queued miss" `Quick test_reload_with_queued_miss;
+          Alcotest.test_case "SIGTERM drain answers a queued miss" `Quick
+            test_sigterm_drain_answers_queued_miss;
+          Alcotest.test_case "queued misses count against max_pending" `Quick
+            test_queued_misses_hold_admission;
+          Alcotest.test_case "a waiting line's deadline answers at once" `Quick
+            test_queued_deadline_answered_at_once;
+          Alcotest.test_case "shutdown discontinues a suspended job" `Quick
+            test_shutdown_discontinues_suspended_job ] );
       ( "evloop",
         [ Alcotest.test_case "flush survives a signal mid-write" `Quick
             test_flush_survives_signal;

@@ -176,6 +176,82 @@ let prop_percentile_within_range =
       let v = Util.Stats.percentile p xs in
       v >= Util.Stats.min_arr xs -. 1e-9 && v <= Util.Stats.max_arr xs +. 1e-9)
 
+(* -- cooperative jobs (Util.Coop) -- *)
+
+(* Run past the 50 us slice floor, so the next yield point suspends. *)
+let spin () =
+  let t0 = Unix.gettimeofday () in
+  while Unix.gettimeofday () -. t0 < 200e-6 do
+    ()
+  done
+
+(* Step [job] to completion: the slices it took and its result. *)
+let run_job job =
+  let rec go n = match Util.Coop.step job with Some v -> (n + 1, v) | None -> go (n + 1) in
+  go 0
+
+let test_coop_slices () =
+  let trail = ref [] in
+  let job =
+    Util.Coop.create (fun () ->
+        for i = 1 to 3 do
+          spin ();
+          trail := i :: !trail;
+          Util.Coop.yield ()
+        done;
+        "done")
+  in
+  Alcotest.(check bool) "nothing runs before the first step" false (Util.Coop.started job);
+  Alcotest.(check (option string)) "the first slice suspends" None (Util.Coop.step job);
+  Alcotest.(check (list int)) "at the first yield point" [ 1 ] !trail;
+  (* outside a job a yield point does nothing *)
+  Util.Coop.yield ();
+  Alcotest.(check (pair int string)) "three more slices, then the result" (3, "done") (run_job job);
+  Alcotest.(check (list int)) "every step ran once" [ 3; 2; 1 ] !trail;
+  Alcotest.check_raises "a finished job" (Invalid_argument "Coop.step: the job has finished")
+    (fun () -> ignore (Util.Coop.step job))
+
+(* A yield point inside a pool task never suspends the job, whatever the
+   pool size: the region's tasks run to completion. *)
+let test_coop_pool_region () =
+  let saved = Util.Pool.jobs () in
+  Fun.protect ~finally:(fun () -> Util.Pool.set_jobs saved) @@ fun () ->
+  List.iter
+    (fun jobs ->
+      Util.Pool.set_jobs jobs;
+      let job =
+        Util.Coop.create (fun () ->
+            Util.Pool.parallel_for ~chunk:1 0 4 (fun _ ->
+                spin ();
+                Util.Coop.yield ());
+            spin ();
+            Util.Coop.yield ();
+            7)
+      in
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "one suspension, outside the region (jobs=%d)" jobs) (2, 7) (run_job job))
+    [ 1; 4 ]
+
+(* Cancelling a suspended job runs its finalizers: a lock taken inside
+   [Fun.protect] is released. *)
+let test_coop_cancel () =
+  let lock = Mutex.create () in
+  let job =
+    Util.Coop.create (fun () ->
+        Mutex.lock lock;
+        Fun.protect
+          ~finally:(fun () -> Mutex.unlock lock)
+          (fun () ->
+            spin ();
+            Util.Coop.yield ();
+            Alcotest.fail "a cancelled job resumed"))
+  in
+  Alcotest.(check bool) "suspended holding the lock" true (Util.Coop.step job = None);
+  Alcotest.(check bool) "lock held" false (Mutex.try_lock lock);
+  Util.Coop.cancel job;
+  Alcotest.(check bool) "lock released" true (Mutex.try_lock lock);
+  Mutex.unlock lock
+
 let () =
   Alcotest.run "util"
     [ ( "rng",
@@ -202,6 +278,10 @@ let () =
           Alcotest.test_case "JS symmetric" `Quick test_js_symmetric;
           Alcotest.test_case "variational bounds" `Quick test_variational_bounds ] );
       ("table", [ Alcotest.test_case "render alignment" `Quick test_table_render ]);
+      ( "coop",
+        [ Alcotest.test_case "slices, yield outside a job" `Quick test_coop_slices;
+          Alcotest.test_case "no suspension inside a pool task" `Quick test_coop_pool_region;
+          Alcotest.test_case "cancel runs finalizers" `Quick test_coop_cancel ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_normalize_sums_to_one; prop_distance_nonnegative; prop_percentile_within_range ]
