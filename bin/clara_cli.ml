@@ -428,7 +428,7 @@ let serve_cmd =
   let shards =
     Arg.(value & opt int 8
          & info [ "shards" ] ~docv:"N"
-             ~doc:"Flow-cache shard count (one lock and one serving lane per shard).")
+             ~doc:"Flow-cache shard count (one lock per shard).")
   in
   let http_port =
     Arg.(value & opt (some int) None
@@ -752,7 +752,7 @@ let rollout_cmd =
     Arg.(value & opt (some int) None
          & info [ "seed" ] ~docv:"N" ~doc:"Canary-draw seed (default: the router's).")
   in
-  (* reloads recompile serving lanes: allow timeout headroom *)
+  (* reloads load and recompile a bundle: allow timeout headroom *)
   let client = client_arg ~timeout_s:30.0 () in
   Cmd.v
     (Cmd.info "rollout"

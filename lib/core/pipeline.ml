@@ -124,9 +124,8 @@ let report m elt spec = Insights.render (analyze m elt spec)
    predictor with preallocated scratch and a per-block prediction memo,
    the scale-out GBDT flattened to node arrays.  [analyze_compiled]
    produces insights bit-identical to [analyze] with the same span tree.
-   Not thread-safe (the predictor scratch and memo are shared): the
-   serving layer keeps one compiled bundle per flow-cache shard, used
-   under that shard's lock. *)
+   Not thread-safe (the predictor scratch and memo are shared): a
+   serving worker keeps one and runs its analyses one at a time. *)
 
 type compiled = {
   c_models : models;

@@ -29,8 +29,8 @@ val report : models -> Nf_lang.Ast.element -> Workload.spec -> string
     scale-out GBDT flattened to node arrays, so repeat analyses are
     allocation-free in the learned-inference stages and each distinct
     block is predicted once.  [analyze_compiled] is bit-identical to
-    {!analyze}, with the same span tree.  Not thread-safe — the serving
-    layer keeps one per flow-cache shard under that shard's lock. *)
+    {!analyze}, with the same span tree.  Not thread-safe — a serving
+    worker keeps one and runs its analyses one at a time. *)
 type compiled
 
 val compile : models -> compiled

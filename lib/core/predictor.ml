@@ -191,8 +191,8 @@ let predict_element t elt = predict_prepared (predict_block t) (Prepare.prepare 
    are bit-identical to {!predict_element} and the span shape is
    unchanged — the trace of a compiled analysis must be
    indistinguishable from a direct one.  A compiled predictor is not
-   thread-safe (the scratch and the memo are shared state): the serving
-   layer keeps one per flow-cache shard, under the shard's lock. *)
+   thread-safe (the scratch and the memo are shared state): a serving
+   worker keeps one and predicts with it from one job at a time. *)
 
 module Tokens = Hashtbl.Make (struct
   type t = int array

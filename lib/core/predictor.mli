@@ -51,8 +51,8 @@ val predict_element : t -> Nf_lang.Ast.element -> (int * float * float) list
     preallocated LSTM scratch so repeat queries are allocation-free, and
     a memo from block token sequence to prediction, keyed and compared
     on the whole sequence.  Predictions and span shape are identical to
-    {!predict_element}.  Not thread-safe — keep one per serving shard
-    under that shard's lock.
+    {!predict_element}.  Not thread-safe — a serving worker keeps one
+    and predicts with it from one job at a time.
 
     The memo counts its lookups in the {!Obs.Metrics} counters
     [clara_predict_memo_hits_total] and [clara_predict_memo_misses_total]. *)

@@ -324,7 +324,7 @@ let reload_line ~bundle ~expect =
   Jsonl.to_string (Jsonl.Obj fields)
 
 (* Reloads wait longer than forwards: the worker loads a bundle and
-   recompiles its serving lanes before answering. *)
+   compiles its models before answering. *)
 let reload_worker t w ~bundle ~expect =
   let timeout_s = Float.max 10.0 t.forward_timeout_s in
   match worker_request t w ~timeout_s (reload_line ~bundle ~expect) with
@@ -609,7 +609,6 @@ let route t batches =
       u.u_out <- [];
       match Lineio.send u.u_conn lines with Ok () -> () | Error e -> fail_upstream t u e)
     (List.rev !sending);
-  refresh_healthz t;
   slots
 
 (* Upstreams owing replies: the fds the loop waits on. *)

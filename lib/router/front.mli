@@ -118,11 +118,15 @@ val rollback : t -> (string list, string) result
 (** The aggregated health document: router ok/pid/counters, rollout
     state, and per-worker name/socket/up/draining/version/pid/forwarded —
     what [GET /healthz] serves when the router fronts an {!Serve.Http}
-    endpoint, rebuilt on every round/probe into {!healthz_cached}. *)
+    endpoint.  Rendered now; the socket [health] command answers from
+    the same fields, so both are exact. *)
 val healthz_json : t -> string
 
 (** Last rendered {!healthz_json} (safe from another domain — what the
-    HTTP endpoint's callback reads). *)
+    HTTP endpoint's callback reads).  It is re-rendered by every
+    {!probe} sweep and by every membership or rollout change, not per
+    round: under {!run} its counters are at most [health_period_s]
+    old. *)
 val healthz_cached : t -> string
 
 (** Counters: lines entering the router / forwarded to workers / shed

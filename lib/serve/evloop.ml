@@ -343,15 +343,3 @@ let run ~name ~socket_path ~max_clients ~control:c ~handler:h ~reject ~on_discon
   end;
   close_all t;
   teardown_listener ()
-
-let serve ~name ~socket_path ~max_clients ~control ~handle_batch ~on_tick ~reject
-    ~on_disconnect ~on_error =
-  let handler =
-    { handle_batch =
-        (fun batches -> List.map filled (handle_batch (List.concat_map snd batches)));
-      watch = (fun () -> []);
-      service = (fun _ -> false);
-      on_close = ignore;
-      on_tick }
-  in
-  run ~name ~socket_path ~max_clients ~control ~handler ~reject ~on_disconnect ~on_error

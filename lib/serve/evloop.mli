@@ -59,11 +59,11 @@ type control
 
 val control : unit -> control
 
-(** Return from {!serve} after the current round, without a drain. *)
+(** Return from {!run} after the current round, without a drain. *)
 val request_stop : control -> unit
 
 (** Stop accepting, answer what is buffered within a short grace
-    window, then return from {!serve}.  What SIGTERM does. *)
+    window, then return from {!run}.  What SIGTERM does. *)
 val request_drain : control -> unit
 
 (** Has a drain been requested? *)
@@ -113,21 +113,6 @@ val run :
   max_clients:int ->
   control:control ->
   handler:handler ->
-  reject:(unit -> string) ->
-  on_disconnect:(fn:string -> Unix.error -> unit) ->
-  on_error:(ctx:string -> fn:string -> Unix.error -> unit) ->
-  unit
-
-(** {!run} for a handler that answers every line within its round:
-    [handle_batch] maps the round's lines, in connection-accept order,
-    to their replies; [on_tick] runs before every wait. *)
-val serve :
-  name:string ->
-  socket_path:string ->
-  max_clients:int ->
-  control:control ->
-  handle_batch:(string list -> string list) ->
-  on_tick:(unit -> unit) ->
   reject:(unit -> string) ->
   on_disconnect:(fn:string -> Unix.error -> unit) ->
   on_error:(ctx:string -> fn:string -> Unix.error -> unit) ->

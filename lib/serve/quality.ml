@@ -1,20 +1,14 @@
 (** Prediction-quality telemetry: shadow evaluation state (see quality.mli). *)
 
-(* Per-shard sketch slots mirror the flow-cache sharding: the fast path
-   records into its own shard's slot under that slot's lock only, and a
-   scrape merges the shards (Sketch.merge is exactly associative, so the
-   merged result is independent of how traffic was sharded). *)
-type slot = {
-  s_lock : Mutex.t;
-  s_sketches : (string * string, Obs.Sketch.t) Hashtbl.t; (* (metric, nf) *)
-}
-
-type task = { t_nf : string; t_pred_compute : float; t_pred_memory : float; t_shard : int }
+type task = { t_nf : string; t_pred_compute : float; t_pred_memory : float }
 
 type t = {
   q_rate : float;
   q_seed : int;
-  slots : slot array;
+  (* One sketch per (metric, nf).  The lock keeps the table whole while
+     the HTTP exporter's domain scrapes and drains beside the loop. *)
+  sketches : (string * string, Obs.Sketch.t) Hashtbl.t;
+  sketch_lock : Mutex.t;
   (* Shadow tasks queue here during planning/assembly (both serial, so
      the queue order is the request order) and are evaluated by [drain]
      off the reply path. *)
@@ -44,16 +38,14 @@ let default_seed () =
   | Some s -> s
   | None -> 0x5eed
 
-let create ?rate ?seed ~shards () =
-  if shards < 1 then invalid_arg "Quality.create: shards must be >= 1";
+let create ?rate ?seed () =
   let rate = match rate with Some r -> r | None -> default_rate () in
   if not (Float.is_finite rate && rate >= 0.0 && rate <= 1.0) then
     invalid_arg "Quality.create: rate must be in [0, 1]";
   { q_rate = rate;
     q_seed = (match seed with Some s -> s | None -> default_seed ());
-    slots =
-      Array.init shards (fun _ ->
-          { s_lock = Mutex.create (); s_sketches = Hashtbl.create 8 });
+    sketches = Hashtbl.create 8;
+    sketch_lock = Mutex.create ();
     pending = Queue.create ();
     pending_lock = Mutex.create ();
     drain_lock = Mutex.create ();
@@ -102,27 +94,22 @@ let should_shadow t ~id ~key =
 
 (* -- recording -- *)
 
-let new_sketch () = Obs.Sketch.create ()
-
-let sketch_for t shard key =
-  let slot = t.slots.(shard mod Array.length t.slots) in
-  with_lock slot.s_lock @@ fun () ->
-  match Hashtbl.find_opt slot.s_sketches key with
+let sketch_for t key =
+  with_lock t.sketch_lock @@ fun () ->
+  match Hashtbl.find_opt t.sketches key with
   | Some s -> s
   | None ->
-      let s = new_sketch () in
-      Hashtbl.add slot.s_sketches key s;
+      let s = Obs.Sketch.create () in
+      Hashtbl.add t.sketches key s;
       s
 
-let offer t ~shard ~nf ~pred_compute ~pred_memory =
+let offer t ~nf ~pred_compute ~pred_memory =
   Atomic.incr t.sampled;
   with_lock t.pending_lock @@ fun () ->
-  Queue.add
-    { t_nf = nf; t_pred_compute = pred_compute; t_pred_memory = pred_memory; t_shard = shard }
-    t.pending
+  Queue.add { t_nf = nf; t_pred_compute = pred_compute; t_pred_memory = pred_memory } t.pending
 
-let record_fast_latency t ~shard ~nf dt_s =
-  Obs.Sketch.add (sketch_for t shard ("fast_latency_us", nf)) (dt_s *. 1e6)
+let record_fast_latency t ~nf dt_s =
+  Obs.Sketch.add (sketch_for t ("fast_latency_us", nf)) (dt_s *. 1e6)
 
 let record_request_latency t dt_s = Obs.Slo.record_latency t.slo_latency dt_s
 let record_reply t ~ok = Obs.Slo.record t.slo_avail ~good:ok
@@ -165,8 +152,8 @@ let eval_task t task =
       let tm = tm *. Nicsim.Perturb.memory_scale () in
       let ec = rel_err task.t_pred_compute tc in
       let em = rel_err task.t_pred_memory tm in
-      Obs.Sketch.add (sketch_for t task.t_shard ("compute_rel_err", task.t_nf)) ec;
-      Obs.Sketch.add (sketch_for t task.t_shard ("memory_rel_err", task.t_nf)) em;
+      Obs.Sketch.add (sketch_for t ("compute_rel_err", task.t_nf)) ec;
+      Obs.Sketch.add (sketch_for t ("memory_rel_err", task.t_nf)) em;
       (* Separate detectors per error stream: the memory prediction is
          a direct count, so its error is a near-exact constant and any
          profile shift shows up as a clean step regardless of how well
@@ -199,33 +186,16 @@ let drift_active t nf =
 
 let latency_metric = "fast_latency_us"
 
-(* Merge each (metric, nf) series across shards in shard-index order;
-   merge associativity makes the result independent of sharding. *)
-let merged_sketches t =
-  let keys = Hashtbl.create 16 in
-  Array.iter
-    (fun slot ->
-      with_lock slot.s_lock (fun () ->
-          Hashtbl.iter (fun k _ -> Hashtbl.replace keys k ()) slot.s_sketches))
-    t.slots;
-  Hashtbl.fold (fun k () acc -> k :: acc) keys []
-  |> List.sort compare
-  |> List.map (fun key ->
-         let merged =
-           Array.fold_left
-             (fun acc slot ->
-               match with_lock slot.s_lock (fun () -> Hashtbl.find_opt slot.s_sketches key) with
-               | None -> acc
-               | Some s -> Obs.Sketch.merge acc s)
-             (new_sketch ()) t.slots
-         in
-         (key, merged))
+(* Every (metric, nf) series, sorted by key. *)
+let sorted_sketches t =
+  with_lock t.sketch_lock (fun () -> Hashtbl.fold (fun k s acc -> (k, s) :: acc) t.sketches [])
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let fmt_float f = if Float.is_finite f then Printf.sprintf "%.12g" f else "null"
 
 let to_json_string ?now t =
   drain t;
-  let sketches = merged_sketches t in
+  let sketches = sorted_sketches t in
   let section pred =
     sketches
     |> List.filter (fun ((metric, _), _) -> pred metric)

@@ -7,11 +7,11 @@
     flow key, so the choice is identical under any [CLARA_JOBS] — the
     server {!offer}s the model's raw predictions here, and {!drain}
     re-derives the cheap simulator ground truth off the reply path,
-    recording signed relative errors into per-shard {!Obs.Sketch}s
-    (merged only at scrape: the hot path never takes a cross-shard
-    lock) and feeding per-NF {!Obs.Drift} detectors.  Fast-path hit
-    latencies and request outcomes land in the same structure, covering
-    the latency/availability {!Obs.Slo}s.
+    recording signed relative errors into one {!Obs.Sketch} per metric
+    and NF (one table under one lock, which a scrape from the HTTP
+    exporter's domain shares) and feeding per-NF {!Obs.Drift}
+    detectors.  Fast-path hit latencies and request outcomes land in
+    the same structure, covering the latency/availability {!Obs.Slo}s.
 
     Offers happen during the serial planning/assembly phases of a batch
     and [drain] evaluates them in queue order, so the full shadow state
@@ -23,11 +23,10 @@
 
 type t
 
-val create : ?rate:float -> ?seed:int -> shards:int -> unit -> t
-(** [create ~shards ()] with [rate] defaulting to [CLARA_SHADOW_RATE]
-    (else 0.0) and [seed] to [CLARA_SHADOW_SEED] (else a fixed
-    constant).  Raises [Invalid_argument] unless [0 <= rate <= 1] and
-    [shards >= 1]. *)
+val create : ?rate:float -> ?seed:int -> unit -> t
+(** [create ()] with [rate] defaulting to [CLARA_SHADOW_RATE] (else
+    0.0) and [seed] to [CLARA_SHADOW_SEED] (else a fixed constant).
+    Raises [Invalid_argument] unless [0 <= rate <= 1]. *)
 
 val rate : t -> float
 
@@ -40,14 +39,13 @@ val should_shadow : t -> id:string -> key:string -> bool
     [id ^ "|" ^ key], seed folded in, one splitmix64 draw against
     [rate]. *)
 
-val offer :
-  t -> shard:int -> nf:string -> pred_compute:float -> pred_memory:float -> unit
+val offer : t -> nf:string -> pred_compute:float -> pred_memory:float -> unit
 (** Enqueue one selected request's predictions for shadow evaluation.
     Cheap (one queue push); the ground-truth work happens in
     {!drain}. *)
 
-val record_fast_latency : t -> shard:int -> nf:string -> float -> unit
-(** Record one fast-path hit latency (seconds) into the shard's
+val record_fast_latency : t -> nf:string -> float -> unit
+(** Record one fast-path hit latency (seconds) into the NF's
     [fast_latency_us] sketch. *)
 
 val record_request_latency : t -> float -> unit
@@ -72,7 +70,7 @@ val drift_active : t -> string -> bool
 
 val to_json_string : ?now:float -> t -> string
 (** Drain, then render the full quality state: header counters, then
-    [shadow] (error sketches per metric/NF, shard-merged, sorted),
+    [shadow] (error sketches per metric/NF, sorted),
     [latency] (fast-path latency sketches), [drift] (per-NF detector
     state) and [slo] sections.  [now] drives SLO bucket expiry only
     and is never printed. *)

@@ -1,13 +1,5 @@
 (** Clara insight service (see server.mli). *)
 
-(* One serving lane per flow-cache shard: a compiled pipeline (LSTM bound
-   to preallocated scratch and a per-block prediction memo, scale-out
-   GBDT flattened to node arrays) guarded by its own mutex.  Slow-path
-   analyses for keys in shard [i] run on lane [i], so concurrent pool
-   tasks on different shards never share inference scratch or memo.  A
-   reload rebuilds every lane, dropping the memos with the old models. *)
-type lane = { l_lock : Mutex.t; l_compiled : Clara.Pipeline.compiled }
-
 (* -- replies, misses and jobs --
 
    A reply is built together with what it says: its outcome class and its
@@ -63,7 +55,8 @@ type round = {
 
 (* A line waiting on a job, and the job: the flow table it was planned
    against (a reload swaps the table; the job then installs nothing),
-   its waiters (newest first) and its cooperative run. *)
+   its waiters (newest first) and its cooperative run, which keeps the
+   compiled models it was planned with. *)
 type waiter = { round : round; cell : cell; line : string; miss : miss }
 
 type job = {
@@ -73,12 +66,17 @@ type job = {
   mutable waiters : waiter list;
 }
 
-(* [flows]/[lanes] are mutable for hot reload: the swap happens
+(* [flows]/[compiled] are mutable for hot reload: the swap happens
    inside the serial planning path, so every request line is answered
-   entirely by one bundle version — never a torn mix. *)
+   entirely by one bundle version — never a torn mix.  [compiled] is
+   the one analysis engine: the models with the LSTM bound to
+   preallocated scratch and a per-block prediction memo, and the
+   scale-out GBDT flattened to node arrays.  Jobs run one at a time on
+   the loop's domain, so it needs no lock, and a block is predicted
+   once per worker whatever shard its keys land on. *)
 type t = {
   mutable flows : Fastpath.Entry.t Fastpath.Shards.t;  (* installed flow entries *)
-  mutable lanes : lane array;
+  mutable compiled : Clara.Pipeline.compiled;
   mutable version : string;  (* bundle version token (Persist.Bundle.version) *)
   quality : Quality.t;  (* shadow evaluation, error sketches, drift, SLOs *)
   slow_s : float;
@@ -122,11 +120,9 @@ let create ?(cache_capacity = 64) ?(shards = 8) ?slow_threshold_s ?deadline_ms
     | None -> default_deadline_s ()
   in
   { flows = Fastpath.Shards.create ~shards ~capacity:cache_capacity ();
-    lanes =
-      Array.init shards (fun _ ->
-          { l_lock = Mutex.create (); l_compiled = Clara.Pipeline.compile models });
+    compiled = Clara.Pipeline.compile models;
     version;
-    quality = Quality.create ?rate:shadow_rate ?seed:shadow_seed ~shards ();
+    quality = Quality.create ?rate:shadow_rate ?seed:shadow_seed ();
     slow_s; deadline_s; max_pending; max_clients; fast_buf = Buffer.create 1024;
     flight = Obs.Flight.create ~shards ?capacity:flight_capacity ?dir:flight_dir ();
     served_count = 0; shed_count = 0; control = Evloop.control ();
@@ -159,9 +155,7 @@ let maybe_shadow t ~id ~key entry =
      && (not (String.starts_with ~prefix:"p4lite:" key))
      && Quality.should_shadow t.quality ~id ~key
   then
-    Quality.offer t.quality
-      ~shard:(Fastpath.Shards.shard_of_key t.flows key)
-      ~nf:(Fastpath.Entry.nf entry)
+    Quality.offer t.quality ~nf:(Fastpath.Entry.nf entry)
       ~pred_compute:(Fastpath.Entry.pred_compute entry)
       ~pred_memory:(Fastpath.Entry.pred_memory entry)
 
@@ -420,9 +414,8 @@ let fast_track t ~now line =
       (* Quality telemetry costs one float compare when disabled, keeping
          the rate-0 fast path inside its bench envelope. *)
       if Quality.enabled t.quality then begin
-        Quality.record_fast_latency t.quality
-          ~shard:(Fastpath.Shards.shard_of_key t.flows key)
-          ~nf:(Fastpath.Entry.nf entry) (Obs.Clock.now_s () -. now);
+        Quality.record_fast_latency t.quality ~nf:(Fastpath.Entry.nf entry)
+          (Obs.Clock.now_s () -. now);
         let id = if id_len = 0 then "null" else String.sub line id_off id_len in
         maybe_shadow t ~id ~key entry
       end;
@@ -487,10 +480,7 @@ let reload_reply t ~trace id req =
       | Some _ | None ->
         let shards = Fastpath.Shards.shard_count t.flows in
         let capacity = Fastpath.Shards.capacity t.flows in
-        let models = b.Persist.Bundle.models in
-        t.lanes <-
-          Array.init shards (fun _ ->
-              { l_lock = Mutex.create (); l_compiled = Clara.Pipeline.compile models });
+        t.compiled <- Clara.Pipeline.compile b.Persist.Bundle.models;
         t.flows <- Fastpath.Shards.create ~shards ~capacity ();
         (* queued jobs finish on the old models; a later miss starts anew *)
         Hashtbl.reset t.by_key;
@@ -722,31 +712,25 @@ let job_reply m = function
         ("analysis failed: " ^ msg),
       None )
 
-(* The analysis task of one job, on the lane of its key's shard (the
-   compiled pipeline's inference scratch is not shareable).  The trace id
-   is installed inside the body so the job's spans carry it across every
-   suspension.  [pool.task] is the analysis fault point: its draws are
-   keyed by the job's index among its batch's new jobs, so a batch's
-   outcomes do not depend on scheduling. *)
-let analysis ~k lane m () =
+(* The analysis task of one job, on the compiled models current when it
+   was planned.  The trace id is installed inside the body so the job's
+   spans carry it across every suspension.  [pool.task] is the analysis
+   fault point: its draws are keyed by the job's index among its batch's
+   new jobs, so a batch's outcomes do not depend on scheduling. *)
+let analysis ~k compiled m () =
   Obs.Span.with_trace m.trace @@ fun () ->
   try
     Obs.Fault.guard ~k "pool.task";
-    Mutex.lock lane.l_lock;
-    let ins =
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock lane.l_lock)
-        (fun () -> Clara.Pipeline.analyze_compiled lane.l_compiled m.elt m.spec)
-    in
+    let ins = Clara.Pipeline.analyze_compiled compiled m.elt m.spec in
     Report
       (Fastpath.Entry.make ~pred_compute:ins.Clara.Insights.predicted_compute
          ~pred_memory:ins.Clara.Insights.predicted_memory ~nf:m.nf_label ~workload:m.wname
          ~report:(Clara.Insights.render ins) ())
   with e -> failed e
 
-(* A miss joins the queued job for its key, or starts one on the lane its
-   key maps to now: a reload later swaps the lanes, and the job keeps
-   the one it was planned on. *)
+(* A miss joins the queued job for its key, or starts one on the compiled
+   models current now: a reload later swaps them, and the job keeps the
+   ones it was planned on. *)
 let join t ~fresh round cell line m =
   let job =
     match Hashtbl.find_opt t.by_key m.key with
@@ -754,9 +738,8 @@ let join t ~fresh round cell line m =
     | None ->
       let k = !fresh in
       incr fresh;
-      let lane = t.lanes.(Fastpath.Shards.shard_of_key t.flows m.key) in
       let j =
-        { j_key = m.key; j_flows = t.flows; j_run = Util.Coop.create (analysis ~k lane m);
+        { j_key = m.key; j_flows = t.flows; j_run = Util.Coop.create (analysis ~k t.compiled m);
           waiters = [] }
       in
       Queue.push j t.jobs;
@@ -866,8 +849,8 @@ let work t =
       finish_job t j outcome));
   not (Queue.is_empty t.jobs)
 
-(* The loop stopped: a suspended job is discontinued (its [Fun.protect]
-   releases the lane), and every line still waiting is answered
+(* The loop stopped: a suspended job is discontinued (its finalizers
+   close its spans), and every line still waiting is answered
    retry-later, as shedding does: the stop was the server's, not the
    request's. *)
 let abandon t =

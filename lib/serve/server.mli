@@ -35,9 +35,9 @@
 
     {b Fast path / slow path.}  The service is split DOCA-style: the
     {e slow path} parses the request, runs the full analysis pipeline on
-    a per-shard serving lane (compiled predictors: flattened tree
-    ensembles, LSTM inference into preallocated scratch) and installs a
-    flow entry — pre-serialized reply bytes — into a sharded, mutex-per-
+    the server's one compiled model set (flattened tree ensembles, LSTM
+    inference into preallocated scratch, a per-block prediction memo
+    every key shares) and installs a flow entry — pre-serialized reply bytes — into a sharded, mutex-per-
     shard flow cache ({!Fastpath.Shards}).  The {e fast path} answers a
     repeat [analyze] query without building any intermediate JSON: the
     raw line is scanned in place ({!Fastpath.Scan}), the flow cache is
@@ -70,12 +70,12 @@
 
     {b Hits never wait behind misses.}  In {!run} the head job runs as
     cooperative slices on the loop domain ({!Util.Coop}: yield points
-    in the interpreter, the predictor and between pipeline stages), one
-    slice per loop turn, so hits, errors and commands that arrive while
+    in the interpreter, the predictor, the trace generator and between
+    pipeline stages), one slice per loop turn, so hits, errors and commands that arrive while
     a miss is analyzed are answered between its slices; each connection
     still gets its replies in request order.  Jobs run one at a time,
-    each on the serving lane of its key's shard; parallelism inside one
-    analysis is unchanged.
+    each on the compiled models current when it was planned;
+    parallelism inside one analysis is unchanged.
 
     {b Deadlines.}  An [analyze] request may carry ["deadline_ms"]: its
     time budget, measured from batch arrival.  The budget is checked at
@@ -111,7 +111,7 @@
     {b Hot reload.}  [{"cmd":"reload","bundle":DIR}] swaps the serving
     models for the bundle in [DIR] without dropping a request: load
     (through {!Persist.Bundle.load_salvage}), version derivation
-    ({!Persist.Bundle.version}) and the models/lanes/flow-cache swap all
+    ({!Persist.Bundle.version}) and the models/flow-cache swap all
     happen in the serial planning path, so every request line — in this
     batch or any other — is answered entirely by one version.  An
     optional ["expect"] member is the negotiation handshake: when it
@@ -146,9 +146,8 @@ type t
 
 (** Wrap warm-started (or freshly trained) models.  [cache_capacity]
     bounds the flow cache's total entry budget (default 64; 0 disables
-    caching); [shards] is the flow-cache shard count — and serving-lane
-    count — (default 8, must be [>= 1]; per-shard bounds round up, see
-    {!Fastpath.Shards.create}).  [slow_threshold_s] sets the slow-request
+    caching); [shards] is the flow-cache shard count (default 8, must be
+    [>= 1]; per-shard bounds round up, see {!Fastpath.Shards.create}).  [slow_threshold_s] sets the slow-request
     log threshold in seconds (default: [CLARA_SLOW_MS] in milliseconds,
     else 1s).  [deadline_ms] is the default per-request budget (default:
     [CLARA_DEADLINE_MS], else unlimited; [<= 0] forces unlimited).
@@ -231,7 +230,7 @@ val request_drain : t -> unit
     [/healthz] document reports as ["draining"]. *)
 val draining : t -> bool
 
-(** Flow-cache shard count (= serving-lane and flight-ring count). *)
+(** Flow-cache shard count (= flight-ring count). *)
 val shard_count : t -> int
 
 (** The server's flight recorder (always present; disabled when

@@ -109,12 +109,17 @@ let unpack_flow table i =
     The packet list is a pure function of [spec] for any [CLARA_JOBS].
     Flows are drawn by binary search over a prefix-sum table: the same
     flow, from the same single rng draw, as {!generate_reference}'s linear
-    scan. *)
+    scan.  Both serial loops offer a {!Util.Coop.yield} every
+    [yield_every] iterations, so a serving worker's first trace for a
+    spec runs in slices between hits; a yield draws nothing. *)
+let yield_every = 4096
+
 let generate_with (spec : spec) : Nf_lang.Packet.t list =
   let rng = Util.Rng.create spec.seed in
   let n_flows = max 1 spec.n_flows in
   let table = Bytes.create (n_flows * flow_bytes) in
   for i = 0 to n_flows - 1 do
+    if i mod yield_every = 0 then Util.Coop.yield ();
     let proto =
       match spec.proto with
       | Tcp -> Nf_lang.Packet.tcp_proto
@@ -141,6 +146,7 @@ let generate_with (spec : spec) : Nf_lang.Packet.t list =
   let drawn = Hashtbl.create (min n_flows (max 16 spec.n_packets)) in
   let plans = Array.make (max 0 spec.n_packets) None in
   for k = 0 to spec.n_packets - 1 do
+    if k mod yield_every = 0 then Util.Coop.yield ();
     let fi = Util.Rng.weighted_index_cdf rng cdf in
     let flow, first =
       match Hashtbl.find_opt drawn fi with

@@ -492,7 +492,7 @@ let test_fastpath_metrics_exposed () =
    figures. *)
 
 let churn_cache_misses = 149
-let churn_memo_misses = 364
+let churn_memo_misses = 176
 
 let test_churn_exact_work () =
   let s = Serve.Server.create ~cache_capacity:64 ~shards:8 (Lazy.force models) in
@@ -555,6 +555,29 @@ let test_churn_exact_work () =
   Alcotest.(check int) "memo misses" churn_memo_misses
     (int_of_float (Obs.Metrics.counter_value memo_misses -. memo0))
 
+(* A block's prediction depends only on its tokens, so one corpus NF's
+   keys under different workloads carry the same blocks.  The server has
+   one compiled predictor, so the second workload's analysis predicts
+   nothing anew although its key lives on another flow-cache shard. *)
+let test_block_predicted_once () =
+  let s = Serve.Server.create ~cache_capacity:64 ~shards:8 (Lazy.force models) in
+  let placement : unit Fastpath.Shards.t = Fastpath.Shards.create ~shards:8 ~capacity:64 () in
+  let shard wl = Fastpath.Shards.shard_of_key placement (Serve.Proto.flow_key "cmsketch" wl) in
+  Alcotest.(check bool) "the two keys land on different shards" true
+    (shard "mixed" <> shard "large");
+  let memo_misses = Obs.Metrics.counter "clara_predict_memo_misses_total" in
+  let analyze wl =
+    let before = Obs.Metrics.counter_value memo_misses in
+    let reply =
+      Serve.Server.handle_request s
+        (Printf.sprintf {|{"id":1,"cmd":"analyze","nf":"cmsketch","workload":"%s"}|} wl)
+    in
+    Alcotest.(check bool) (wl ^ " answered") true (is_ok (parse_reply reply));
+    int_of_float (Obs.Metrics.counter_value memo_misses -. before)
+  in
+  Alcotest.(check bool) "the first analysis predicts its blocks" true (analyze "mixed" > 0);
+  Alcotest.(check int) "the second workload adds no memo miss" 0 (analyze "large")
+
 let () =
   Alcotest.run "fastpath"
     [ ( "shards",
@@ -579,4 +602,6 @@ let () =
           Alcotest.test_case "accepted workload names" `Quick test_fast_path_workload_names;
           Alcotest.test_case "faults, shedding, deadlines" `Quick test_fast_path_robustness;
           Alcotest.test_case "fastpath metrics exposed" `Quick test_fastpath_metrics_exposed;
-          Alcotest.test_case "churn replay: exact misses" `Quick test_churn_exact_work ] ) ]
+          Alcotest.test_case "churn replay: exact misses" `Quick test_churn_exact_work;
+          Alcotest.test_case "a block is predicted once per worker, whatever its shard" `Quick
+            test_block_predicted_once ] ) ]

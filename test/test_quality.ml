@@ -64,7 +64,7 @@ let test_sketch_accuracy () =
 let test_sketch_merge_associative () =
   (* integer-valued samples keep every aggregate exact in float, so the
      merged documents must be byte-identical however the merge tree is
-     shaped -- the property shard-merge determinism rides on *)
+     shaped -- the property a merged document's determinism rides on *)
   let fill lo hi =
     let s = Obs.Sketch.create () in
     for v = lo to hi do

@@ -295,7 +295,7 @@ let test_shedding_beyond_max_pending () =
   Alcotest.(check int) "shed counter" 3 (Serve.Server.shed s);
   Alcotest.(check int) "every line counted as served" 5 (Serve.Server.served s)
 
-(* -- the real serving loop: both callers of Serve.Evloop.serve -- *)
+(* -- the real serving loop: both callers of Serve.Evloop.run -- *)
 
 let connect_with_retry path =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in

@@ -718,26 +718,12 @@ let test_routed_vs_direct () =
    slow cold analyses on B's worker; B's hit is relayed while A is still
    owed every reply.  Each client has its own upstream connection to the
    worker, and the worker answers the hit between the misses' slices. *)
-let test_miss_does_not_delay_other_client () =
-  with_fleet ~n:2 @@ fun fl ->
-  let hit_line = analyze_line ~id:1 ~nf:"tcpack" ~workload:"mixed" () in
-  let owner line =
-    match Router.Front.target fl.fl_front line with
-    | Some { Router.Front.rt_worker = Some w; _ } -> w
-    | _ -> Alcotest.fail "no owner"
-  in
-  let w = owner hit_line in
-  let slow =
-    List.concat_map
-      (fun nf -> List.map (fun wl -> (nf, wl)) [ "small"; "large"; "mixed" ])
-      [ "wepdecap"; "cmsketch"; "Mazu-NAT"; "DNSProxy" ]
-    |> List.mapi (fun i (nf, workload) -> (100 + i, analyze_line ~id:(100 + i) ~nf ~workload ()))
-    |> List.filter (fun (_, l) -> owner l = w)
-    |> List.filteri (fun i _ -> i < 4)
-  in
-  Alcotest.(check bool) "slow keys on the hit's worker" true (List.length slow >= 3);
+(* [f connect] while [Front.run] serves on a domain of its own;
+   [connect ()] opens a client connection to the router socket.  The
+   router drains once [f] returns. *)
+let with_running_front fl tag f =
   let socket_path =
-    Printf.sprintf "%s/clara_rt_%d_relay.sock" (Filename.get_temp_dir_name ()) (Unix.getpid ())
+    Printf.sprintf "%s/clara_rt_%d_%s.sock" (Filename.get_temp_dir_name ()) (Unix.getpid ()) tag
   in
   let front_domain = Domain.spawn (fun () -> Router.Front.run fl.fl_front ~socket_path) in
   Fun.protect
@@ -757,10 +743,32 @@ let test_miss_does_not_delay_other_client () =
     let fd = go 500 in
     (fd, Unix.in_channel_of_descr fd)
   in
-  let send (fd, _) lines =
-    Serve.Lineio.write_all fd (String.concat "" (List.map (fun l -> l ^ "\n") lines))
+  f connect
+
+let send (fd, _) lines =
+  Serve.Lineio.write_all fd (String.concat "" (List.map (fun l -> l ^ "\n") lines))
+
+let recv (_, ic) = parse (input_line ic)
+
+let test_miss_does_not_delay_other_client () =
+  with_fleet ~n:2 @@ fun fl ->
+  let hit_line = analyze_line ~id:1 ~nf:"tcpack" ~workload:"mixed" () in
+  let owner line =
+    match Router.Front.target fl.fl_front line with
+    | Some { Router.Front.rt_worker = Some w; _ } -> w
+    | _ -> Alcotest.fail "no owner"
   in
-  let recv (_, ic) = parse (input_line ic) in
+  let w = owner hit_line in
+  let slow =
+    List.concat_map
+      (fun nf -> List.map (fun wl -> (nf, wl)) [ "small"; "large"; "mixed" ])
+      [ "wepdecap"; "cmsketch"; "Mazu-NAT"; "DNSProxy" ]
+    |> List.mapi (fun i (nf, workload) -> (100 + i, analyze_line ~id:(100 + i) ~nf ~workload ()))
+    |> List.filter (fun (_, l) -> owner l = w)
+    |> List.filteri (fun i _ -> i < 4)
+  in
+  Alcotest.(check bool) "slow keys on the hit's worker" true (List.length slow >= 3);
+  with_running_front fl "relay" @@ fun connect ->
   let quiet (fd, _) = match Unix.select [ fd ] [] [] 0.0 with [], _, _ -> true | _ -> false in
   let a = connect () and b = connect () in
   send b [ hit_line ];
@@ -804,6 +812,32 @@ let test_respelled_program_hits () =
   match (Jsonl.str_member "report" first, Jsonl.str_member "report" second) with
   | Some a, Some b -> Alcotest.(check string) "byte-identical report" a b
   | _ -> Alcotest.fail "analyze replies carry a report"
+
+(* The cached /healthz document is re-rendered by the health sweep, not
+   per round: under [Front.run] its served count catches up within two
+   health periods, while the socket [health] command counts exactly. *)
+let test_healthz_cached_within_two_periods () =
+  with_fleet ~n:2 @@ fun fl ->
+  let period = 0.5 (* [Front.create]'s default [health_period_s] *) in
+  with_running_front fl "healthz" @@ fun connect ->
+  let c = connect () in
+  let pings = 5 in
+  send c (List.init pings (fun i -> Printf.sprintf {|{"id":%d,"cmd":"ping"}|} i));
+  for _ = 1 to pings do
+    Alcotest.(check bool) "ping answered" true (flagged "ok" (recv c))
+  done;
+  let answered = Unix.gettimeofday () in
+  let served () = Jsonl.num_member "served" (parse (Router.Front.healthz_cached fl.fl_front)) in
+  while served () <> Some (float_of_int pings) && Unix.gettimeofday () -. answered < 2.0 *. period do
+    Unix.sleepf 0.01
+  done;
+  Alcotest.(check (option (float 0.0))) "healthz_cached counts the pings within two periods"
+    (Some (float_of_int pings)) (served ());
+  send c [ {|{"id":9,"cmd":"health"}|} ];
+  Alcotest.(check (option (float 0.0))) "the health command counts every line, its own too"
+    (Some (float_of_int (pings + 1)))
+    (Jsonl.num_member "served" (recv c));
+  Unix.close (fst c)
 
 let test_client_through_router_socket () =
   with_fleet ~n:2 @@ fun fl ->
@@ -878,4 +912,6 @@ let () =
             test_miss_does_not_delay_other_client;
           Alcotest.test_case "client unchanged through router socket" `Quick
             test_client_through_router_socket;
+          Alcotest.test_case "healthz_cached within two health periods" `Quick
+            test_healthz_cached_within_two_periods;
           Alcotest.test_case "a respelled program is a hit" `Quick test_respelled_program_hits ] ) ]

@@ -480,9 +480,10 @@ let rec connect_retry path attempts =
     Unix.sleepf 0.01;
     connect_retry path (attempts - 1)
 
-(* [Evloop.serve] with [handle_batch] on this domain (where a process
-   signal lands) while [client path] runs on another; the loop stops
-   once the client returns.  Returns the loop's I/O errors. *)
+(* [Evloop.run] on this domain (where a process signal lands), answering
+   every line in its round with [handle_batch], while [client path] runs
+   on another; the loop stops once the client returns.  Returns the
+   loop's I/O errors. *)
 let with_loop handle_batch client =
   let path = fresh_socket_path "clara_evloop" in
   let control = Serve.Evloop.control () in
@@ -491,8 +492,17 @@ let with_loop handle_batch client =
     Domain.spawn (fun () ->
         Fun.protect ~finally:(fun () -> Serve.Evloop.request_stop control) (fun () -> client path))
   in
-  Serve.Evloop.serve ~name:"test" ~socket_path:path ~max_clients:4 ~control ~handle_batch
-    ~on_tick:ignore ~reject:(fun () -> "{}") ~on_disconnect:(fun ~fn:_ _ -> ())
+  let handler =
+    { Serve.Evloop.handle_batch =
+        (fun batches ->
+          List.map Serve.Evloop.filled (handle_batch (List.concat_map snd batches)));
+      watch = (fun () -> []);
+      service = (fun _ -> false);
+      on_close = ignore;
+      on_tick = ignore }
+  in
+  Serve.Evloop.run ~name:"test" ~socket_path:path ~max_clients:4 ~control ~handler
+    ~reject:(fun () -> "{}") ~on_disconnect:(fun ~fn:_ _ -> ())
     ~on_error:(fun ~ctx ~fn err -> errors := Printf.sprintf "%s %s: %s" ctx fn (Unix.error_message err) :: !errors);
   Domain.join d;
   !errors

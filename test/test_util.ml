@@ -252,6 +252,16 @@ let test_coop_cancel () =
   Alcotest.(check bool) "lock released" true (Mutex.try_lock lock);
   Mutex.unlock lock
 
+(* A serving worker's first trace for a spec is generated inside a miss's
+   job: its serial loops yield, so the job takes several slices.  The
+   yields draw nothing, so the trace is the one generated outside a job. *)
+let test_coop_trace_generation () =
+  let spec = { Workload.small_flows with Workload.n_packets = 800; seed = 0x51ce } in
+  let slices, trace = run_job (Util.Coop.create (fun () -> Workload.generate spec)) in
+  Alcotest.(check bool) (Printf.sprintf "more than one slice (%d)" slices) true (slices > 1);
+  Alcotest.(check bool) "the same packets as outside a job" true
+    (trace = Workload.generate_with spec)
+
 let () =
   Alcotest.run "util"
     [ ( "rng",
@@ -281,7 +291,9 @@ let () =
       ( "coop",
         [ Alcotest.test_case "slices, yield outside a job" `Quick test_coop_slices;
           Alcotest.test_case "no suspension inside a pool task" `Quick test_coop_pool_region;
-          Alcotest.test_case "cancel runs finalizers" `Quick test_coop_cancel ] );
+          Alcotest.test_case "cancel runs finalizers" `Quick test_coop_cancel;
+          Alcotest.test_case "a fresh spec's trace takes several slices" `Quick
+            test_coop_trace_generation ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_normalize_sums_to_one; prop_distance_nonnegative; prop_percentile_within_range ]
