@@ -423,12 +423,13 @@ let serve_cmd =
   let cache_capacity =
     Arg.(value & opt int 64
          & info [ "cache" ] ~docv:"N"
-             ~doc:"Flow-cache capacity (total entries across shards; 0 disables caching).")
+             ~doc:"Flow-cache entry budget, one LRU over all of it (0 disables caching).")
   in
   let shards =
     Arg.(value & opt int 8
          & info [ "shards" ] ~docv:"N"
-             ~doc:"Flow-cache shard count (one lock per shard).")
+             ~doc:"Shard-label count: the range of the FNV-1a key label that picks a \
+                   flight ring and an occupancy gauge (the flow cache is one table).")
   in
   let http_port =
     Arg.(value & opt (some int) None
@@ -677,11 +678,11 @@ let router_cmd =
   in
   let worker_cache =
     Arg.(value & opt int 64
-         & info [ "worker-cache" ] ~docv:"N" ~doc:"Each worker's flow-cache capacity.")
+         & info [ "worker-cache" ] ~docv:"N" ~doc:"Each worker's flow-cache entry budget.")
   in
   let worker_shards =
     Arg.(value & opt int 8
-         & info [ "worker-shards" ] ~docv:"N" ~doc:"Each worker's flow-cache shard count.")
+         & info [ "worker-shards" ] ~docv:"N" ~doc:"Each worker's shard-label count (see 'clara serve --shards').")
   in
   let worker_max_pending =
     Arg.(value & opt int 256
@@ -870,7 +871,7 @@ let replay_cmd =
          & info [ "model" ] ~docv:"DIR" ~doc:"Model bundle to replay against (see 'clara train --save').")
   in
   let shards =
-    Arg.(value & opt int 8 & info [ "shards" ] ~docv:"N" ~doc:"Replay server's flow-cache shard count.")
+    Arg.(value & opt int 8 & info [ "shards" ] ~docv:"N" ~doc:"Replay server's shard-label count (see 'clara serve --shards').")
   in
   let cache =
     Arg.(value & opt int 64 & info [ "cache" ] ~docv:"N" ~doc:"Replay server's flow-cache capacity.")

@@ -1,32 +1,49 @@
-(** Sharded flow table (see shards.mli). *)
+(** The flow table (see shards.mli). *)
 
-(* One shard is a scan-resistant stamp LRU guarded by its own mutex: a
-   lookup hit bumps the entry's stamp from a per-shard logical clock and
-   sets its hit mark, which a re-install keeps.  Eviction drops the
-   minimum stamp among the never-hit entries other than the one being
-   installed, and the minimum stamp overall only when every other entry
-   has been hit.  Served traffic mixes hot corpus keys with one-shot
-   inline programs that are never asked for again; under this rule a
-   one-shot install displaces another never-hit entry, not a hot key.
-   Keys are spread by FNV-1a over the key string — a pure function of
-   the bytes, so shard assignment never depends on CLARA_JOBS, domain
-   count or insertion order. *)
+(* One hash table over the whole budget, with every entry on one of two
+   recency queues: [fresh] holds the entries never hit since install,
+   [hot] the ones hit at least once, each oldest first.  A lookup hit
+   moves its entry to the newest end of [hot] and a re-install to the
+   newest end of the queue its hit mark names, so each queue stays in
+   order of last touch and the victim is the oldest fresh entry, else the
+   oldest hot one: the same choice as a scan for the minimum logical
+   stamp among never-hit entries, then among all, in O(1).  The key being
+   installed is the newest entry of its queue, so skipping it costs one
+   step.  Served traffic mixes hot corpus keys with one-shot inline
+   programs that are never asked for again; under this rule a one-shot
+   install displaces another never-hit entry, not a hot key.
 
-type 'a entry = { value : 'a; mutable stamp : int; mutable hit : bool }
+   Each key also carries its label, FNV-1a over the key bytes modulo
+   [shards]: a pure function of the bytes, so it never depends on
+   CLARA_JOBS, domain count or insertion order.  Labels place nothing;
+   they name the flight ring and count entries for the occupancy
+   gauges. *)
 
-type 'a shard = {
-  lock : Mutex.t;
-  table : (string, 'a entry) Hashtbl.t;
+type 'a link =
+  | Nil
+  | Node of {
+      key : string;
+      label : int;
+      mutable value : 'a;
+      mutable hit : bool;
+      mutable older : 'a link;
+      mutable newer : 'a link;
+    }
+
+type 'a queue = { mutable oldest : 'a link; mutable newest : 'a link }
+
+type 'a t = {
   cap : int;
-  mutable tick : int;
-  mutable s_hits : int;
-  mutable s_misses : int;
-  mutable s_installs : int;
-  mutable s_evictions : int;
-  occupancy : Obs.Metrics.gauge;
+  table : (string, 'a link) Hashtbl.t;  (* holds only [Node]s *)
+  fresh : 'a queue;  (* never hit since install *)
+  hot : 'a queue;  (* hit at least once *)
+  per_label : int array;
+  occupancy : Obs.Metrics.gauge array;
+  mutable hits : int;
+  mutable misses : int;
+  mutable installs : int;
+  mutable evictions : int;
 }
-
-type 'a t = { shards : 'a shard array }
 
 let m_hits =
   Obs.Metrics.counter ~help:"Flow-table lookups answered from an installed entry"
@@ -44,30 +61,26 @@ let m_evictions =
     "clara_fastpath_evictions_total"
 
 let occupancy_gauge i =
-  Obs.Metrics.gauge ~help:"Installed flow entries per shard"
+  Obs.Metrics.gauge ~help:"Installed flow entries per shard label"
     ~labels:[ ("shard", string_of_int i) ]
     "clara_fastpath_shard_occupancy"
 
 let create ?(shards = 8) ~capacity () =
   if shards < 1 then invalid_arg "Fastpath.Shards.create: shards must be >= 1";
   if capacity < 0 then invalid_arg "Fastpath.Shards.create: capacity must be >= 0";
-  (* the total is split across shards, rounding the per-shard bound up so
-     a small capacity still caches (total may round up to [shards]) *)
-  let per_shard = if capacity = 0 then 0 else max 1 ((capacity + shards - 1) / shards) in
-  { shards =
-      Array.init shards (fun i ->
-          { lock = Mutex.create ();
-            table = Hashtbl.create (max 8 per_shard);
-            cap = per_shard;
-            tick = 0;
-            s_hits = 0;
-            s_misses = 0;
-            s_installs = 0;
-            s_evictions = 0;
-            occupancy = occupancy_gauge i }) }
+  { cap = capacity;
+    table = Hashtbl.create (max 8 (min capacity 4096));
+    fresh = { oldest = Nil; newest = Nil };
+    hot = { oldest = Nil; newest = Nil };
+    per_label = Array.make shards 0;
+    occupancy = Array.init shards occupancy_gauge;
+    hits = 0;
+    misses = 0;
+    installs = 0;
+    evictions = 0 }
 
-let shard_count t = Array.length t.shards
-let capacity t = Array.fold_left (fun acc s -> acc + s.cap) 0 t.shards
+let shard_count t = Array.length t.per_label
+let capacity t = t.cap
 
 (* FNV-1a, 64-bit, over the key bytes. *)
 let hash_key key =
@@ -78,77 +91,91 @@ let hash_key key =
     key;
   Int64.to_int !h land max_int
 
-let shard_of_key t key = hash_key key mod Array.length t.shards
+let shard_of_key t key = hash_key key mod Array.length t.per_label
 
-let with_shard s f =
-  Mutex.lock s.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock s.lock) f
+(* -- the two queues -- *)
 
-let lookup s key ~count_miss =
-  match Hashtbl.find_opt s.table key with
-  | Some e ->
-    s.tick <- s.tick + 1;
-    e.stamp <- s.tick;
-    e.hit <- true;
-    s.s_hits <- s.s_hits + 1;
+let unlink q = function
+  | Nil -> ()
+  | Node n ->
+    (match n.older with Nil -> q.oldest <- n.newer | Node o -> o.newer <- n.newer);
+    (match n.newer with Nil -> q.newest <- n.older | Node y -> y.older <- n.older);
+    n.older <- Nil;
+    n.newer <- Nil
+
+let push_newest q link =
+  match link with
+  | Nil -> ()
+  | Node n ->
+    n.older <- q.newest;
+    (match q.newest with Nil -> q.oldest <- link | Node y -> y.newer <- link);
+    q.newest <- link
+
+let queue t hit = if hit then t.hot else t.fresh
+
+(* -- lookups -- *)
+
+let lookup t key ~count_miss =
+  match Hashtbl.find_opt t.table key with
+  | Some (Node n as link) ->
+    unlink (queue t n.hit) link;
+    n.hit <- true;
+    push_newest t.hot link;
+    t.hits <- t.hits + 1;
     Obs.Metrics.inc m_hits;
-    Some e.value
-  | None ->
+    Some n.value
+  | Some Nil | None ->
     if count_miss then begin
-      s.s_misses <- s.s_misses + 1;
+      t.misses <- t.misses + 1;
       Obs.Metrics.inc m_misses
     end;
     None
 
-let find t key =
-  let s = t.shards.(shard_of_key t key) in
-  with_shard s (fun () -> lookup s key ~count_miss:true)
+let find t key = lookup t key ~count_miss:true
+let probe t key = lookup t key ~count_miss:false
 
-let probe t key =
-  let s = t.shards.(shard_of_key t key) in
-  with_shard s (fun () -> lookup s key ~count_miss:false)
+(* -- installs -- *)
 
-(* Never-hit entries go before hit ones, then the oldest stamp first. *)
-let evicts_before a b = if Bool.equal a.hit b.hit then a.stamp < b.stamp else b.hit
+let count_label t label delta =
+  t.per_label.(label) <- t.per_label.(label) + delta;
+  Obs.Metrics.set_gauge t.occupancy.(label) (float_of_int t.per_label.(label))
 
-(* [keep], the key being installed, is never the victim. *)
-let evict_oldest s ~keep =
-  let victim =
-    Hashtbl.fold
-      (fun key e acc ->
-        match acc with
-        | _ when String.equal key keep -> acc
-        | Some (_, v) when not (evicts_before e v) -> acc
-        | _ -> Some (key, e))
-      s.table None
-  in
+(* The oldest entry of [q] other than [keep], the newest one. *)
+let oldest_but q ~keep =
+  match q.oldest with Node n as link when link == keep -> n.newer | link -> link
+
+let evict t ~keep =
+  let victim = match oldest_but t.fresh ~keep with Nil -> oldest_but t.hot ~keep | link -> link in
   match victim with
-  | Some (key, _) ->
-    Hashtbl.remove s.table key;
-    s.s_evictions <- s.s_evictions + 1;
+  | Nil -> ()
+  | Node n ->
+    unlink (queue t n.hit) victim;
+    Hashtbl.remove t.table n.key;
+    count_label t n.label (-1);
+    t.evictions <- t.evictions + 1;
     Obs.Metrics.inc m_evictions
-  | None -> ()
 
 let install t key value =
-  let s = t.shards.(shard_of_key t key) in
-  if s.cap > 0 then
-    with_shard s (fun () ->
-        s.tick <- s.tick + 1;
-        (match Hashtbl.find_opt s.table key with
-        | Some e -> Hashtbl.replace s.table key { value; stamp = s.tick; hit = e.hit }
-        | None ->
-          Hashtbl.add s.table key { value; stamp = s.tick; hit = false };
-          s.s_installs <- s.s_installs + 1;
-          Obs.Metrics.inc m_installs);
-        while Hashtbl.length s.table > s.cap do
-          evict_oldest s ~keep:key
-        done;
-        Obs.Metrics.set_gauge s.occupancy (float_of_int (Hashtbl.length s.table)))
+  if t.cap > 0 then
+    match Hashtbl.find_opt t.table key with
+    | Some (Node n as link) ->
+      let q = queue t n.hit in
+      n.value <- value;
+      unlink q link;
+      push_newest q link
+    | Some Nil | None ->
+      let label = shard_of_key t key in
+      let link = Node { key; label; value; hit = false; older = Nil; newer = Nil } in
+      Hashtbl.replace t.table key link;
+      push_newest t.fresh link;
+      count_label t label 1;
+      t.installs <- t.installs + 1;
+      Obs.Metrics.inc m_installs;
+      if Hashtbl.length t.table > t.cap then evict t ~keep:link
 
-let fold_shards t f = Array.fold_left (fun acc s -> acc + with_shard s (fun () -> f s)) 0 t.shards
-let length t = fold_shards t (fun s -> Hashtbl.length s.table)
-let shard_length t i = with_shard t.shards.(i) (fun () -> Hashtbl.length t.shards.(i).table)
-let hits t = fold_shards t (fun s -> s.s_hits)
-let misses t = fold_shards t (fun s -> s.s_misses)
-let installs t = fold_shards t (fun s -> s.s_installs)
-let evictions t = fold_shards t (fun s -> s.s_evictions)
+let length t = Hashtbl.length t.table
+let shard_length t i = t.per_label.(i)
+let hits t = t.hits
+let misses t = t.misses
+let installs t = t.installs
+let evictions t = t.evictions

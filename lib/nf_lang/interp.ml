@@ -130,12 +130,13 @@ let array st = function Found a -> a | Missing name -> State.array_of st name
 let map st = function Found m -> m | Missing name -> State.map_of st name
 let vec st = function Found v -> v | Missing name -> State.vec_of st name
 
-(* What one packet's execution reads besides the element's state. *)
-type frame = { locals : int array; pkt : Packet.t; time : int }
+(* What one packet's execution reads besides the element's state: one
+   frame per interpreter, pointed at each packet in turn. *)
+type frame = { locals : int array; mutable pkt : Packet.t; mutable time : int }
 
 type prog = {
   handler : frame -> unit;
-  slots : int array;  (** the locals, cleared per packet: a read before any write sees 0 *)
+  frame : frame;  (** its [locals] are cleared per packet: a read before any write sees 0 *)
   action : int;  (** slot of the verdict local *)
   stmts : int counter;
   conds : int counter;
@@ -269,13 +270,18 @@ let compile (elt : Ast.element) (st : State.t) =
     | Ast.Map_find (m, key, dst) ->
       let r = read m and a, c = map_api m "map_find" and ops = intern map_ops m in
       let key = evals key and d = intern locals dst in
+      (* a lookup keeps no reference to its key: one buffer per statement *)
+      let buf = Array.make (Array.length key) 0 in
       fun f ->
         bump reads r;
         bump apis a;
         let m = map st c in
-        let found, probes = State.find m (Array.map (fun k -> k f) key) in
-        record ops probes;
-        f.locals.(d) <- (if found then 1 else 0)
+        for k = 0 to Array.length key - 1 do
+          buf.(k) <- key.(k) f
+        done;
+        let outcome = State.lookup m buf in
+        record ops (State.lookup_probes outcome);
+        f.locals.(d) <- (if State.lookup_found outcome then 1 else 0)
     | Ast.Map_read (m, field, dst) ->
       let r = read m and a, c = map_api m "map_read" and d = intern locals dst in
       fun f ->
@@ -366,19 +372,19 @@ let compile (elt : Ast.element) (st : State.t) =
       fun f ->
         bump apis a;
         f.locals.(action) <- 1000 + port;
-        raise Handler_return
+        raise_notrace Handler_return
     | Ast.Drop ->
       let a = intern apis "kill" in
       fun f ->
         bump apis a;
         f.locals.(action) <- -1;
-        raise Handler_return
+        raise_notrace Handler_return
     | Ast.Call_sub name -> (
       match List.assoc_opt name subs with
       | Some (body, _) -> fun f -> !body f
       | None ->
         fun _ -> failwith (Printf.sprintf "Interp: %s: unknown subroutine %s" elt.Ast.name name))
-    | Ast.Return -> fun _ -> raise Handler_return
+    | Ast.Return -> fun _ -> raise_notrace Handler_return
   and block body =
     let ats = Array.of_list (List.map (fun (s : Ast.stmt) -> intern stmts s.Ast.sid) body) in
     let run = Array.of_list (List.map stmt body) in
@@ -396,7 +402,7 @@ let compile (elt : Ast.element) (st : State.t) =
   probes := Array.make (Array.length map_ops.keys) 0;
   {
     handler;
-    slots = Array.make (Hashtbl.length locals.index) 0;
+    frame = { locals = Array.make (Hashtbl.length locals.index) 0; pkt = Packet.create (); time = 0 };
     action;
     stmts;
     conds;
@@ -419,22 +425,17 @@ let create ?(mode = State.Host) elt =
   let state = State.create ~mode elt.Ast.state in
   { elt; state; profile = new_profile (); time = 0; prog = compile elt state }
 
-(* One packet, counted but not flushed. *)
+(* One packet, counted but not flushed; the verdict stays in its slot. *)
 let step t pkt =
-  let p = t.prog in
-  Array.fill p.slots 0 (Array.length p.slots) 0;
+  let p = t.prog and f = t.prog.frame in
+  Array.fill f.locals 0 (Array.length f.locals) 0;
   t.profile.packets <- t.profile.packets + 1;
   t.time <- t.time + 1;
-  (try p.handler { locals = p.slots; pkt; time = t.time } with Handler_return -> ());
-  let a = p.slots.(p.action) in
-  if a >= 1000 then begin
-    t.profile.emitted <- t.profile.emitted + 1;
-    Emitted (a - 1000)
-  end
-  else begin
-    t.profile.dropped <- t.profile.dropped + 1;
-    Dropped
-  end
+  f.pkt <- pkt;
+  f.time <- t.time;
+  (try p.handler f with Handler_return -> ());
+  if f.locals.(p.action) >= 1000 then t.profile.emitted <- t.profile.emitted + 1
+  else t.profile.dropped <- t.profile.dropped + 1
 
 let flush t =
   let p = t.prog and prof = t.profile in
@@ -466,19 +467,23 @@ let flushed t f =
     raise e
 
 (** Process one packet; returns the verdict. *)
-let push t pkt = flushed t (fun () -> step t pkt)
+let push t pkt =
+  flushed t (fun () ->
+      step t pkt;
+      let a = t.prog.frame.locals.(t.prog.action) in
+      if a >= 1000 then Emitted (a - 1000) else Dropped)
 
 (* Packets between the yield points of [run]: a cold analysis on the
    serving loop suspends here so hits are answered between its slices. *)
 let yield_every = 32
 
-(** Process a whole packet list, returning the profile. *)
-let run t pkts =
+(* Each packet of [pkts], as [packet] hands it over, in order. *)
+let steps t pkts ~packet =
   flushed t (fun () ->
       let rec go n = function
         | [] -> ()
         | pkt :: rest ->
-          ignore (step t pkt);
+          step t (packet pkt);
           if n = yield_every then begin
             Util.Coop.yield ();
             go 1 rest
@@ -487,3 +492,14 @@ let run t pkts =
       in
       go 1 pkts);
   t.profile
+
+(** Process a whole packet list, returning the profile. *)
+let run t pkts = steps t pkts ~packet:Fun.id
+
+(** {!run} over copies of [template]'s packets, made one at a time in one
+    scratch packet: [template] itself is never mutated. *)
+let run_copies t template =
+  let scratch = Packet.create () in
+  steps t template ~packet:(fun pkt ->
+      Packet.assign scratch pkt;
+      scratch)

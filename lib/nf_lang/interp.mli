@@ -71,3 +71,9 @@ val push : t -> Packet.t -> action
 
 (** Process a packet list; returns the accumulated profile. *)
 val run : t -> Packet.t list -> profile
+
+(** {!run} over fresh copies of the packets, without mutating them or
+    allocating a packet each: one scratch packet is reset from each in
+    turn ({!Packet.assign}).  The profile equals {!run}'s over
+    [List.map Packet.copy template]. *)
+val run_copies : t -> Packet.t list -> profile

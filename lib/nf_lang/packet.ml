@@ -135,6 +135,34 @@ let set_payload_byte p off v =
     fresh copy per run. *)
 let copy p = { p with payload = Bytes.copy p.payload }
 
+(** Overwrite every field of [dst] with [src]'s, payload bytes included. *)
+let assign dst src =
+  dst.eth_type <- src.eth_type;
+  dst.ip_src <- src.ip_src;
+  dst.ip_dst <- src.ip_dst;
+  dst.ip_proto <- src.ip_proto;
+  dst.ip_ttl <- src.ip_ttl;
+  dst.ip_len <- src.ip_len;
+  dst.ip_hl <- src.ip_hl;
+  dst.ip_tos <- src.ip_tos;
+  dst.ip_id <- src.ip_id;
+  dst.ip_csum <- src.ip_csum;
+  dst.tcp_sport <- src.tcp_sport;
+  dst.tcp_dport <- src.tcp_dport;
+  dst.tcp_seq <- src.tcp_seq;
+  dst.tcp_ack <- src.tcp_ack;
+  dst.tcp_off <- src.tcp_off;
+  dst.tcp_flags <- src.tcp_flags;
+  dst.tcp_win <- src.tcp_win;
+  dst.tcp_csum <- src.tcp_csum;
+  dst.udp_sport <- src.udp_sport;
+  dst.udp_dport <- src.udp_dport;
+  dst.udp_len <- src.udp_len;
+  dst.udp_csum <- src.udp_csum;
+  if Bytes.length dst.payload = Bytes.length src.payload then
+    Bytes.blit src.payload 0 dst.payload 0 (Bytes.length src.payload)
+  else dst.payload <- Bytes.copy src.payload
+
 (** The canonical 5-tuple identifying the packet's flow. *)
 let flow_key p =
   let l4 =

@@ -58,6 +58,11 @@ val set_payload_byte : t -> int -> int -> unit
     replayed against several (mutating) interpreter runs. *)
 val copy : t -> t
 
+(** [assign dst src] overwrites every field of [dst] with [src]'s and
+    [dst]'s payload bytes with [src]'s (a fresh buffer only when the
+    lengths differ): [dst] becomes a copy of [src] without a new packet. *)
+val assign : t -> t -> unit
+
 (** The canonical 5-tuple (src ip, dst ip, proto, sport, dport), using the
     UDP ports for UDP packets. *)
 val flow_key : t -> int * int * int * int * int

@@ -46,11 +46,9 @@ let nic_bucket_slots = 4
 
 let hash_key key =
   let h = ref 0x811c9dc5 in
-  Array.iter
-    (fun k ->
-      h := !h lxor (k land 0xffffffff);
-      h := !h * 0x01000193 land 0x3fffffff)
-    key;
+  for i = 0 to Array.length key - 1 do
+    h := (!h lxor (key.(i) land 0xffffffff)) * 0x01000193 land 0x3fffffff
+  done;
   !h
 
 let create ?(mode = Host) (decls : Ast.state_decl list) =
@@ -123,19 +121,25 @@ let field_index m field =
   in
   scan 0
 
+(* A lookup's outcome in one int, so the per-packet path builds no
+   tuple: the probe count shifted left once, the found bit below it. *)
+let[@inline] outcome ~found probes = (probes lsl 1) lor if found then 1 else 0
+let lookup_found r = r land 1 = 1
+let lookup_probes r = r lsr 1
+
 (* -- Host (Click) semantics: open addressing with linear probing -- *)
 
 let host_find m key =
   let cap = Array.length m.slots in
   let start = hash_key key mod cap in
   let rec probe i n =
-    if n > cap then (false, n)
+    if n > cap then outcome ~found:false n
     else
       match m.slots.(i) with
-      | None -> (false, n + 1)
+      | None -> outcome ~found:false (n + 1)
       | Some e when e.valid && key_equal e.key key ->
         m.cursor <- i;
-        (true, n + 1)
+        outcome ~found:true (n + 1)
       | Some _ -> probe ((i + 1) mod cap) (n + 1)
   in
   probe start 0
@@ -187,12 +191,12 @@ let nic_find m key =
   let bucket = hash_key key mod nic_bucket_count m in
   let base = bucket * m.bucket_slots in
   let rec scan s n =
-    if s >= m.bucket_slots then (false, n)
+    if s >= m.bucket_slots then outcome ~found:false n
     else
       match m.slots.(base + s) with
       | Some e when e.valid && key_equal e.key key ->
         m.cursor <- base + s;
-        (true, n + 1)
+        outcome ~found:true (n + 1)
       | Some _ | None -> scan (s + 1) (n + 1)
   in
   scan 0 0
@@ -228,8 +232,13 @@ let nic_insert m key vals =
 
 (* -- Mode dispatch -- *)
 
+(** [lookup m key] returns the outcome of {!find} packed in one int. *)
+let lookup m key = match m.m_mode with Host -> host_find m key | Nic -> nic_find m key
+
 (** [find m key] returns (found, probes). *)
-let find m key = match m.m_mode with Host -> host_find m key | Nic -> nic_find m key
+let find m key =
+  let r = lookup m key in
+  (lookup_found r, lookup_probes r)
 
 (** [insert m key vals] returns probes. *)
 let insert m key vals =

@@ -53,6 +53,14 @@ val vec_of : t -> string -> vec_state
 (** [find m key] = (found, probes); positions the cursor on success. *)
 val find : map_state -> int array -> bool * int
 
+(** {!find} without the tuple: the outcome packed in one int, read back
+    with {!lookup_found} and {!lookup_probes}.  The lookup keeps no
+    reference to [key], so a caller may reuse the array. *)
+val lookup : map_state -> int array -> int
+
+val lookup_found : int -> bool
+val lookup_probes : int -> int
+
 (** [insert m key vals] returns probes; NIC-mode bucket overflow silently
     drops the insert, as a fixed firmware table would. *)
 val insert : map_state -> int array -> int array -> int

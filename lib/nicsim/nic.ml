@@ -49,13 +49,18 @@ let compile_for config ir = Nfcc.compile ~config:(Accel.accel_config config.acce
     lowered to [ir], under a porting configuration and workload.
 
     [packets] must be the trace [Workload.generate spec] would produce,
-    as fresh packets (the interpreter mutates them); omitted, it is taken
-    from [Workload.generate], which memoizes each spec's trace. *)
+    as fresh packets (the interpreter mutates them); omitted, the
+    interpreter steps through copies of [Workload.template spec], the
+    memoized trace, one scratch packet at a time. *)
 let port_ir ?(config = naive_port) ?packets (elt : Ast.element) ir (spec : Workload.spec) : ported =
   let compiled = compile_for config ir in
   let interp = Interp.create ~mode:State.Nic elt in
-  let packets = match packets with Some ps -> ps | None -> Workload.generate spec in
-  assemble config elt spec ir compiled (Interp.run interp packets)
+  let profile =
+    match packets with
+    | Some ps -> Interp.run interp ps
+    | None -> Interp.run_copies interp (Workload.template spec)
+  in
+  assemble config elt spec ir compiled profile
 
 let port ?config ?packets elt spec =
   port_ir ?config ?packets elt (Nf_frontend.Lower.lower_element elt) spec

@@ -2,7 +2,7 @@
 
     Fixed-size per-shard rings of postmortem request records: the raw
     request line, the raw reply bytes, which route answered it
-    (fast/slow), the flow-cache shard, wall latency, trace id and a
+    (fast/slow), the flow key's shard label, wall latency, trace id and a
     coarse outcome class.  Recording is zero-copy over the strings the
     server already built — a clip check, one record allocation and an
     O(1) slot write under a per-ring mutex — so it stays inside the fast
@@ -29,7 +29,7 @@ type record = {
   ts_s : float;  (* wall clock at record time *)
   trace : string;  (* request trace id *)
   path : string;  (* "fast" | "slow" *)
-  shard : int;  (* flow-cache shard, -1 when the request had no key *)
+  shard : int;  (* the flow key's shard label, -1 when the request had no key *)
   latency_us : float;
   outcome : string;  (* "ok" | "error" | "overloaded" | "deadline" | "fault" *)
   request : string;  (* raw request line (clipped to [max_bytes]) *)

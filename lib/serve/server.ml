@@ -28,10 +28,11 @@ type miss = {
    fault caused it. *)
 type job_outcome = Report of Fastpath.Entry.t | Failed of { msg : string; fault : bool }
 
-(* One reply line as the accounting sees it: [shard] is -1 when the line
-   never reached a flow-cache shard, [latency_s] runs from batch start to
-   when the reply bytes existed, and [offer] is a slow-path answer to
-   offer for shadow evaluation when the line is accounted. *)
+(* One reply line as the accounting sees it: [shard] is the flow key's
+   shard label, -1 when the line had no flow key, [latency_s] runs from
+   batch start to when the reply bytes existed, and [offer] is a
+   slow-path answer to offer for shadow evaluation when the line is
+   accounted. *)
 type line_record = {
   line : string;
   reply : reply;
@@ -73,7 +74,9 @@ type job = {
    preallocated scratch and a per-block prediction memo, and the
    scale-out GBDT flattened to node arrays.  Jobs run one at a time on
    the loop's domain, so it needs no lock, and a block is predicted
-   once per worker whatever shard its keys land on. *)
+   once per worker whatever its keys.  The loop's domain is also the
+   only one that probes or installs [flows], which therefore takes no
+   lock either. *)
 type t = {
   mutable flows : Fastpath.Entry.t Fastpath.Shards.t;  (* installed flow entries *)
   mutable compiled : Clara.Pipeline.compiled;

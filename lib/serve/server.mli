@@ -37,8 +37,9 @@
     {e slow path} parses the request, runs the full analysis pipeline on
     the server's one compiled model set (flattened tree ensembles, LSTM
     inference into preallocated scratch, a per-block prediction memo
-    every key shares) and installs a flow entry — pre-serialized reply bytes — into a sharded, mutex-per-
-    shard flow cache ({!Fastpath.Shards}).  The {e fast path} answers a
+    every key shares) and installs a flow entry — pre-serialized reply
+    bytes — into the flow cache, one never-hit-first LRU over the whole
+    [cache_capacity] budget ({!Fastpath.Shards}).  The {e fast path} answers a
     repeat [analyze] query without building any intermediate JSON: the
     raw line is scanned in place ({!Fastpath.Scan}), the flow cache is
     probed, and the entry's bytes are spliced with the request's own
@@ -145,9 +146,10 @@
 type t
 
 (** Wrap warm-started (or freshly trained) models.  [cache_capacity]
-    bounds the flow cache's total entry budget (default 64; 0 disables
-    caching); [shards] is the flow-cache shard count (default 8, must be
-    [>= 1]; per-shard bounds round up, see {!Fastpath.Shards.create}).  [slow_threshold_s] sets the slow-request
+    is the flow cache's entry budget, exactly (default 64; 0 disables
+    caching); [shards] is the number of shard labels (default 8, must be
+    [>= 1]): the range of {!Fastpath.Shards.shard_of_key}, which picks a
+    key's flight ring and its occupancy gauge.  [slow_threshold_s] sets the slow-request
     log threshold in seconds (default: [CLARA_SLOW_MS] in milliseconds,
     else 1s).  [deadline_ms] is the default per-request budget (default:
     [CLARA_DEADLINE_MS], else unlimited; [<= 0] forces unlimited).
@@ -230,7 +232,7 @@ val request_drain : t -> unit
     [/healthz] document reports as ["draining"]. *)
 val draining : t -> bool
 
-(** Flow-cache shard count (= flight-ring count). *)
+(** Shard-label count (= flight-ring count). *)
 val shard_count : t -> int
 
 (** The server's flight recorder (always present; disabled when

@@ -107,11 +107,12 @@ let unpack_flow table i =
     and forks one child rng per packet; packet construction and payload
     fill then fan out in parallel, each packet reading only its own rng.
     The packet list is a pure function of [spec] for any [CLARA_JOBS].
-    Flows are drawn by binary search over a prefix-sum table: the same
-    flow, from the same single rng draw, as {!generate_reference}'s linear
-    scan.  Both serial loops offer a {!Util.Coop.yield} every
-    [yield_every] iterations, so a serving worker's first trace for a
-    spec runs in slices between hits; a yield draws nothing. *)
+    Zipf flows are drawn by binary search over a prefix-sum table, and
+    uniform ones by scaling the draw: the same flow, from the same single
+    rng draw, as {!generate_reference}'s linear scan.  Both serial loops
+    offer a {!Util.Coop.yield} every [yield_every] iterations, so a
+    serving worker's first trace for a spec runs in slices between hits;
+    a yield draws nothing. *)
 let yield_every = 4096
 
 let generate_with (spec : spec) : Nf_lang.Packet.t list =
@@ -136,18 +137,24 @@ let generate_with (spec : spec) : Nf_lang.Packet.t list =
     let src_ip = 0x0a000000 lor Util.Rng.int rng 0xffff lor ((i land 0xff) lsl 16) in
     pack_flow table i ~src_ip ~dst_ip ~proto ~sport ~dport ~next_seq
   done;
-  let weights =
+  (* A uniform draw's bisection over [cum = [1..n]] lands on
+     [min (n-1) (floor target)]: compute that index from the same single
+     draw instead of building the prefix sums (exact below 2^53). *)
+  let draw =
     match spec.flow_dist with
-    | Uniform -> Array.make n_flows 1.0
-    | Zipf s -> zipf_weights n_flows s
+    | Uniform ->
+      let n = float_of_int n_flows in
+      fun () -> min (n_flows - 1) (truncate (Util.Rng.float rng *. n))
+    | Zipf s ->
+      let cdf = Util.Rng.cdf_of_weights (zipf_weights n_flows s) in
+      fun () -> Util.Rng.weighted_index_cdf rng cdf
   in
-  let cdf = Util.Rng.cdf_of_weights weights in
   (* the flows drawn so far; a flow's first draw is its SYN *)
   let drawn = Hashtbl.create (min n_flows (max 16 spec.n_packets)) in
   let plans = Array.make (max 0 spec.n_packets) None in
   for k = 0 to spec.n_packets - 1 do
     if k mod yield_every = 0 then Util.Coop.yield ();
-    let fi = Util.Rng.weighted_index_cdf rng cdf in
+    let fi = draw () in
     let flow, first =
       match Hashtbl.find_opt drawn fi with
       | Some flow -> (flow, false)
@@ -186,26 +193,26 @@ let generate_with (spec : spec) : Nf_lang.Packet.t list =
 
 (** {!generate_with}, memoized: callers ask for a handful of
     specs over and over (every uncached serving analysis uses one of
-    three), so one template trace per spec is kept and each call returns
-    fresh {!Nf_lang.Packet.copy} copies — the interpreter mutates packets.
+    three), so one template trace per spec is kept, shared and read-only.
     A miss generates outside the lock (generation uses the domain pool)
     and publishes under it; the table is cleared when full. *)
-let generate =
+let template =
   let capacity = 8 in
   let memo : (spec, Nf_lang.Packet.t list) Hashtbl.t = Hashtbl.create capacity in
   let lock = Mutex.create () in
   fun spec ->
-    let template =
-      match Mutex.protect lock (fun () -> Hashtbl.find_opt memo spec) with
-      | Some t -> t
-      | None ->
-        let t = generate_with spec in
-        Mutex.protect lock (fun () ->
-            if Hashtbl.length memo >= capacity then Hashtbl.reset memo;
-            Hashtbl.replace memo spec t);
-        t
-    in
-    List.map Nf_lang.Packet.copy template
+    match Mutex.protect lock (fun () -> Hashtbl.find_opt memo spec) with
+    | Some t -> t
+    | None ->
+      let t = generate_with spec in
+      Mutex.protect lock (fun () ->
+          if Hashtbl.length memo >= capacity then Hashtbl.reset memo;
+          Hashtbl.replace memo spec t);
+      t
+
+(** The memoized trace as fresh {!Nf_lang.Packet.copy} copies, which a
+    caller may mutate (the interpreter does). *)
+let generate spec = List.map Nf_lang.Packet.copy (template spec)
 
 (** The retained pre-optimization generator, pinned verbatim from the seed
     revision (like {!Mlkit.Naive}): O(n_flows) linear-scan flow draws,
