@@ -342,7 +342,7 @@ let analyze_cmd =
 (* -- serve -- *)
 
 let serve_cmd =
-  let run model socket full cache_capacity shards http_port trace_requests slow_ms deadline_ms
+  let run model socket full cache_capacity http_port trace_requests slow_ms deadline_ms
       max_pending max_clients shadow_rate flight_capacity flight_dir profile_hz log_file
       log_level =
     if trace_requests then Obs.Span.set_enabled true;
@@ -372,7 +372,7 @@ let serve_cmd =
     in
     let slow_threshold_s = Option.map (fun ms -> ms /. 1000.0) slow_ms in
     let server =
-      Serve.Server.create ~cache_capacity ~shards ?slow_threshold_s ?deadline_ms ~max_pending
+      Serve.Server.create ~cache_capacity ?slow_threshold_s ?deadline_ms ~max_pending
         ~max_clients ?shadow_rate ?flight_capacity ?flight_dir ~version:bundle_version models
     in
     (* --profile HZ starts the continuous profiler; CLARA_PROF_HZ alone
@@ -386,11 +386,9 @@ let serve_cmd =
         ~quality:(fun () -> Serve.Server.quality_json server)
         ~health:(fun () ->
           Printf.sprintf
-            "{\"ok\":true,\"uptime_s\":%.1f,\"bundle\":\"%s\",\"shards\":%d,\"pid\":%d,\"draining\":%b}\n"
+            "{\"ok\":true,\"uptime_s\":%.1f,\"bundle\":\"%s\",\"pid\":%d,\"draining\":%b}\n"
             (Unix.gettimeofday () -. started_s)
-            bundle_version
-            (Serve.Server.shard_count server)
-            (Unix.getpid ())
+            bundle_version (Unix.getpid ())
             (Serve.Server.draining server))
         ~flight:(fun () -> Serve.Server.flight_json server)
         ()
@@ -401,7 +399,6 @@ let serve_cmd =
             ([ ("socket", Obs.Log.Str socket);
                ("jobs", Obs.Log.Int (Util.Pool.size ()));
                ("cache_capacity", Obs.Log.Int cache_capacity);
-               ("cache_shards", Obs.Log.Int shards);
                ("shadow_rate", Obs.Log.Num (Serve.Quality.rate (Serve.Server.quality server)));
                ("log_sink", Obs.Log.Str log_sink_name);
                ("log_level", Obs.Log.Str (Obs.Log.level_name (Obs.Log.level ())));
@@ -424,12 +421,6 @@ let serve_cmd =
     Arg.(value & opt int 64
          & info [ "cache" ] ~docv:"N"
              ~doc:"Flow-cache entry budget, one LRU over all of it (0 disables caching).")
-  in
-  let shards =
-    Arg.(value & opt int 8
-         & info [ "shards" ] ~docv:"N"
-             ~doc:"Shard-label count: the range of the FNV-1a key label that picks a \
-                   flight ring and an occupancy gauge (the flow cache is one table).")
   in
   let http_port =
     Arg.(value & opt (some int) None
@@ -476,8 +467,8 @@ let serve_cmd =
   let flight_capacity =
     Arg.(value & opt (some int) None
          & info [ "flight" ] ~docv:"N"
-             ~doc:"Flight-recorder slots per shard (default: \\$CLARA_FLIGHT, else 64; 0 \
-                   disables recording).")
+             ~doc:"Flight-recorder ring size in records (default: \\$CLARA_FLIGHT, else 256; \
+                   0 disables recording).")
   in
   let flight_dir =
     Arg.(value & opt (some string) None
@@ -493,7 +484,7 @@ let serve_cmd =
                    and GET /profile.folded).  Default: off, or \\$CLARA_PROF_HZ.")
   in
   Cmd.v (Cmd.info "serve" ~doc:"Run the long-lived insight service on a Unix socket")
-    Term.(const run $ model_arg $ socket_arg $ full_arg $ cache_capacity $ shards $ http_port
+    Term.(const run $ model_arg $ socket_arg $ full_arg $ cache_capacity $ http_port
           $ trace_requests $ slow_ms $ deadline_ms $ max_pending $ max_clients $ shadow_rate
           $ flight_capacity $ flight_dir $ profile_hz $ log_file_arg $ log_level_arg)
 
@@ -560,7 +551,7 @@ let query_cmd =
 
 let router_cmd =
   let run model socket full workers vnodes tenant_quota health_period_s forward_timeout_s
-      max_clients http_port worker_cache worker_shards worker_max_pending worker_max_clients
+      max_clients http_port worker_cache worker_max_pending worker_max_clients
       log_file log_level =
     let log_sink_name = apply_log_opts log_file log_level in
     (* Workers load their models from a bundle directory; without --model,
@@ -592,7 +583,7 @@ let router_cmd =
       let spawned =
         List.init workers (fun k ->
             let name = Printf.sprintf "w%d" k in
-            Router.Spawn.spawn ~quiet:false ~cache_capacity:worker_cache ~shards:worker_shards
+            Router.Spawn.spawn ~quiet:false ~cache_capacity:worker_cache
               ~max_pending:worker_max_pending ~max_clients:worker_max_clients ~name
               ~socket_path:(Printf.sprintf "%s.%s" socket name) ~bundle:bundle_dir ())
       in
@@ -680,10 +671,6 @@ let router_cmd =
     Arg.(value & opt int 64
          & info [ "worker-cache" ] ~docv:"N" ~doc:"Each worker's flow-cache entry budget.")
   in
-  let worker_shards =
-    Arg.(value & opt int 8
-         & info [ "worker-shards" ] ~docv:"N" ~doc:"Each worker's shard-label count (see 'clara serve --shards').")
-  in
   let worker_max_pending =
     Arg.(value & opt int 256
          & info [ "worker-max-pending" ] ~docv:"N"
@@ -702,8 +689,7 @@ let router_cmd =
              them")
     Term.(const run $ model_arg $ socket_arg $ full_arg $ workers $ vnodes $ tenant_quota
           $ health_period_s $ forward_timeout_s $ max_clients $ http_port $ worker_cache
-          $ worker_shards $ worker_max_pending $ worker_max_clients $ log_file_arg
-          $ log_level_arg)
+          $ worker_max_pending $ worker_max_clients $ log_file_arg $ log_level_arg)
 
 (* -- rollout -- *)
 
@@ -825,7 +811,7 @@ let flight_cmd =
 (* -- replay -- *)
 
 let replay_cmd =
-  let run dump model shards cache json =
+  let run dump model cache json =
     let header, records =
       match Serve.Replay.load dump with
       | Ok hr -> hr
@@ -836,9 +822,7 @@ let replay_cmd =
         exit 1
     in
     let b = load_bundle model in
-    let server =
-      Serve.Replay.server_for ~shards ~cache_capacity:cache b.Persist.Bundle.models
-    in
+    let server = Serve.Replay.server_for ~cache_capacity:cache b.Persist.Bundle.models in
     let r = Serve.Replay.replay ~server records in
     if json then print_endline (Serve.Replay.to_json_string r)
     else begin
@@ -870,9 +854,6 @@ let replay_cmd =
     Arg.(required & opt (some dir) None
          & info [ "model" ] ~docv:"DIR" ~doc:"Model bundle to replay against (see 'clara train --save').")
   in
-  let shards =
-    Arg.(value & opt int 8 & info [ "shards" ] ~docv:"N" ~doc:"Replay server's shard-label count (see 'clara serve --shards').")
-  in
   let cache =
     Arg.(value & opt int 64 & info [ "cache" ] ~docv:"N" ~doc:"Replay server's flow-cache capacity.")
   in
@@ -883,7 +864,7 @@ let replay_cmd =
     (Cmd.info "replay"
        ~doc:"Deterministically re-issue a flight dump against a bundle and byte-diff the \
              replies (modulo the volatile id/trace/cached/path fields); exits 1 on divergence")
-    Term.(const run $ dump $ model $ shards $ cache $ json)
+    Term.(const run $ dump $ model $ cache $ json)
 
 (* -- port -- *)
 

@@ -11,19 +11,12 @@
    installed is the newest entry of its queue, so skipping it costs one
    step.  Served traffic mixes hot corpus keys with one-shot inline
    programs that are never asked for again; under this rule a one-shot
-   install displaces another never-hit entry, not a hot key.
-
-   Each key also carries its label, FNV-1a over the key bytes modulo
-   [shards]: a pure function of the bytes, so it never depends on
-   CLARA_JOBS, domain count or insertion order.  Labels place nothing;
-   they name the flight ring and count entries for the occupancy
-   gauges. *)
+   install displaces another never-hit entry, not a hot key. *)
 
 type 'a link =
   | Nil
   | Node of {
       key : string;
-      label : int;
       mutable value : 'a;
       mutable hit : bool;
       mutable older : 'a link;
@@ -37,8 +30,6 @@ type 'a t = {
   table : (string, 'a link) Hashtbl.t;  (* holds only [Node]s *)
   fresh : 'a queue;  (* never hit since install *)
   hot : 'a queue;  (* hit at least once *)
-  per_label : int array;
-  occupancy : Obs.Metrics.gauge array;
   mutable hits : int;
   mutable misses : int;
   mutable installs : int;
@@ -60,38 +51,20 @@ let m_evictions =
   Obs.Metrics.counter ~help:"Flow entries evicted under capacity pressure"
     "clara_fastpath_evictions_total"
 
-let occupancy_gauge i =
-  Obs.Metrics.gauge ~help:"Installed flow entries per shard label"
-    ~labels:[ ("shard", string_of_int i) ]
-    "clara_fastpath_shard_occupancy"
+let m_occupancy = Obs.Metrics.gauge ~help:"Installed flow entries" "clara_fastpath_occupancy"
 
-let create ?(shards = 8) ~capacity () =
-  if shards < 1 then invalid_arg "Fastpath.Shards.create: shards must be >= 1";
+let create ?shards:_ ~capacity () =
   if capacity < 0 then invalid_arg "Fastpath.Shards.create: capacity must be >= 0";
   { cap = capacity;
     table = Hashtbl.create (max 8 (min capacity 4096));
     fresh = { oldest = Nil; newest = Nil };
     hot = { oldest = Nil; newest = Nil };
-    per_label = Array.make shards 0;
-    occupancy = Array.init shards occupancy_gauge;
     hits = 0;
     misses = 0;
     installs = 0;
     evictions = 0 }
 
-let shard_count t = Array.length t.per_label
 let capacity t = t.cap
-
-(* FNV-1a, 64-bit, over the key bytes. *)
-let hash_key key =
-  let h = ref (-3750763034362895579L) (* 0xCBF29CE484222325 *) in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 1099511628211L)
-    key;
-  Int64.to_int !h land max_int
-
-let shard_of_key t key = hash_key key mod Array.length t.per_label
 
 (* -- the two queues -- *)
 
@@ -136,10 +109,6 @@ let probe t key = lookup t key ~count_miss:false
 
 (* -- installs -- *)
 
-let count_label t label delta =
-  t.per_label.(label) <- t.per_label.(label) + delta;
-  Obs.Metrics.set_gauge t.occupancy.(label) (float_of_int t.per_label.(label))
-
 (* The oldest entry of [q] other than [keep], the newest one. *)
 let oldest_but q ~keep =
   match q.oldest with Node n as link when link == keep -> n.newer | link -> link
@@ -151,7 +120,6 @@ let evict t ~keep =
   | Node n ->
     unlink (queue t n.hit) victim;
     Hashtbl.remove t.table n.key;
-    count_label t n.label (-1);
     t.evictions <- t.evictions + 1;
     Obs.Metrics.inc m_evictions
 
@@ -164,17 +132,15 @@ let install t key value =
       unlink q link;
       push_newest q link
     | Some Nil | None ->
-      let label = shard_of_key t key in
-      let link = Node { key; label; value; hit = false; older = Nil; newer = Nil } in
+      let link = Node { key; value; hit = false; older = Nil; newer = Nil } in
       Hashtbl.replace t.table key link;
       push_newest t.fresh link;
-      count_label t label 1;
       t.installs <- t.installs + 1;
       Obs.Metrics.inc m_installs;
-      if Hashtbl.length t.table > t.cap then evict t ~keep:link
+      if Hashtbl.length t.table > t.cap then evict t ~keep:link;
+      Obs.Metrics.set_gauge m_occupancy (float_of_int (Hashtbl.length t.table))
 
 let length t = Hashtbl.length t.table
-let shard_length t i = t.per_label.(i)
 let hits t = t.hits
 let misses t = t.misses
 let installs t = t.installs

@@ -204,9 +204,9 @@ let predict t seq =
 
    [predict] leans on per-domain DLS scratch but still allocates in the
    head ([Nn.affine] x 2, two [Array.map]s).  A [scratch] owns the whole
-   working set — recurrence workspace plus head buffers — so a caller
-   that guards it with its own lock (e.g. one per flow-cache shard) can
-   evaluate without allocating or touching DLS.  [affine_into] repeats
+   working set — recurrence workspace plus head buffers — so its one
+   owner (the worker's compiled predictor, used only on the serving
+   loop's domain) can evaluate without allocating or touching DLS.  [affine_into] repeats
    {!Nn.affine}'s accumulation order exactly (bias first, then ascending
    [j]), so [predict_into] is bit-identical to [predict]. *)
 

@@ -30,9 +30,10 @@ val create : ?hidden:int -> ?fc_dim:int -> ?out_dim:int -> vocab:int -> int -> t
 val predict : t -> int array -> float array
 
 (** Preallocated inference working set (recurrence workspace + head
-    buffers) for {!predict_into}.  Not thread-safe: guard each scratch
-    with the caller's own lock (the serving layer keeps one per
-    flow-cache shard). *)
+    buffers) for {!predict_into}.  Not thread-safe: one domain at a time
+    may use a scratch (the serving layer's one compiled predictor per
+    worker, [Clara.Predictor.compile], owns one and runs on the
+    worker's loop domain, so it takes no lock). *)
 type scratch
 
 (** Fresh scratch sized for [t] (sequence buffers grow on demand). *)

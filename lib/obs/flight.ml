@@ -5,7 +5,6 @@ type record = {
   ts_s : float;
   trace : string;
   path : string;
-  shard : int;
   latency_us : float;
   outcome : string;
   request : string;
@@ -14,19 +13,19 @@ type record = {
 }
 
 let dummy =
-  { seq = -1; ts_s = 0.0; trace = ""; path = ""; shard = -1; latency_us = 0.0; outcome = "";
+  { seq = -1; ts_s = 0.0; trace = ""; path = ""; latency_us = 0.0; outcome = "";
     request = ""; reply = ""; truncated = false }
 
-(* One ring per shard: a mutex held only for the O(1) slot write, so
+(* One ring under one mutex, held only for the O(1) slot write, so
    recording on the serving path costs a clip check, one allocation and
-   nanoseconds of lock hold. *)
-type ring = { r_lock : Mutex.t; r_buf : record array; mutable r_written : int }
-
+   nanoseconds of lock hold.  The lock is there for readers: the HTTP
+   exporter snapshots [/flight.json] from its own domain. *)
 type t = {
-  per_shard : int;  (* slots per ring; 0 = recording disabled *)
+  slots : int;  (* ring size; 0 = recording disabled *)
   max_bytes : int;  (* request/reply bytes kept per record before clipping *)
-  rings : ring array;
-  seq : int Atomic.t;
+  lock : Mutex.t;
+  buf : record array;
+  mutable written : int;  (* records ever written = the next [seq] *)
   dir : string option;  (* where triggered dumps land; None = count only *)
   min_dump_interval_s : float;
   dump_lock : Mutex.t;
@@ -57,79 +56,72 @@ let m_trigger =
 
 let m_dumps = Metrics.counter ~help:"Flight-recorder dumps written" "clara_flight_dumps_total"
 
+(* A record keeps its request and reply alive until the ring wraps, so
+   every record still held at a minor collection is promoted: the cost
+   of recording grows with the ring.  On warm fast-path hits over a
+   12-key Zipf mix, 256 slots promote 36 words per hit and 512 slots
+   71, enough to lift a routed p99 by a fifth. *)
 let default_capacity () =
   match Option.bind (Sys.getenv_opt "CLARA_FLIGHT") int_of_string_opt with
   | Some n when n >= 0 -> n
-  | Some _ | None -> 64
+  | Some _ | None -> 256
 
 let default_max_bytes () =
   match Option.bind (Sys.getenv_opt "CLARA_FLIGHT_MAX_BYTES") int_of_string_opt with
   | Some n when n >= 64 -> n
   | Some _ | None -> 65536
 
-let create ?(shards = 1) ?capacity ?max_bytes ?dir ?(min_dump_interval_s = 30.0) () =
-  if shards < 1 then invalid_arg "Flight.create: shards must be >= 1";
-  let per_shard = match capacity with Some c -> max 0 c | None -> default_capacity () in
+let create ?capacity ?max_bytes ?dir ?(min_dump_interval_s = 30.0) () =
+  let slots = match capacity with Some c -> max 0 c | None -> default_capacity () in
   let max_bytes = match max_bytes with Some b -> max 64 b | None -> default_max_bytes () in
   let dir = match dir with Some _ as d -> d | None -> Sys.getenv_opt "CLARA_FLIGHT_DIR" in
-  { per_shard; max_bytes;
-    rings =
-      Array.init shards (fun _ ->
-          { r_lock = Mutex.create ();
-            r_buf = Array.make (max 1 per_shard) dummy;
-            r_written = 0 });
-    seq = Atomic.make 0; dir; min_dump_interval_s; dump_lock = Mutex.create ();
+  { slots; max_bytes; lock = Mutex.create (); buf = Array.make (max 1 slots) dummy; written = 0;
+    dir; min_dump_interval_s; dump_lock = Mutex.create ();
     last_dump_s = neg_infinity; dump_seq = 0; trig_lock = Mutex.create ();
     trig_counts = Hashtbl.create 8 }
 
-let enabled t = t.per_shard > 0
-let capacity t = t.per_shard * Array.length t.rings
-let recorded t = Atomic.get t.seq
+let enabled t = t.slots > 0
+let capacity t = t.slots
+
+let recorded t =
+  Mutex.lock t.lock;
+  let n = t.written in
+  Mutex.unlock t.lock;
+  n
 
 let clip t s = if String.length s > t.max_bytes then (String.sub s 0 t.max_bytes, true) else (s, false)
 
-let record t ~shard ~trace ~path ~latency_us ~outcome ~request ~reply =
-  if t.per_shard > 0 then begin
-    let seq = Atomic.fetch_and_add t.seq 1 in
+let record t ~trace ~path ~latency_us ~outcome ~request ~reply =
+  if t.slots > 0 then begin
     let request, c1 = clip t request in
     let reply, c2 = clip t reply in
-    let r =
-      { seq; ts_s = Unix.gettimeofday (); trace; path; shard; latency_us; outcome; request;
-        reply; truncated = c1 || c2 }
-    in
-    let n = Array.length t.rings in
-    (* unkeyed records (shard < 0) spread round-robin by arrival *)
-    let ring = t.rings.(if shard >= 0 then shard mod n else seq mod n) in
-    Mutex.lock ring.r_lock;
-    ring.r_buf.(ring.r_written mod t.per_shard) <- r;
-    ring.r_written <- ring.r_written + 1;
-    Mutex.unlock ring.r_lock;
+    let ts_s = Unix.gettimeofday () in
+    Mutex.lock t.lock;
+    let seq = t.written in
+    t.buf.(seq mod t.slots) <-
+      { seq; ts_s; trace; path; latency_us; outcome; request; reply; truncated = c1 || c2 };
+    t.written <- seq + 1;
+    Mutex.unlock t.lock;
     Metrics.inc m_records
   end
 
+(* The ring holds the newest [min written slots] records; slot order from
+   the oldest of them is [seq] order. *)
 let snapshot t =
-  let per_ring =
-    Array.map
-      (fun ring ->
-        Mutex.lock ring.r_lock;
-        let n = min ring.r_written t.per_shard in
-        let first = ring.r_written - n in
-        let out = Array.init n (fun i -> ring.r_buf.((first + i) mod t.per_shard)) in
-        Mutex.unlock ring.r_lock;
-        out)
-      t.rings
-  in
-  let all = Array.concat (Array.to_list per_ring) in
-  Array.sort (fun (a : record) b -> compare a.seq b.seq) all;
-  Array.to_list all
+  Mutex.lock t.lock;
+  let n = min t.written t.slots in
+  let first = t.written - n in
+  let out = List.init n (fun i -> t.buf.((first + i) mod t.slots)) in
+  Mutex.unlock t.lock;
+  out
 
 (* -- JSON -- *)
 
 let add_record_json b (r : record) =
   let e = Json.add_escaped in
   Printf.bprintf b
-    "{\"seq\":%d,\"ts\":%.6f,\"trace\":\"%a\",\"path\":\"%a\",\"shard\":%d,\"latency_us\":%.1f,\"outcome\":\"%a\",\"truncated\":%b,\"request\":\"%a\",\"reply\":\"%a\"}"
-    r.seq r.ts_s e r.trace e r.path r.shard r.latency_us e r.outcome r.truncated e r.request
+    "{\"seq\":%d,\"ts\":%.6f,\"trace\":\"%a\",\"path\":\"%a\",\"latency_us\":%.1f,\"outcome\":\"%a\",\"truncated\":%b,\"request\":\"%a\",\"reply\":\"%a\"}"
+    r.seq r.ts_s e r.trace e r.path r.latency_us e r.outcome r.truncated e r.request
     e r.reply
 
 let triggered t =
@@ -140,8 +132,8 @@ let triggered t =
 
 let to_json_string t =
   let b = Buffer.create 1024 in
-  Printf.bprintf b "{\"enabled\":%b,\"capacity\":%d,\"shards\":%d,\"recorded\":%d,\"triggers\":{"
-    (enabled t) (capacity t) (Array.length t.rings) (recorded t);
+  Printf.bprintf b "{\"enabled\":%b,\"capacity\":%d,\"recorded\":%d,\"triggers\":{"
+    (enabled t) (capacity t) (recorded t);
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char b ',';

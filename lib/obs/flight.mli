@@ -1,16 +1,17 @@
 (** Always-on black-box flight recorder for the serving path.
 
-    Fixed-size per-shard rings of postmortem request records: the raw
-    request line, the raw reply bytes, which route answered it
-    (fast/slow), the flow key's shard label, wall latency, trace id and a
-    coarse outcome class.  Recording is zero-copy over the strings the
-    server already built — a clip check, one record allocation and an
-    O(1) slot write under a per-ring mutex — so it stays inside the fast
-    path's bench envelope (see [bench/main.exe flight]).
+    One fixed-size ring of postmortem request records: the raw request
+    line, the raw reply bytes, which route answered it (fast/slow), wall
+    latency, trace id and a coarse outcome class.  Recording is zero-copy
+    over the strings the server already built — a clip check, one record
+    allocation and an O(1) slot write under the ring's mutex — so it
+    stays inside the fast path's bench envelope (see
+    [bench/main.exe flight]).  The mutex lets another domain (the HTTP
+    exporter's [/flight]) snapshot while the serving loop records.
 
     On a {e trigger} (SIGQUIT, a slow request, a deadline_exceeded reply,
     an armed-fault hit, an uncaught server exception, or an explicit
-    request) the rings dump as JSONL: one header object, then one object
+    request) the ring dumps as JSONL: one header object, then one object
     per record, oldest first.  Every dump is a repro case —
     [clara replay] re-issues it against a bundle and byte-diffs the
     replies.  Triggered dumps are rate-limited and only written when a
@@ -29,7 +30,6 @@ type record = {
   ts_s : float;  (* wall clock at record time *)
   trace : string;  (* request trace id *)
   path : string;  (* "fast" | "slow" *)
-  shard : int;  (* the flow key's shard label, -1 when the request had no key *)
   latency_us : float;
   outcome : string;  (* "ok" | "error" | "overloaded" | "deadline" | "fault" *)
   request : string;  (* raw request line (clipped to [max_bytes]) *)
@@ -39,16 +39,14 @@ type record = {
 
 type t
 
-(** [create ~shards ~capacity ()] sizes one ring of [capacity] records
-    per shard.  [capacity] defaults to [CLARA_FLIGHT] (else 64); 0
-    disables recording entirely.  [max_bytes] clips stored request/reply
+(** [create ~capacity ()] sizes the ring at [capacity] records in total.
+    [capacity] defaults to [CLARA_FLIGHT] (else 256); 0 disables
+    recording entirely.  [max_bytes] clips stored request/reply
     bytes ([CLARA_FLIGHT_MAX_BYTES], else 65536).  [dir] is where
     triggered dumps land ([CLARA_FLIGHT_DIR] when absent; no directory
     means triggers only count).  [min_dump_interval_s] rate-limits
-    triggered dumps (default 30s).
-    @raise Invalid_argument when [shards < 1]. *)
+    triggered dumps (default 30s). *)
 val create :
-  ?shards:int ->
   ?capacity:int ->
   ?max_bytes:int ->
   ?dir:string ->
@@ -56,20 +54,19 @@ val create :
   unit ->
   t
 
-(** Is recording on (per-shard capacity > 0)? *)
+(** Is recording on (capacity > 0)? *)
 val enabled : t -> bool
 
-(** Total slots across all rings. *)
+(** Ring slots. *)
 val capacity : t -> int
 
-(** Records written since creation (>= what the rings still hold). *)
+(** Records written since creation (>= what the ring still holds). *)
 val recorded : t -> int
 
-(** Append one record ([shard < 0] spreads round-robin).  No-op when
-    disabled. *)
+(** Append one record, overwriting the oldest once the ring is full.
+    No-op when disabled. *)
 val record :
   t ->
-  shard:int ->
   trace:string ->
   path:string ->
   latency_us:float ->
@@ -78,7 +75,8 @@ val record :
   reply:string ->
   unit
 
-(** Everything the rings currently hold, in [seq] (arrival) order. *)
+(** Everything the ring currently holds — the newest [capacity]
+    records — in [seq] (arrival) order. *)
 val snapshot : t -> record list
 
 (** One JSON document: config, trigger counts, and the full snapshot. *)

@@ -14,7 +14,7 @@ type t = {
 let worker_main_if_requested () =
   if Array.length Sys.argv > 1 && Sys.argv.(1) = sentinel then begin
     let socket = ref "" and bundle = ref "" and quiet = ref false in
-    let cache = ref None and shards = ref None in
+    let cache = ref None in
     let max_pending = ref None and max_clients = ref None in
     let i = ref 2 in
     let next () =
@@ -27,7 +27,6 @@ let worker_main_if_requested () =
       | "--bundle" -> bundle := next ()
       | "--quiet" -> quiet := true
       | "--cache" -> cache := Some (int_of_string (next ()))
-      | "--shards" -> shards := Some (int_of_string (next ()))
       | "--max-pending" -> max_pending := Some (int_of_string (next ()))
       | "--max-clients" -> max_clients := Some (int_of_string (next ()))
       | arg ->
@@ -43,15 +42,14 @@ let worker_main_if_requested () =
     | Ok (b, _dropped) ->
       let version = Persist.Bundle.version b.Persist.Bundle.manifest in
       let server =
-        Serve.Server.create ?cache_capacity:!cache ?shards:!shards
-          ?max_pending:!max_pending ?max_clients:!max_clients ~version
-          b.Persist.Bundle.models
+        Serve.Server.create ?cache_capacity:!cache ?max_pending:!max_pending
+          ?max_clients:!max_clients ~version b.Persist.Bundle.models
       in
       Serve.Server.run server ~socket_path:!socket;
       exit 0)
   end
 
-let spawn ?(quiet = true) ?cache_capacity ?shards ?max_pending ?max_clients ~name
+let spawn ?(quiet = true) ?cache_capacity ?max_pending ?max_clients ~name
     ~socket_path ~bundle () =
   let opt flag = function
     | None -> []
@@ -61,7 +59,6 @@ let spawn ?(quiet = true) ?cache_capacity ?shards ?max_pending ?max_clients ~nam
     [ Sys.executable_name; sentinel; "--socket"; socket_path; "--bundle"; bundle ]
     @ (if quiet then [ "--quiet" ] else [])
     @ opt "--cache" cache_capacity
-    @ opt "--shards" shards
     @ opt "--max-pending" max_pending
     @ opt "--max-clients" max_clients
   in

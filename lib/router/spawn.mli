@@ -35,7 +35,6 @@ val worker_main_if_requested : unit -> unit
 val spawn :
   ?quiet:bool ->
   ?cache_capacity:int ->
-  ?shards:int ->
   ?max_pending:int ->
   ?max_clients:int ->
   name:string ->

@@ -4,8 +4,8 @@
 
     - [GET /healthz]    -> small liveness JSON.  With a [health] renderer
                            wired at {!create} it is the server's document
-                           (uptime, bundle version, shard count, pid,
-                           draining flag); otherwise a built-in
+                           (uptime, bundle version, pid, draining
+                           flag); otherwise a built-in
                            [{"ok":true,"uptime_s":..,"pid":..}].  Either
                            way it is allocation-light and takes no
                            registry lock — safe to probe at any rate

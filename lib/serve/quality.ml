@@ -69,8 +69,8 @@ let with_lock m f =
 
 (* -- deterministic sampling --
 
-   Selection hashes the request's id token and flow key through FNV-1a 64
-   (the Shards hash), folds in the seed, and feeds one splitmix64 draw.
+   Selection hashes the request's id token and flow key through FNV-1a 64,
+   folds in the seed, and feeds one splitmix64 draw.
    The decision depends only on request content, never on arrival order or
    which domain plans the line, so CLARA_JOBS=1 and =4 shadow the same
    requests. *)

@@ -23,8 +23,7 @@ let record_of_json j : (Obs.Flight.record, string) Stdlib.result =
   | Some request, Some reply ->
     Ok
       { Obs.Flight.seq = int_of_float (num "seq"); ts_s = num "ts"; trace = str "trace";
-        path = str "path"; shard = int_of_float (Option.value (Jsonl.num_member "shard" j) ~default:(-1.0));
-        latency_us = num "latency_us"; outcome = str "outcome"; request; reply;
+        path = str "path"; latency_us = num "latency_us"; outcome = str "outcome"; request; reply;
         truncated = (match Jsonl.member "truncated" j with Some (Jsonl.Bool b) -> b | _ -> false) }
   | _ -> Error "record line missing \"request\"/\"reply\""
 
@@ -150,11 +149,11 @@ let environmental_outcome = function
 
 (* -- replay -- *)
 
-let server_for ?(shards = 8) ?(cache_capacity = 64) models =
+let server_for ?(cache_capacity = 64) models =
   (* No deadline, no shedding surprises, no shadow sampling, no nested
      recording: the replay server must answer every replayable line
      deterministically from the bundle alone. *)
-  Server.create ~cache_capacity ~shards ~slow_threshold_s:infinity ~deadline_ms:0.0
+  Server.create ~cache_capacity ~slow_threshold_s:infinity ~deadline_ms:0.0
     ~max_pending:4096 ~shadow_rate:0.0 ~flight_capacity:0 models
 
 let replay ~server records =

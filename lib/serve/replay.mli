@@ -67,7 +67,7 @@ val volatile_request : string -> bool
 (** A server configured for determinism: no default deadline, no shadow
     sampling, no nested flight recording, an effectively-infinite slow
     threshold, and room for every line of a dump in one batch. *)
-val server_for : ?shards:int -> ?cache_capacity:int -> Clara.Pipeline.models -> Server.t
+val server_for : ?cache_capacity:int -> Clara.Pipeline.models -> Server.t
 
 (** Re-issue the records (in [seq] order) one at a time through
     {!Server.handle_request} and byte-diff modulo {!normalize}. *)

@@ -28,15 +28,13 @@ type miss = {
    fault caused it. *)
 type job_outcome = Report of Fastpath.Entry.t | Failed of { msg : string; fault : bool }
 
-(* One reply line as the accounting sees it: [shard] is the flow key's
-   shard label, -1 when the line had no flow key, [latency_s] runs from
+(* One reply line as the accounting sees it: [latency_s] runs from
    batch start to when the reply bytes existed, and [offer] is a
    slow-path answer to offer for shadow evaluation when the line is
    accounted. *)
 type line_record = {
   line : string;
   reply : reply;
-  shard : int;
   path : string;
   latency_s : float;
   offer : (Jsonl.t * string * Fastpath.Entry.t) option;
@@ -87,7 +85,7 @@ type t = {
   max_pending : int;  (* request lines admitted per batch before shedding *)
   max_clients : int;  (* accepted connections before connection-level shedding *)
   fast_buf : Buffer.t;  (* fast-path render scratch (process_batch is single-caller) *)
-  flight : Obs.Flight.t;  (* always-on postmortem rings (capacity 0 disables) *)
+  flight : Obs.Flight.t;  (* always-on postmortem ring (capacity 0 disables) *)
   mutable served_count : int;
   mutable shed_count : int;
   control : Evloop.control;  (* shutdown / drain flags *)
@@ -109,12 +107,11 @@ let default_deadline_s () =
   | Some ms when ms > 0.0 -> Some (ms /. 1000.0)
   | Some _ | None -> None
 
-let create ?(cache_capacity = 64) ?(shards = 8) ?slow_threshold_s ?deadline_ms
+let create ?(cache_capacity = 64) ?shards:_ ?slow_threshold_s ?deadline_ms
     ?(max_pending = 256) ?(max_clients = 64) ?shadow_rate ?shadow_seed ?flight_capacity
     ?flight_dir ?(version = "trained") models =
   if max_pending < 1 then invalid_arg "Server.create: max_pending must be >= 1";
   if max_clients < 1 then invalid_arg "Server.create: max_clients must be >= 1";
-  if shards < 1 then invalid_arg "Server.create: shards must be >= 1";
   let slow_s = match slow_threshold_s with Some s -> s | None -> default_slow_s () in
   let deadline_s =
     match deadline_ms with
@@ -122,12 +119,12 @@ let create ?(cache_capacity = 64) ?(shards = 8) ?slow_threshold_s ?deadline_ms
     | Some _ -> None (* an explicit 0 disables any environment default *)
     | None -> default_deadline_s ()
   in
-  { flows = Fastpath.Shards.create ~shards ~capacity:cache_capacity ();
+  { flows = Fastpath.Shards.create ~capacity:cache_capacity ();
     compiled = Clara.Pipeline.compile models;
     version;
     quality = Quality.create ?rate:shadow_rate ?seed:shadow_seed ();
     slow_s; deadline_s; max_pending; max_clients; fast_buf = Buffer.create 1024;
-    flight = Obs.Flight.create ~shards ?capacity:flight_capacity ?dir:flight_dir ();
+    flight = Obs.Flight.create ?capacity:flight_capacity ?dir:flight_dir ();
     served_count = 0; shed_count = 0; control = Evloop.control ();
     flight_dump_requested = false; jobs = Queue.create (); by_key = Hashtbl.create 16;
     waiting = 0 }
@@ -139,7 +136,6 @@ let cache_hits t = Fastpath.Shards.hits t.flows
 let cache_misses t = Fastpath.Shards.misses t.flows
 let request_drain t = Evloop.request_drain t.control
 let draining t = Evloop.draining t.control
-let shard_count t = Fastpath.Shards.shard_count t.flows
 let flight t = t.flight
 let flight_json t = Obs.Flight.to_json_string t.flight
 let quality t = t.quality
@@ -277,10 +273,9 @@ let analyze_reply ~trace id ~cached ~path entry =
 (* A planned request line: answered by the fast path, already answered,
    a slow-path cache hit (its reply rendered already; the shadow offer
    waits for the render stage so offers keep plan order), or an analysis
-   for the run stage.  [Fast] keeps the shard the scanner already had in
-   hand for the flight recorder (-1 when recording is off). *)
+   for the run stage. *)
 type plan =
-  | Fast of { reply : reply; shard : int }
+  | Fast of reply
   | Ready of reply
   | Hit of { reply : reply; id : Jsonl.t; key : string; entry : Fastpath.Entry.t }
   | Miss of miss
@@ -422,14 +417,7 @@ let fast_track t ~now line =
         let id = if id_len = 0 then "null" else String.sub line id_off id_len in
         maybe_shadow t ~id ~key entry
       end;
-      (* The flight recorder's shard comes from the key already in hand;
-         when recording is off it costs one atomic-backed check. *)
-      Some
-        (Fast
-           { reply = { text = Buffer.contents b; outcome = `Ok; trace };
-             shard =
-               (if Obs.Flight.enabled t.flight then Fastpath.Shards.shard_of_key t.flows key
-                else -1) }))
+      Some (Fast { text = Buffer.contents b; outcome = `Ok; trace }))
 
 (* -- hot reload --
 
@@ -481,10 +469,9 @@ let reload_reply t ~trace id req =
               serving %s)"
              dir next want t.version)
       | Some _ | None ->
-        let shards = Fastpath.Shards.shard_count t.flows in
         let capacity = Fastpath.Shards.capacity t.flows in
         t.compiled <- Clara.Pipeline.compile b.Persist.Bundle.models;
-        t.flows <- Fastpath.Shards.create ~shards ~capacity ();
+        t.flows <- Fastpath.Shards.create ~capacity ();
         (* queued jobs finish on the old models; a later miss starts anew *)
         Hashtbl.reset t.by_key;
         let previous = t.version in
@@ -532,7 +519,6 @@ let plan_line_slow t ~now line =
           ("cache_misses", num (Fastpath.Shards.misses t.flows));
           ("cache_length", num (Fastpath.Shards.length t.flows));
           ("cache_capacity", num (Fastpath.Shards.capacity t.flows));
-          ("cache_shards", num (Fastpath.Shards.shard_count t.flows));
           ("cache_installs", num (Fastpath.Shards.installs t.flows));
           ("cache_evictions", num (Fastpath.Shards.evictions t.flows)) ]
     | Some "metrics" ->
@@ -567,7 +553,7 @@ let plan_line_slow t ~now line =
       ok [ ("quality", Jsonl.Str (quality_json t)) ]
     | Some "flight" ->
       (* On-demand snapshot; an optional "dump" member also writes the
-         rings as a JSONL dump to that path on the server side. *)
+         ring as a JSONL dump to that path on the server side. *)
       let dumped =
         match Jsonl.str_member "dump" r.req with
         | None -> []
@@ -621,7 +607,7 @@ let failed e =
 (* One reply line's accounting.  An admitted line's own latency feeds the
    histogram, the latency SLO and, past the threshold, the slow-request
    log.  Every line counts availability by its own outcome and leaves a
-   postmortem record (when the rings are enabled) classed the same way;
+   postmortem record (when the ring is enabled) classed the same way;
    a deadline or fault outcome also pulls the matching dump trigger. *)
 let account t ~n_lines ~admitted r =
   if admitted then begin
@@ -642,7 +628,7 @@ let account t ~n_lines ~admitted r =
     | `Deadline -> ignore (Obs.Flight.trigger t.flight "deadline")
     | `Fault -> ignore (Obs.Flight.trigger t.flight "fault")
     | `Ok | `Error | `Overloaded -> ());
-    Obs.Flight.record t.flight ~shard:r.shard ~trace:r.reply.trace ~path:r.path
+    Obs.Flight.record t.flight ~trace:r.reply.trace ~path:r.path
       ~latency_us:(r.latency_s *. 1e6) ~outcome:(outcome_label r.reply.outcome)
       ~request:r.line ~reply:r.reply.text
   end
@@ -693,15 +679,14 @@ let shed_record t ~now0 line =
     err_reply ~outcome:`Overloaded ~trace id
       (Printf.sprintf "overloaded: server admits %d request lines per batch" t.max_pending)
   in
-  { line; reply; shard = -1; path = "slow"; latency_s = Obs.Clock.now_s () -. now0; offer = None }
+  { line; reply; path = "slow"; latency_s = Obs.Clock.now_s () -. now0; offer = None }
 
 (* A waiting line's reply, and the answer to offer for shadow
    evaluation. *)
 let answer t w (reply, offer) =
   t.waiting <- t.waiting - 1;
   fill t w.round w.cell
-    { line = w.line; reply; shard = Fastpath.Shards.shard_of_key t.flows w.miss.key;
-      path = "slow"; latency_s = Obs.Clock.now_s () -. w.round.now0; offer }
+    { line = w.line; reply; path = "slow"; latency_s = Obs.Clock.now_s () -. w.round.now0; offer }
 
 (* A finished job's reply to one waiter.  A report that arrived too late
    still answers [deadline_exceeded]; its entry was installed for the
@@ -779,18 +764,16 @@ let submit t lines =
       | Some plan -> plan
       | None -> plan_line_slow t ~now:now0 line
     in
-    let record reply shard path offer =
-      fill t round c { line; reply; shard; path; latency_s = Obs.Clock.now_s () -. now0; offer }
+    let record reply path offer =
+      fill t round c { line; reply; path; latency_s = Obs.Clock.now_s () -. now0; offer }
     in
     (match plan with
-    | Fast { reply; shard } -> record reply shard "fast" None
-    | Ready reply -> record reply (-1) "slow" None
-    | Hit { reply; id; key; entry } ->
-      record reply (Fastpath.Shards.shard_of_key t.flows key) "slow" (Some (id, key, entry))
+    | Fast reply -> record reply "fast" None
+    | Ready reply -> record reply "slow" None
+    | Hit { reply; id; key; entry } -> record reply "slow" (Some (id, key, entry))
     | Miss m when expired m.deadline ->
       (* the budget ran out during planning: never a job *)
-      record (deadline_reply ~trace:m.trace m.id) (Fastpath.Shards.shard_of_key t.flows m.key)
-        "slow" None
+      record (deadline_reply ~trace:m.trace m.id) "slow" None
     | Miss m -> join t ~fresh round c line m);
     c
   in
@@ -889,7 +872,7 @@ let handle_request t line =
 (* -- the socket service -- *)
 
 let run t ~socket_path =
-  (* SIGQUIT is the classic black-box trigger: dump the flight rings on
+  (* SIGQUIT is the classic black-box trigger: dump the flight ring on
      the next loop turn (EINTR wakes the select) and keep serving.  The
      previous handler is restored on the way out so tests can run
      several servers in one process. *)
@@ -900,7 +883,6 @@ let run t ~socket_path =
       [ ("socket", Obs.Log.Str socket_path);
         ("jobs", Obs.Log.Int (Util.Pool.size ()));
         ("cache_capacity", Obs.Log.Int (Fastpath.Shards.capacity t.flows));
-        ("cache_shards", Obs.Log.Int (Fastpath.Shards.shard_count t.flows));
         ("slow_threshold_s", Obs.Log.Num t.slow_s);
         ( "deadline_ms",
           match t.deadline_s with

@@ -133,13 +133,13 @@
     {!Http}.
 
     {b Flight recorder.}  Unless disabled ([flight_capacity 0]), every
-    reply line leaves a postmortem record in per-shard rings
-    ({!Obs.Flight}): raw request and reply bytes, fast/slow route, shard,
-    latency, trace id and outcome class.  Dumps are written as JSONL on
+    reply line leaves a postmortem record in one ring ({!Obs.Flight}):
+    raw request and reply bytes, fast/slow route, latency, trace id and
+    outcome class.  Dumps are written as JSONL on
     SIGQUIT, and — rate-limited, when a dump directory is configured
     ([flight_dir] / [CLARA_FLIGHT_DIR]) — on slow requests,
     deadline-exceeded replies, armed-fault hits and uncaught service
-    exceptions.  [{"cmd":"flight"}] snapshots the rings on demand;
+    exceptions.  [{"cmd":"flight"}] snapshots the ring on demand;
     [clara replay] turns any dump into a deterministic repro case (see
     {!Replay}). *)
 
@@ -147,20 +147,20 @@ type t
 
 (** Wrap warm-started (or freshly trained) models.  [cache_capacity]
     is the flow cache's entry budget, exactly (default 64; 0 disables
-    caching); [shards] is the number of shard labels (default 8, must be
-    [>= 1]): the range of {!Fastpath.Shards.shard_of_key}, which picks a
-    key's flight ring and its occupancy gauge.  [slow_threshold_s] sets the slow-request
-    log threshold in seconds (default: [CLARA_SLOW_MS] in milliseconds,
-    else 1s).  [deadline_ms] is the default per-request budget (default:
-    [CLARA_DEADLINE_MS], else unlimited; [<= 0] forces unlimited).
+    caching).  [shards] is accepted and ignored: the benchmark harness
+    still passes it, and the next change to the benchmark deletes it.
+    [slow_threshold_s] sets the slow-request log threshold in seconds
+    (default: [CLARA_SLOW_MS] in milliseconds, else 1s).  [deadline_ms]
+    is the default per-request budget (default: [CLARA_DEADLINE_MS],
+    else unlimited; [<= 0] forces unlimited).
     [max_pending] bounds request lines admitted per batch, lines
     waiting on queued misses included (default 256);
     [max_clients] bounds held connections (default 64); both must be
     [>= 1].  [shadow_rate] is the shadow-evaluation sampling rate in
     [[0, 1]] (default: [CLARA_SHADOW_RATE], else 0 = disabled) and
     [shadow_seed] perturbs the sampling hash (default:
-    [CLARA_SHADOW_SEED]).  [flight_capacity] sizes the flight recorder's
-    per-shard rings (default: [CLARA_FLIGHT], else 64; 0 disables
+    [CLARA_SHADOW_SEED]).  [flight_capacity] is the flight recorder's ring
+    size in records (default: [CLARA_FLIGHT], else 256; 0 disables
     recording) and [flight_dir] is where triggered dumps land (default:
     [CLARA_FLIGHT_DIR], else triggers only count).  [version] is the
     initial bundle-version token reported by [health] (default
@@ -231,9 +231,6 @@ val request_drain : t -> unit
 (** Has a drain been requested (and not yet completed)?  What the
     [/healthz] document reports as ["draining"]. *)
 val draining : t -> bool
-
-(** Shard-label count (= flight-ring count). *)
-val shard_count : t -> int
 
 (** The server's flight recorder (always present; disabled when
     [flight_capacity] was 0). *)

@@ -1,23 +1,24 @@
-(** Tests for the fast-path subsystem: the flow table (stable shard
-    labels, never-hit-first eviction over one budget, differential
+(** Tests for the fast-path subsystem: the flow table (never-hit-first
+    eviction over one budget, differential
     against the stamp-scan oracle in [flows_oracle.ml], the capacity-0
     degenerate), the non-allocating request scanner, pre-rendered flow entries, the
     flattened predictors (bit-identical to their boxed references), and
     the served fast/slow split itself — byte-equal replies, path-field
     correctness, and robustness (faults, shedding, deadlines) on the
     fast path.  The dune rules run this executable under both
-    [CLARA_JOBS=1] and [CLARA_JOBS=4]: every assertion, including the
-    independent FNV re-implementation pinning shard labels, must
-    hold in both ambient modes. *)
+    [CLARA_JOBS=1] and [CLARA_JOBS=4]: every assertion must hold in
+    both ambient modes. *)
 
 let with_fault ~point ~prob f =
   Obs.Fault.set ~point ~prob ~seed:1;
   Fun.protect ~finally:(fun () -> Obs.Fault.remove point) f
 
-(* -- Shards -- *)
+(* -- the flow table -- *)
 
-(* An independent FNV-1a/64 so a silent change of the hash (which would
-   re-shuffle every deployed cache) fails loudly. *)
+(* FNV-1a/64, the hash of the retired 8-way key label.  The tests below
+   still pick their hot sets with it, so the keys and the workloads they
+   replay stay exactly what they were when the flow table had eight
+   shards. *)
 let fnv1a64 key =
   let h = ref (-3750763034362895579L) (* 0xCBF29CE484222325 *) in
   String.iter
@@ -25,74 +26,26 @@ let fnv1a64 key =
     key;
   Int64.to_int !h land max_int
 
-let some_keys =
-  List.init 64 (fun i -> Printf.sprintf "nf%d|mixed" i)
-  @ [ "tcpack|mixed"; "tcpack|large"; "udpipencap|small"; "p4lite:00c0ffee|mixed"; "" ]
-
-let test_shard_assignment_stable () =
-  let t : int Fastpath.Shards.t = Fastpath.Shards.create ~shards:8 ~capacity:64 () in
-  let t' : int Fastpath.Shards.t = Fastpath.Shards.create ~shards:8 ~capacity:8 () in
-  List.iter
-    (fun key ->
-      let s = Fastpath.Shards.shard_of_key t key in
-      Alcotest.(check int)
-        (Printf.sprintf "FNV-1a pins shard of %S" key)
-        (fnv1a64 key mod 8) s;
-      Alcotest.(check int)
-        (Printf.sprintf "assignment of %S is capacity-independent" key)
-        s
-        (Fastpath.Shards.shard_of_key t' key);
-      Alcotest.(check bool) "in range" true (s >= 0 && s < 8))
-    some_keys;
-  (* installs and lookups must not perturb assignment *)
-  List.iteri (fun i key -> Fastpath.Shards.install t key i) some_keys;
-  List.iter
-    (fun key ->
-      Alcotest.(check int) "assignment survives traffic"
-        (fnv1a64 key mod 8)
-        (Fastpath.Shards.shard_of_key t key))
-    some_keys;
-  (* 69 keys over 8 shards: the spread must actually use several shards *)
-  let used =
-    List.sort_uniq compare (List.map (Fastpath.Shards.shard_of_key t) some_keys)
-  in
-  Alcotest.(check bool) "keys spread over shards" true (List.length used >= 4)
-
 let test_global_budget () =
-  let t : int Fastpath.Shards.t = Fastpath.Shards.create ~shards:4 ~capacity:8 () in
+  let t : int Fastpath.Shards.t = Fastpath.Shards.create ~capacity:8 () in
   Alcotest.(check int) "the budget is the capacity" 8 (Fastpath.Shards.capacity t);
-  (* 10 keys of one label: the label takes the whole budget, not a
-     quarter of it, and pressure evicts only once the table is full *)
-  let label, keys =
-    let by_label = Array.make 4 [] in
-    List.iter
-      (fun key ->
-        let s = Fastpath.Shards.shard_of_key t key in
-        by_label.(s) <- key :: by_label.(s))
-      (List.init 200 (fun i -> Printf.sprintf "k%d" i));
-    let rec pick i = if List.length by_label.(i) >= 10 then (i, by_label.(i)) else pick (i + 1) in
-    pick 0
-  in
-  let keys = List.filteri (fun i _ -> i < 10) keys in
+  (* 10 keys: pressure evicts only once the whole budget is full *)
   List.iteri
     (fun i key ->
       Fastpath.Shards.install t key i;
       Alcotest.(check int) "no eviction below the budget" (max 0 (i + 1 - 8))
         (Fastpath.Shards.evictions t))
-    keys;
-  Alcotest.(check int) "one label fills the whole budget" 8 (Fastpath.Shards.shard_length t label);
+    (List.init 10 (Printf.sprintf "k%d"));
   Alcotest.(check int) "the table stays at its budget" 8 (Fastpath.Shards.length t);
   Alcotest.(check int) "evictions counted" 2 (Fastpath.Shards.evictions t);
-  List.iteri
-    (fun i _ -> if i <> label then
-        Alcotest.(check int) "other labels count nothing" 0 (Fastpath.Shards.shard_length t i))
-    [ (); (); (); () ];
+  Alcotest.(check (float 0.0)) "the occupancy gauge counts the entries" 8.0
+    (Obs.Metrics.gauge_value (Obs.Metrics.gauge "clara_fastpath_occupancy"));
   (* a hit promotes and marks its entry, so the never-hit entry goes; a
      re-install refreshes recency and value.  At capacity 1 every new key
      evicts the one before it. *)
   List.iter
     (fun (capacity, expected) ->
-      let t : string Fastpath.Shards.t = Fastpath.Shards.create ~shards:1 ~capacity () in
+      let t : string Fastpath.Shards.t = Fastpath.Shards.create ~capacity () in
       let seen = ref [] in
       let look lookup key = seen := lookup t key :: !seen in
       Fastpath.Shards.install t "a" "A";
@@ -112,16 +65,16 @@ let test_global_budget () =
     [ (2, [ Some "A"; None; Some "A"; Some "A2"; None; Some "D" ]);
       (1, [ None; None; None; None; None; Some "D" ]) ]
 
-(* The hot set of one label is larger than an eighth of the budget (the
-   share an 8-way split gave it) but the whole hot set fits: after one
-   warm-up pass, a stream of one-shot installs between hot lookups never
-   costs a hot key its entry. *)
+(* The hot set of one FNV label is larger than an eighth of the budget
+   (the share an 8-way split gave it) but the whole hot set fits: after
+   one warm-up pass, a stream of one-shot installs between hot lookups
+   never costs a hot key its entry. *)
 let test_hot_set_over_one_share () =
-  let t : unit Fastpath.Shards.t = Fastpath.Shards.create ~shards:8 ~capacity:64 () in
+  let t : unit Fastpath.Shards.t = Fastpath.Shards.create ~capacity:64 () in
   let by_label = Array.make 8 [] in
   List.iter
     (fun key ->
-      let s = Fastpath.Shards.shard_of_key t key in
+      let s = fnv1a64 key mod 8 in
       by_label.(s) <- key :: by_label.(s))
     (List.init 2000 (fun i -> Printf.sprintf "hot%d|mixed" i));
   (* 12 keys of label 0 and 4 of every other: 40 hot keys *)
@@ -147,8 +100,10 @@ let test_hot_set_over_one_share () =
     else if not (ask hot.(Util.Rng.int rng (Array.length hot))) then incr hot_misses
   done;
   Alcotest.(check int) "no hot-key miss after warm-up" 0 !hot_misses;
-  Alcotest.(check bool) "label 0 holds all 12 of its hot keys" true
-    (Fastpath.Shards.shard_length t 0 >= 12)
+  Alcotest.(check bool) "all 12 hot keys of label 0 stay resident" true
+    (List.for_all
+       (fun k -> Fastpath.Shards.probe t k <> None)
+       (List.filteri (fun i _ -> i < 12) by_label.(0)))
 
 (* The O(1) queues against the scan they replaced, on seeded
    find/probe/install sequences over a small key universe: every lookup
@@ -157,7 +112,7 @@ let test_hot_set_over_one_share () =
 let test_matches_stamp_oracle () =
   List.iter
     (fun (capacity, seed) ->
-      let t : int Fastpath.Shards.t = Fastpath.Shards.create ~shards:1 ~capacity () in
+      let t : int Fastpath.Shards.t = Fastpath.Shards.create ~capacity () in
       let o = Flows_oracle.create ~capacity in
       let rng = Util.Rng.create seed in
       let keys = Array.init 12 (Printf.sprintf "key%d") in
@@ -190,7 +145,7 @@ let test_matches_stamp_oracle () =
    first; plain LRU applies only once every other entry has been hit. *)
 let test_never_hit_first () =
   let run steps =
-    let t : string Fastpath.Shards.t = Fastpath.Shards.create ~shards:1 ~capacity:2 () in
+    let t : string Fastpath.Shards.t = Fastpath.Shards.create ~capacity:2 () in
     List.iter
       (function
         | `Install k -> Fastpath.Shards.install t k (String.uppercase_ascii k)
@@ -218,8 +173,8 @@ let test_never_hit_first () =
     (run [ `Install "a"; `Hit "a"; `Install "a"; `Install "b"; `Install "p" ])
 
 let test_degenerate_and_counters () =
-  let t : int Fastpath.Shards.t = Fastpath.Shards.create ~shards:4 ~capacity:0 () in
-  Alcotest.(check int) "capacity 0 disables every shard" 0 (Fastpath.Shards.capacity t);
+  let t : int Fastpath.Shards.t = Fastpath.Shards.create ~capacity:0 () in
+  Alcotest.(check int) "capacity 0 disables the table" 0 (Fastpath.Shards.capacity t);
   Fastpath.Shards.install t "a" 1;
   Alcotest.(check int) "installs are dropped" 0 (Fastpath.Shards.length t);
   Alcotest.(check (option int)) "finds miss" None (Fastpath.Shards.find t "a");
@@ -229,14 +184,11 @@ let test_degenerate_and_counters () =
      counter (the slow path's find counts it) *)
   Alcotest.(check (option int)) "probe misses silently" None (Fastpath.Shards.probe t "a");
   Alcotest.(check int) "probe miss uncounted" 1 (Fastpath.Shards.misses t);
-  (match Fastpath.Shards.create ~shards:0 ~capacity:8 () with
-  | (_ : int Fastpath.Shards.t) -> Alcotest.fail "shards=0 must be rejected"
-  | exception Invalid_argument _ -> ());
-  (match Fastpath.Shards.create ~shards:4 ~capacity:(-1) () with
+  (match Fastpath.Shards.create ~capacity:(-1) () with
   | (_ : int Fastpath.Shards.t) -> Alcotest.fail "negative capacity must be rejected"
   | exception Invalid_argument _ -> ());
-  (* a budget below the label count is kept exactly *)
-  let t : int Fastpath.Shards.t = Fastpath.Shards.create ~shards:8 ~capacity:3 () in
+  (* a small budget is kept exactly *)
+  let t : int Fastpath.Shards.t = Fastpath.Shards.create ~capacity:3 () in
   Alcotest.(check int) "the budget is not rounded up" 3 (Fastpath.Shards.capacity t);
   List.iteri (fun i key -> Fastpath.Shards.install t key i) [ "a"; "b"; "c"; "d"; "e" ];
   Alcotest.(check int) "three entries held" 3 (Fastpath.Shards.length t)
@@ -558,13 +510,13 @@ let test_fastpath_metrics_exposed () =
         Alcotest.(check bool) (needle ^ " exposed") true (go 0))
       [ "clara_fastpath_hits_total"; "clara_fastpath_misses_total";
         "clara_slowpath_installs_total"; "clara_fastpath_evictions_total";
-        "clara_fastpath_shard_occupancy"; "clara_predict_memo_hits_total";
+        "clara_fastpath_occupancy"; "clara_predict_memo_hits_total";
         "clara_predict_memo_misses_total" ]
 
 (* -- exact work on a churn replay --
 
    A seeded replay in the shape of churn traffic: hot corpus keys, at
-   most seven per shard label (so they would also fit an 8-way split of
+   most seven per FNV label (so they would also fit an 8-way split of
    the 64-entry budget), plus one fresh inline program per ten lines, in
    batches of eight through [process_batch].  Once every hot key has
    been hit, the never-hit-first eviction rule keeps them resident, so
@@ -576,11 +528,10 @@ let churn_cache_misses = 146
 let churn_memo_misses = 176
 
 let test_churn_exact_work () =
-  let s = Serve.Server.create ~cache_capacity:64 ~shards:8 (Lazy.force models) in
-  let placement : unit Fastpath.Shards.t = Fastpath.Shards.create ~shards:8 ~capacity:64 () in
+  let s = Serve.Server.create ~cache_capacity:64 (Lazy.force models) in
   let rng = Util.Rng.create 0xc4a2 in
   let hot =
-    let per_shard = Array.make 8 0 in
+    let per_label = Array.make 8 0 in
     let keys =
       List.concat_map
         (fun wl -> List.map (fun nf -> (nf, wl)) (Serve.Server.corpus_names ()))
@@ -590,8 +541,8 @@ let test_churn_exact_work () =
     in
     List.filter
       (fun (nf, wl) ->
-        let sh = Fastpath.Shards.shard_of_key placement (Serve.Proto.flow_key nf wl) in
-        per_shard.(sh) < 7 && (per_shard.(sh) <- per_shard.(sh) + 1; true))
+        let l = fnv1a64 (Serve.Proto.flow_key nf wl) mod 8 in
+        per_label.(l) < 7 && (per_label.(l) <- per_label.(l) + 1; true))
       keys
     |> Array.of_list
   in
@@ -639,13 +590,9 @@ let test_churn_exact_work () =
 (* A block's prediction depends only on its tokens, so one corpus NF's
    keys under different workloads carry the same blocks.  The server has
    one compiled predictor, so the second workload's analysis predicts
-   nothing anew although its key has another shard label. *)
+   nothing anew although its key is another one. *)
 let test_block_predicted_once () =
-  let s = Serve.Server.create ~cache_capacity:64 ~shards:8 (Lazy.force models) in
-  let placement : unit Fastpath.Shards.t = Fastpath.Shards.create ~shards:8 ~capacity:64 () in
-  let shard wl = Fastpath.Shards.shard_of_key placement (Serve.Proto.flow_key "cmsketch" wl) in
-  Alcotest.(check bool) "the two keys land on different shards" true
-    (shard "mixed" <> shard "large");
+  let s = Serve.Server.create ~cache_capacity:64 (Lazy.force models) in
   let memo_misses = Obs.Metrics.counter "clara_predict_memo_misses_total" in
   let analyze wl =
     let before = Obs.Metrics.counter_value memo_misses in
@@ -662,8 +609,7 @@ let test_block_predicted_once () =
 let () =
   Alcotest.run "fastpath"
     [ ( "shards",
-        [ Alcotest.test_case "stable FNV shard assignment" `Quick test_shard_assignment_stable;
-          Alcotest.test_case "one budget over every label" `Quick test_global_budget;
+        [ Alcotest.test_case "one budget over every key" `Quick test_global_budget;
           Alcotest.test_case "hot set over one shard's share but within the budget" `Quick
             test_hot_set_over_one_share;
           Alcotest.test_case "queues match the stamp-scan oracle" `Quick
@@ -688,5 +634,5 @@ let () =
           Alcotest.test_case "faults, shedding, deadlines" `Quick test_fast_path_robustness;
           Alcotest.test_case "fastpath metrics exposed" `Quick test_fastpath_metrics_exposed;
           Alcotest.test_case "churn replay: exact misses" `Quick test_churn_exact_work;
-          Alcotest.test_case "a block is predicted once per worker, whatever its shard" `Quick
+          Alcotest.test_case "a block is predicted once per worker, whatever its key" `Quick
             test_block_predicted_once ] ) ]

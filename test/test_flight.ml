@@ -1,6 +1,6 @@
 (** Tests for the forensics stack: the continuous profiler (span-stack
     sampling, exact allocation attribution, folded-stack export), the
-    flight recorder (per-shard rings, eviction, clipping, trigger
+    flight recorder (one ring, eviction, clipping, trigger
     policy, dump format), the server integration (postmortem records for
     fast/slow/error/deadline/shed replies, the [flight]/[profile] socket
     commands), and deterministic replay: a dump of a soak-style
@@ -95,29 +95,29 @@ let test_prof_ticker_samples () =
     | _ -> Alcotest.fail "profile json has no stacks"));
   Obs.Prof.reset ()
 
-(* -- Obs.Flight: rings, eviction, clipping, triggers, dumps -- *)
+(* -- Obs.Flight: the ring, eviction, clipping, triggers, dumps -- *)
 
 let mk_record fl i =
-  Obs.Flight.record fl ~shard:(i mod 2) ~trace:(Printf.sprintf "t-%d" i) ~path:"fast"
+  Obs.Flight.record fl ~trace:(Printf.sprintf "t-%d" i) ~path:"fast"
     ~latency_us:1.0 ~outcome:"ok"
     ~request:(Printf.sprintf "req-%d" i)
     ~reply:(Printf.sprintf "rep-%d" i)
 
-let test_flight_rings () =
-  let fl = Obs.Flight.create ~shards:2 ~capacity:3 ~max_bytes:64 () in
+let test_flight_ring () =
+  let fl = Obs.Flight.create ~capacity:6 ~max_bytes:64 () in
   Alcotest.(check bool) "enabled" true (Obs.Flight.enabled fl);
-  Alcotest.(check int) "capacity is per-shard x shards" 6 (Obs.Flight.capacity fl);
+  Alcotest.(check int) "capacity counts slots in total" 6 (Obs.Flight.capacity fl);
   for i = 0 to 9 do
     mk_record fl i
   done;
   Alcotest.(check int) "recorded counts every write" 10 (Obs.Flight.recorded fl);
   let snap = Obs.Flight.snapshot fl in
-  Alcotest.(check int) "rings hold the newest 3 per shard" 6 (List.length snap);
+  Alcotest.(check int) "the ring holds the newest 6 in seq order" 6 (List.length snap);
   let seqs = List.map (fun (r : Obs.Flight.record) -> r.Obs.Flight.seq) snap in
   Alcotest.(check (list int)) "snapshot is seq-ordered, oldest evicted" [ 4; 5; 6; 7; 8; 9 ]
     seqs;
   (* clipping marks the record non-replayable *)
-  Obs.Flight.record fl ~shard:0 ~trace:"t" ~path:"slow" ~latency_us:1.0 ~outcome:"ok"
+  Obs.Flight.record fl ~trace:"t" ~path:"slow" ~latency_us:1.0 ~outcome:"ok"
     ~request:(String.make 200 'x') ~reply:"r";
   let last =
     List.nth (Obs.Flight.snapshot fl) (List.length (Obs.Flight.snapshot fl) - 1)
@@ -126,7 +126,7 @@ let test_flight_rings () =
   Alcotest.(check int) "stored bytes are clipped" 64 (String.length last.Obs.Flight.request)
 
 let test_flight_disabled () =
-  let fl = Obs.Flight.create ~shards:2 ~capacity:0 () in
+  let fl = Obs.Flight.create ~capacity:0 () in
   Alcotest.(check bool) "capacity 0 disables" false (Obs.Flight.enabled fl);
   mk_record fl 0;
   Alcotest.(check int) "disabled recorder stores nothing" 0
@@ -142,7 +142,7 @@ let temp_dir prefix =
 
 let test_flight_trigger_policy () =
   (* no dump directory: triggers count but write nothing *)
-  let fl = Obs.Flight.create ~shards:1 ~capacity:4 () in
+  let fl = Obs.Flight.create ~capacity:4 () in
   mk_record fl 0;
   Alcotest.(check (option string)) "no dir: trigger counts only" None
     (Obs.Flight.trigger fl "slow_request");
@@ -151,7 +151,7 @@ let test_flight_trigger_policy () =
     [ ("slow_request", 2) ] (Obs.Flight.triggered fl);
   (* with a directory: first trigger dumps, the second is rate-limited *)
   let dir = temp_dir "clara_flight_test" in
-  let fl = Obs.Flight.create ~shards:1 ~capacity:4 ~dir ~min_dump_interval_s:3600.0 () in
+  let fl = Obs.Flight.create ~capacity:4 ~dir ~min_dump_interval_s:3600.0 () in
   mk_record fl 0;
   (match Obs.Flight.trigger fl "deadline" with
   | Some path -> Alcotest.(check bool) "dump file exists" true (Sys.file_exists path)
@@ -222,7 +222,7 @@ let drive server = List.iter (fun l -> ignore (Serve.Server.handle_request serve
 
 let test_server_records_and_replays () =
   let server =
-    Serve.Server.create ~cache_capacity:16 ~shards:4 ~flight_capacity:16 (Lazy.force models)
+    Serve.Server.create ~cache_capacity:16 ~flight_capacity:16 (Lazy.force models)
   in
   drive server;
   let fl = Serve.Server.flight server in
@@ -251,7 +251,7 @@ let test_server_records_and_replays () =
   | Ok (_, records) ->
     Alcotest.(check int) "dump holds the full snapshot" (List.length mixed_traffic)
       (List.length records);
-    let replay_server = Serve.Replay.server_for ~shards:4 (Lazy.force models) in
+    let replay_server = Serve.Replay.server_for (Lazy.force models) in
     let r = Serve.Replay.replay ~server:replay_server records in
     Alcotest.(check int) "total" (List.length mixed_traffic) r.Serve.Replay.total;
     Alcotest.(check int) "stats was skipped as volatile" 1 r.Serve.Replay.skipped_volatile;
@@ -274,7 +274,7 @@ let test_server_records_and_replays () =
           else rec_)
         records
     in
-    let replay_server2 = Serve.Replay.server_for ~shards:4 (Lazy.force models) in
+    let replay_server2 = Serve.Replay.server_for (Lazy.force models) in
     let r2 = Serve.Replay.replay ~server:replay_server2 tampered in
     Alcotest.(check int) "tampered reply diverges" 1 (List.length r2.Serve.Replay.diverged);
     (* and the result document parses *)
@@ -283,6 +283,45 @@ let test_server_records_and_replays () =
       Alcotest.(check (option (float 0.0))) "divergence count in json" (Some 1.0)
         (Serve.Jsonl.num_member "diverged" j)
     | Error msg -> Alcotest.failf "replay json unparseable: %s" msg
+
+(* Dumps written before the key label was retired carry a ["shard"]
+   member in every record (and a ["shards"] count in some headers).  They
+   still load, and replay with nothing diverged: the loader reads the
+   members it knows and ignores the rest. *)
+let test_old_dump_replays () =
+  let server = Serve.Server.create ~cache_capacity:16 ~flight_capacity:16 (Lazy.force models) in
+  drive server;
+  let dir = temp_dir "clara_flight_old" in
+  let path = Filename.concat dir "dump.jsonl" and old = Filename.concat dir "old.jsonl" in
+  Obs.Flight.dump_to_file (Serve.Server.flight server) ~trigger:"manual" path;
+  let lines = In_channel.with_open_text path In_channel.input_all |> String.split_on_char '\n' in
+  let insert ~before extra line =
+    let m = String.length before in
+    let rec at i =
+      if i + m > String.length line then Alcotest.failf "no %s in %s" before line
+      else if String.sub line i m = before then i
+      else at (i + 1)
+    in
+    let i = at 0 in
+    String.sub line 0 i ^ extra ^ String.sub line i (String.length line - i)
+  in
+  let rewritten =
+    List.mapi
+      (fun i line ->
+        if line = "" then line
+        else if i = 0 then insert ~before:{|"capacity":|} {|"shards":8,|} line
+        else
+          insert ~before:{|"latency_us":|} (Printf.sprintf {|"shard":%d,|} ((i mod 9) - 1)) line)
+      lines
+  in
+  Out_channel.with_open_text old (fun oc -> output_string oc (String.concat "\n" rewritten));
+  match Serve.Replay.load old with
+  | Error msg -> Alcotest.failf "old dump does not load: %s" msg
+  | Ok (_, records) ->
+    Alcotest.(check int) "every record loads" (List.length mixed_traffic) (List.length records);
+    let r = Serve.Replay.replay ~server:(Serve.Replay.server_for (Lazy.force models)) records in
+    Alcotest.(check int) "compared" 8 r.Serve.Replay.compared;
+    Alcotest.(check int) "0 diverged" 0 (List.length r.Serve.Replay.diverged)
 
 let test_shed_records () =
   let server =
@@ -304,7 +343,7 @@ let test_shed_records () =
    shows less time; each admitted line is still observed once. *)
 let test_per_line_latency () =
   let server =
-    Serve.Server.create ~cache_capacity:16 ~shards:4 ~flight_capacity:16 (Lazy.force models)
+    Serve.Server.create ~cache_capacity:16 ~flight_capacity:16 (Lazy.force models)
   in
   let hit = {|{"id":1,"cmd":"analyze","nf":"tcpack","workload":"mixed","trace_id":"warm"}|} in
   let miss = {|{"id":2,"cmd":"analyze","nf":"udpipencap","workload":"small","trace_id":"cold"}|} in
@@ -336,7 +375,7 @@ let test_per_line_latency () =
    classed and triggered as one. *)
 let test_fault_class_from_cause () =
   let server =
-    Serve.Server.create ~cache_capacity:16 ~shards:4 ~flight_capacity:16 (Lazy.force models)
+    Serve.Server.create ~cache_capacity:16 ~flight_capacity:16 (Lazy.force models)
   in
   let lookalikes =
     [ {|{"id":1,"cmd":"analyze","nf":"injected fault"}|}; {|{"id":2,"cmd":"injected fault"}|} ]
@@ -352,7 +391,7 @@ let test_fault_class_from_cause () =
     (List.assoc_opt "fault" (Obs.Flight.triggered fl));
   let r =
     Serve.Replay.replay
-      ~server:(Serve.Replay.server_for ~shards:4 (Lazy.force models))
+      ~server:(Serve.Replay.server_for (Lazy.force models))
       (Obs.Flight.snapshot fl)
   in
   Alcotest.(check int) "not skipped as environmental" 0 r.Serve.Replay.skipped_env;
@@ -436,7 +475,7 @@ let () =
         [ Alcotest.test_case "span hooks attribute allocation" `Quick test_prof_hooks_and_alloc;
           Alcotest.test_case "ticker samples a live span" `Slow test_prof_ticker_samples ] );
       ( "flight",
-        [ Alcotest.test_case "rings evict oldest, clip oversized" `Quick test_flight_rings;
+        [ Alcotest.test_case "the ring evicts oldest, clips oversized" `Quick test_flight_ring;
           Alcotest.test_case "capacity 0 disables recording" `Quick test_flight_disabled;
           Alcotest.test_case "trigger policy: count, rate-limit, dump" `Quick
             test_flight_trigger_policy ] );
@@ -445,11 +484,12 @@ let () =
             test_normalize;
           Alcotest.test_case "mixed traffic records, dumps and replays clean" `Slow
             test_server_records_and_replays;
+          Alcotest.test_case "a dump with shard labels still replays" `Slow test_old_dump_replays;
           Alcotest.test_case "shed lines leave overloaded records" `Slow test_shed_records;
           Alcotest.test_case "fault class comes from the cause, not the text" `Slow
             test_fault_class_from_cause ] );
       ( "server",
         [ Alcotest.test_case "flight/profile socket commands" `Slow test_flight_socket_command;
-          Alcotest.test_case "flight_json renders the rings" `Slow test_flight_json_accessor;
+          Alcotest.test_case "flight_json renders the ring" `Slow test_flight_json_accessor;
           Alcotest.test_case "each line's latency is its own" `Quick test_per_line_latency ]
       ) ]

@@ -130,7 +130,7 @@ let test_healthz () =
   let q = get ~port "/healthz?verbose=1" in
   Alcotest.(check string) "query string ignored" "200 OK" q.status;
   (* a wired renderer overrides the built-in document *)
-  let doc = {|{"ok":true,"bundle":"b1","shards":4,"draining":false}|} in
+  let doc = {|{"ok":true,"bundle":"b1","pid":4,"draining":false}|} in
   let h = Serve.Http.create ~health:(fun () -> doc) ~port:0 () in
   let d = Domain.spawn (fun () -> Serve.Http.run h) in
   Fun.protect

@@ -262,7 +262,7 @@ let test_shadow_deterministic_across_jobs () =
   let run jobs =
     with_jobs jobs @@ fun () ->
     let s =
-      Serve.Server.create ~cache_capacity:16 ~shards:4 ~shadow_rate:0.5 ~shadow_seed:42
+      Serve.Server.create ~cache_capacity:16 ~shadow_rate:0.5 ~shadow_seed:42
         (Lazy.force models)
     in
     script s;

@@ -787,6 +787,42 @@ let test_miss_does_not_delay_other_client () =
     slow;
   List.iter (fun (fd, _) -> Unix.close fd) [ a; b ]
 
+(* Routed = direct with interleaved clients: two connections through
+   [Front.run] over two workers each pipeline the whole differential
+   stream, B in reverse order, before either reads a reply; first cold,
+   then warm.  Each connection's replies, in order, equal one in-process
+   server's replies to its own stream modulo {!Serve.Replay.normalize},
+   however the two clients' lines interleave on the workers.  The two
+   orders differ, so a reply handed to the wrong client shows. *)
+let test_routed_vs_direct_interleaved () =
+  with_fleet ~n:2 @@ fun fl ->
+  let server =
+    match Persist.Bundle.load_salvage ~dir:fl.fl_dir_a with
+    | Error e -> Alcotest.failf "cannot load bundle: %s" (Persist.Wire.error_to_string e)
+    | Ok (b, _) ->
+      Serve.Server.create
+        ~version:(Persist.Bundle.version b.Persist.Bundle.manifest)
+        b.Persist.Bundle.models
+  in
+  let streams = [ ("A", differential_stream); ("B", List.rev differential_stream) ] in
+  let direct = List.map (fun (_, stream) -> Serve.Server.process_batch server stream) streams in
+  with_running_front fl "interleave" @@ fun connect ->
+  let clients = List.map (fun _ -> connect ()) streams in
+  for round = 1 to 2 do
+    List.iter2 (fun c (_, stream) -> send c stream) clients streams;
+    List.iteri
+      (fun k ((_, ic), (name, _)) ->
+        List.iteri
+          (fun i d ->
+            let r = input_line ic in
+            if Serve.Replay.normalize r <> Serve.Replay.normalize d then
+              Alcotest.failf "round %d client %s line %d differs:\n  routed %s\n  direct %s" round
+                name i r d)
+          (List.nth direct k))
+      (List.combine clients streams)
+  done;
+  List.iter (fun (fd, _) -> Unix.close fd) clients
+
 (* A respelled program is a flow-cache hit through the router.  Program 2's
    first two spellings have JSON texts that hash to different workers
    (checked below), so the hit needs the program-derived key. *)
@@ -908,6 +944,8 @@ let () =
             test_worker_kill_failover;
           Alcotest.test_case "canary rollout, promote, rollback" `Quick test_canary_rollout;
           Alcotest.test_case "routed replies equal direct replies" `Quick test_routed_vs_direct;
+          Alcotest.test_case "routed equals direct with interleaved clients" `Quick
+            test_routed_vs_direct_interleaved;
           Alcotest.test_case "one client's miss does not delay another's hits" `Quick
             test_miss_does_not_delay_other_client;
           Alcotest.test_case "client unchanged through router socket" `Quick

@@ -59,8 +59,8 @@ let test_escaper_round_trip () =
   | Ok (Serve.Jsonl.Str back) -> Alcotest.(check string) "parses back to the input" s back
   | _ -> Alcotest.fail "escaped string does not parse");
   (* an Obs document carrying the same bytes still parses *)
-  let fl = Obs.Flight.create ~shards:1 ~capacity:2 () in
-  Obs.Flight.record fl ~shard:0 ~trace:"t\r\t" ~path:"slow" ~latency_us:1.0 ~outcome:"ok"
+  let fl = Obs.Flight.create ~capacity:2 () in
+  Obs.Flight.record fl ~trace:"t\r\t" ~path:"slow" ~latency_us:1.0 ~outcome:"ok"
     ~request:s ~reply:"r";
   match Serve.Jsonl.of_string (Obs.Flight.to_json_string fl) with
   | Ok j -> (
