@@ -287,7 +287,7 @@ let show_cmd =
     let prep = Clara.Prepare.prepare v elt in
     Printf.printf
       "\n; %d LoC, %d IR instructions (%d compute, %d stateful memory), %d API call sites, %d blocks\n"
-      prep.Clara.Prepare.loc
+      (Nf_lang.Pp.loc elt)
       (Nf_ir.Ir.count_total prep.Clara.Prepare.ir)
       (Nf_ir.Ir.count_compute prep.Clara.Prepare.ir)
       (Nf_ir.Ir.count_stateful_mem prep.Clara.Prepare.ir)

@@ -254,21 +254,32 @@ type feature_mode = [ `Both | `Spe_only | `Manual_only ]
 
 type t = { models : model list; mode : feature_mode }
 
+(* A selected gram packed once: its packed form ([-1] when its key is
+   not a gram, so it never occurs), its length, and whether a component's
+   [feature_ns] table holds grams of that length. *)
+type packed_gram = { packed : int; n : int; in_table : bool }
+
+let pack_grams grams =
+  Array.of_list
+    (List.map
+       (fun (key, n) ->
+         { packed = Option.value ~default:(-1) (pack_key key n); n; in_table = List.mem n feature_ns })
+       grams)
+
 (* Occurrences of a selected gram in a component; grams of lengths the
    table does not hold are counted by a scan. *)
-let gram_count f (key, n) =
-  match pack_key key n with
-  | None -> 0
-  | Some g ->
-    let table = if List.mem n feature_ns then f.table else gram_counts f.seq [ n ] in
-    Option.value ~default:0 (Hashtbl.find_opt table g)
+let gram_count f g =
+  if g.packed < 0 then 0
+  else
+    let table = if g.in_table then f.table else gram_counts f.seq [ g.n ] in
+    Option.value ~default:0 (Hashtbl.find_opt table g.packed)
 
 let vector_of mode grams f =
   let len = float_of_int (max 1 (Array.length f.seq)) in
-  let gram_feats = List.map (fun g -> float_of_int (gram_count f g) /. len *. 10.0) grams in
+  let gram_feats = Array.map (fun g -> float_of_int (gram_count f g) /. len *. 10.0) grams in
   match mode with
-  | `Both -> Array.append (Array.of_list gram_feats) f.manual
-  | `Spe_only -> Array.of_list gram_feats
+  | `Both -> Array.append gram_feats f.manual
+  | `Spe_only -> gram_feats
   | `Manual_only -> Array.copy f.manual
 
 (** Train one-vs-rest SVMs for every accelerator class on the labeled
@@ -291,7 +302,8 @@ let train ?(mode : feature_mode = `Both) ?(corpus : (Ast.element * Algo_corpus.l
         let positives = List.filter_map (fun (f, l) -> if l = cls then Some f.table else None) corpus in
         let negatives = List.filter_map (fun (f, l) -> if l <> cls then Some f.table else None) corpus in
         let grams = mine ~top:12 ~positives ~negatives in
-        let xs = Array.of_list (List.map (fun (f, _) -> vector_of mode grams f) corpus) in
+        let packed = pack_grams grams in
+        let xs = Array.of_list (List.map (fun (f, _) -> vector_of mode packed f) corpus) in
         let ys =
           Array.of_list (List.map (fun (_, l) -> if l = cls then 1.0 else 0.0) corpus)
         in
@@ -300,36 +312,43 @@ let train ?(mode : feature_mode = `Both) ?(corpus : (Ast.element * Algo_corpus.l
   in
   { models; mode }
 
-let classify_features t f =
+(* -- inference over grams packed once -- *)
+
+type compiled = { c_mode : feature_mode; c_models : (model * packed_gram array) list }
+
+(** Pack every model's selected grams, once per trained classifier. *)
+let compile t = { c_mode = t.mode; c_models = List.map (fun m -> (m, pack_grams m.grams)) t.models }
+
+let classify_features c f =
   let best = ref (Algo_corpus.Other, 0.0) in
   List.iter
-    (fun m ->
-      let score = Mlkit.Simple.svm_score m.svm (vector_of t.mode m.grams f) in
+    (fun (m, grams) ->
+      let score = Mlkit.Simple.svm_score m.svm (vector_of c.c_mode grams f) in
       if score > 0.0 && score > snd !best then best := (m.label, score))
-    t.models;
+    c.c_models;
   fst !best
 
 (** Classify one element (or component): the accelerator whose SVM fires
     with the highest margin, or [Other]. *)
-let classify t (elt : Ast.element) : Algo_corpus.label = classify_features t (featurize elt)
+let classify t (elt : Ast.element) : Algo_corpus.label = classify_features (compile t) (featurize elt)
 
 (** Scan a full NF already lowered to [ir]: label every component and
     report detected accelerator opportunities as (component name, label).
     The whole-element component reads [ir]; each loop is lowered on its
     own. *)
-let detect_ir t (elt : Ast.element) ir =
+let detect_compiled c (elt : Ast.element) ir =
   Obs.Span.with_ ~cat:"pipeline" "algo.detect" @@ fun () ->
   List.filter_map
     (fun (name, f) ->
-      match classify_features t f with Algo_corpus.Other -> None | l -> Some (name, l))
+      match classify_features c f with Algo_corpus.Other -> None | l -> Some (name, l))
     ((elt.Ast.name ^ "/all", featurize_ir elt ir)
     :: List.map (fun (name, comp) -> (name, featurize comp)) (loop_components elt))
 
-let detect t elt = detect_ir t elt (Nf_frontend.Lower.lower_element elt)
+let detect t elt = detect_compiled (compile t) elt (Nf_frontend.Lower.lower_element elt)
 
 (** Feature vector against a given class model — used by the PCA analysis
     of Figure 10a. *)
 let class_features t cls elt =
   match List.find_opt (fun m -> m.label = cls) t.models with
-  | Some m -> vector_of t.mode m.grams (featurize elt)
+  | Some m -> vector_of t.mode (pack_grams m.grams) (featurize elt)
   | None -> manual_features elt

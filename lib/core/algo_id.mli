@@ -64,13 +64,20 @@ val train :
     highest margin, or [Other]. *)
 val classify : t -> Nf_lang.Ast.element -> Algo_corpus.label
 
+(** The classifier with every model's selected grams packed once, so an
+    analysis parses no gram key.  Built by {!Pipeline.compile}. *)
+type compiled
+
+val compile : t -> compiled
+
 (** Scan a full NF already lowered to the given IR: every component with a
     detected accelerator algorithm, as [(component name, label)].  The
     whole-element component reads the IR; only loop components are
     lowered. *)
-val detect_ir : t -> Nf_lang.Ast.element -> Nf_ir.Ir.func -> (string * Algo_corpus.label) list
+val detect_compiled :
+  compiled -> Nf_lang.Ast.element -> Nf_ir.Ir.func -> (string * Algo_corpus.label) list
 
-(** {!detect_ir} on the element's own lowering. *)
+(** {!detect_compiled} on the element's own lowering. *)
 val detect : t -> Nf_lang.Ast.element -> (string * Algo_corpus.label) list
 
 (** Feature vector against a given class model — the Figure 10a PCA input. *)

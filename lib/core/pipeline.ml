@@ -55,15 +55,16 @@ let train ?(quick = false) ?(with_scaleout = true) ?(with_colocation = false) ()
   in
   { predictor; algo; scaleout; colocation }
 
-(* The analyze body, parameterized over the two learned-inference entry
-   points that have compiled (allocation-free) twins: the block predictor
-   and the scale-out suggestion.  Both instantiations run the same float
+(* The analyze body, parameterized over the learned-inference entry
+   points that have compiled twins: the block predictor and the
+   scale-out suggestion (allocation-free), and the accelerator classifier
+   (grams packed once).  Both instantiations run the same float
    operations in the same order and open the same spans, so insights — and
    recorded traces — are identical between the direct and compiled paths.
    The element is lowered and encoded once, by [Prepare.prepare]; the
    predictor, accelerator detection and the port all read that result. *)
 let analyze_with ~(predict_block : int array -> float) ~(suggest : Nicsim.Perf.demand -> int option)
-    (m : models) (elt : Ast.element) (spec : Workload.spec) : Insights.t =
+    ~(algo : Algo_id.compiled) (m : models) (elt : Ast.element) (spec : Workload.spec) : Insights.t =
   Obs.Span.with_ ~cat:"pipeline" "pipeline.analyze" @@ fun () ->
   (* Stages are separated by yield points ({!Util.Coop.yield}): on the
      serving loop a cold analysis runs in slices between hits. *)
@@ -77,7 +78,7 @@ let analyze_with ~(predict_block : int array -> float) ~(suggest : Nicsim.Perf.d
   let accel =
     List.map
       (fun (component, algorithm) -> { Insights.component; algorithm })
-      (Algo_id.detect_ir m.algo elt prep.Prepare.ir)
+      (Algo_id.detect_compiled algo elt prep.Prepare.ir)
   in
   Util.Coop.yield ();
   let ported =
@@ -113,16 +114,17 @@ let analyze (m : models) (elt : Ast.element) (spec : Workload.spec) : Insights.t
   analyze_with
     ~predict_block:(Predictor.predict_block m.predictor)
     ~suggest:(fun d -> Option.map (fun s -> Scaleout.suggest s d) m.scaleout)
-    m elt spec
+    ~algo:(Algo_id.compile m.algo) m elt spec
 
 (** Analyze and render the textual report. *)
 let report m elt spec = Insights.render (analyze m elt spec)
 
 (* -- compiled serving bundle --
 
-   The models plus their allocation-free inference twins: the LSTM
-   predictor with preallocated scratch and a per-block prediction memo,
-   the scale-out GBDT flattened to node arrays.  [analyze_compiled]
+   The models plus their inference twins: the LSTM predictor with
+   preallocated scratch and a per-block prediction memo, the scale-out
+   GBDT flattened to node arrays, the accelerator classifier with its
+   selected grams packed.  [analyze_compiled]
    produces insights bit-identical to [analyze] with the same span tree.
    Not thread-safe (the predictor scratch and memo are shared): a
    serving worker keeps one and runs its analyses one at a time. *)
@@ -131,6 +133,7 @@ type compiled = {
   c_models : models;
   c_predictor : Predictor.compiled;
   c_scaleout : Scaleout.compiled option;
+  c_algo : Algo_id.compiled;
 }
 
 let compile (m : models) =
@@ -138,12 +141,13 @@ let compile (m : models) =
     c_models = m;
     c_predictor = Predictor.compile m.predictor;
     c_scaleout = Option.map Scaleout.compile m.scaleout;
+    c_algo = Algo_id.compile m.algo;
   }
 
 let analyze_compiled (c : compiled) (elt : Ast.element) (spec : Workload.spec) : Insights.t =
   analyze_with
     ~predict_block:(Predictor.predict_block_compiled c.c_predictor)
     ~suggest:(fun d -> Option.map (fun s -> Scaleout.suggest_compiled s d) c.c_scaleout)
-    c.c_models elt spec
+    ~algo:c.c_algo c.c_models elt spec
 
 let report_compiled c elt spec = Insights.render (analyze_compiled c elt spec)

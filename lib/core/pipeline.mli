@@ -25,10 +25,11 @@ val analyze : models -> Nf_lang.Ast.element -> Workload.spec -> Insights.t
 val report : models -> Nf_lang.Ast.element -> Workload.spec -> string
 
 (** The bundle compiled for serving: the LSTM predictor bound to a
-    preallocated scratch and a per-block prediction memo, and the
-    scale-out GBDT flattened to node arrays, so repeat analyses are
-    allocation-free in the learned-inference stages and each distinct
-    block is predicted once.  [analyze_compiled] is bit-identical to
+    preallocated scratch and a per-block prediction memo, the
+    scale-out GBDT flattened to node arrays, and the accelerator
+    classifier's selected grams packed to ints, so repeat analyses are
+    allocation-free in the learned-inference stages, each distinct
+    block is predicted once and no gram key is parsed per analysis.  [analyze_compiled] is bit-identical to
     {!analyze}, with the same span tree.  Not thread-safe — a serving
     worker keeps one and runs its analyses one at a time. *)
 type compiled

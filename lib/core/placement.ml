@@ -33,24 +33,23 @@ let solve (elt : Ast.element) (ported : Nicsim.Nic.ported) : Nicsim.Mem.placemen
   else begin
     let hit = ported.Nicsim.Nic.demand.Nicsim.Perf.emem_hit in
     let levels = Array.of_list candidate_levels in
-    let freq i =
-      Option.value ~default:0.0 (List.assoc_opt items.(i) freqs)
+    let freq = Array.map (fun name -> Option.value ~default:0.0 (List.assoc_opt name freqs)) items in
+    let size = Array.map (fun name -> List.assoc name sizes) items in
+    let latency =
+      Array.map
+        (fun level ->
+          match level with
+          | Nicsim.Mem.EMEM -> Nicsim.Mem.emem_latency ~hit_ratio:hit
+          | Nicsim.Mem.LMEM | Nicsim.Mem.CLS | Nicsim.Mem.CTM | Nicsim.Mem.IMEM ->
+            Nicsim.Mem.base_latency level)
+        levels
     in
     let problem =
       {
         Ilp.n_items = n;
         n_bins = Array.length levels;
-        cost =
-          (fun i b ->
-            let level = levels.(b) in
-            let latency =
-              match level with
-              | Nicsim.Mem.EMEM -> Nicsim.Mem.emem_latency ~hit_ratio:hit
-              | Nicsim.Mem.LMEM | Nicsim.Mem.CLS | Nicsim.Mem.CTM | Nicsim.Mem.IMEM ->
-                Nicsim.Mem.base_latency level
-            in
-            freq i *. latency);
-        size = (fun i -> List.assoc items.(i) sizes);
+        cost = (fun i b -> freq.(i) *. latency.(b));
+        size = (fun i -> size.(i));
         capacity = (fun b -> Nicsim.Mem.capacity_bytes levels.(b));
       }
     in

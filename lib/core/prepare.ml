@@ -20,7 +20,6 @@ type t = {
   ir : Ir.func;
   blocks : block_info list;
   api_set : string list;  (** all framework calls, for reverse porting *)
-  loc : int;
 }
 
 let block_api_calls (b : Ir.block) =
@@ -58,7 +57,7 @@ let prepare (vocab : Vocab.t) (elt : Ast.element) : t =
     Obs.Span.with_ ~cat:"pipeline" "vocab.encode" (fun () ->
         blocks_of ~encode:(Vocab.encode_block vocab) ir)
   in
-  { elt; ir; blocks; api_set = Nf_frontend.Lower.api_set ir; loc = Pp.loc elt }
+  { elt; ir; blocks; api_set = Nf_frontend.Lower.api_set ir }
 
 (** {!prepare} through the retained pre-optimization components: the
     quadratic builder ({!Nf_frontend.Lower.Reference}) and
@@ -67,7 +66,7 @@ let prepare (vocab : Vocab.t) (elt : Ast.element) : t =
 let prepare_reference (vocab : Vocab.t) (elt : Ast.element) : t =
   let ir = Nf_frontend.Lower.Reference.lower_element elt in
   let blocks = blocks_of ~encode:(Vocab.encode_block_with ~word:Vocab.word_reference vocab) ir in
-  { elt; ir; blocks; api_set = Nf_frontend.Lower.api_set ir; loc = Pp.loc elt }
+  { elt; ir; blocks; api_set = Nf_frontend.Lower.api_set ir }
 
 (** Direct memory-access count for the whole element: stateful loads/stores
     at the IR level, which the paper shows map ~1:1 to NIC memory ops. *)

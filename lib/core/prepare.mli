@@ -19,7 +19,6 @@ type t = {
   ir : Nf_ir.Ir.func;
   blocks : block_info list;
   api_set : string list;  (** all framework calls — GETAPI, feeds reverse porting *)
-  loc : int;  (** source lines of the unported element *)
 }
 
 (** Lower an element, build the CFG and encode every block against

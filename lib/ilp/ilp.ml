@@ -19,51 +19,63 @@ type solution = { assignment : int array; objective : float }
 
 exception Infeasible
 
-(** Admissible lower bound for the unassigned suffix: each remaining item
-    takes its cheapest bin, ignoring capacities. *)
-let suffix_bound p order start =
-  let acc = ref 0.0 in
-  for k = start to p.n_items - 1 do
-    let item = order.(k) in
-    let best = ref infinity in
-    for b = 0 to p.n_bins - 1 do
-      best := min !best (p.cost item b)
-    done;
-    acc := !acc +. !best
-  done;
-  !acc
-
+(* The search reads [p] only through arrays built here, once per solve:
+   the cost matrix, the sizes, each item's bins cheapest-first (the same
+   [Array.sort] over the same comparator, so ties fall the same way) and
+   the admissible bound of every unassigned suffix: each remaining item
+   at its cheapest bin, capacities ignored, summed forward from the
+   suffix's first position. *)
 let solve (p : problem) : solution option =
   if p.n_items = 0 then Some { assignment = [||]; objective = 0.0 }
   else begin
-    let order = Array.init p.n_items (fun i -> i) in
-    Array.sort (fun a b -> compare (p.size b) (p.size a)) order;
-    let remaining = Array.init p.n_bins p.capacity in
-    let assignment = Array.make p.n_items (-1) in
+    let n = p.n_items and n_bins = p.n_bins in
+    let cost = Array.init n (fun i -> Array.init n_bins (fun b -> p.cost i b)) in
+    let size = Array.init n p.size in
+    let order = Array.init n (fun i -> i) in
+    Array.sort (fun a b -> compare size.(b) size.(a)) order;
+    let bins_by_cost =
+      Array.map
+        (fun row ->
+          let bins = Array.init n_bins (fun b -> b) in
+          Array.sort (fun a b -> compare row.(a) row.(b)) bins;
+          bins)
+        cost
+    in
+    let cheapest =
+      Array.map (fun item -> Array.fold_left (fun best c -> min best c) infinity cost.(item)) order
+    in
+    let bound =
+      Array.init (n + 1) (fun start ->
+          let acc = ref 0.0 in
+          for k = start to n - 1 do
+            acc := !acc +. cheapest.(k)
+          done;
+          !acc)
+    in
+    let remaining = Array.init n_bins p.capacity in
+    let assignment = Array.make n (-1) in
     let best_obj = ref infinity in
     let best_assign = ref None in
     let rec go k cost_so_far =
-      if cost_so_far +. suffix_bound p order k >= !best_obj then ()
-      else if k = p.n_items then begin
+      if cost_so_far +. bound.(k) >= !best_obj then ()
+      else if k = n then begin
         best_obj := cost_so_far;
         best_assign := Some (Array.copy assignment)
       end
       else begin
         let item = order.(k) in
-        (* try bins cheapest-first for better pruning *)
-        let bins = Array.init p.n_bins (fun b -> b) in
-        Array.sort (fun a b -> compare (p.cost item a) (p.cost item b)) bins;
-        Array.iter
-          (fun b ->
-            let c = p.cost item b in
-            if c < infinity && remaining.(b) >= p.size item then begin
-              remaining.(b) <- remaining.(b) - p.size item;
-              assignment.(item) <- b;
-              go (k + 1) (cost_so_far +. c);
-              assignment.(item) <- -1;
-              remaining.(b) <- remaining.(b) + p.size item
-            end)
-          bins
+        let row = cost.(item) and bins = bins_by_cost.(item) and s = size.(item) in
+        for j = 0 to n_bins - 1 do
+          let b = bins.(j) in
+          let c = row.(b) in
+          if c < infinity && remaining.(b) >= s then begin
+            remaining.(b) <- remaining.(b) - s;
+            assignment.(item) <- b;
+            go (k + 1) (cost_so_far +. c);
+            assignment.(item) <- -1;
+            remaining.(b) <- remaining.(b) + s
+          end
+        done
       end
     in
     go 0 0.0;

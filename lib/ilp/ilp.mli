@@ -16,12 +16,11 @@ type solution = { assignment : int array; objective : float }
 
 exception Infeasible
 
-(** Admissible lower bound of the unassigned suffix (each remaining item
-    at its cheapest bin, capacities ignored).  Exposed for bound tests. *)
-val suffix_bound : problem -> int array -> int -> float
-
 (** The optimal assignment, or [None] when capacities cannot be
-    satisfied. *)
+    satisfied.  [p]'s functions are read once per item and bin, into
+    arrays the search then works over; among equal-cost optima the one
+    found first wins (items largest-first, each item's bins
+    cheapest-first). *)
 val solve : problem -> solution option
 
 (** Every feasible assignment — the §5.8 expert-emulation exhaustive

@@ -38,7 +38,8 @@ let mix32 h k =
   let h = h * 0x01000193 land 0x3fffffff in
   h lxor (h lsr 15)
 
-let hash32 args = List.fold_left mix32 0x811c9dc5 args land 0x3fffffff
+let seed32 = 0x811c9dc5
+let hash32 args = List.fold_left mix32 seed32 args land 0x3fffffff
 
 (** Bitwise CRC32 (reflected, poly 0xEDB88320) over a payload slice. *)
 let crc32_bytes bytes off len =
@@ -65,29 +66,40 @@ let crc16_bytes bytes off len =
   done;
   !crc land 0xffff
 
-(** Host evaluation of an expression-level API call.  [time] is the virtual
-    clock (packet sequence number). *)
-let eval_expr ~time (p : Packet.t) name (args : int list) =
-  match (name, args) with
-  | "hash32", _ -> hash32 args
-  | "crc32_payload", [ off; len ] -> crc32_bytes p.payload off len
-  | "crc32_payload", _ -> crc32_bytes p.payload 0 (Bytes.length p.payload)
-  | "crc16_payload", [ off; len ] -> crc16_bytes p.payload off len
-  | "crc16_payload", _ -> crc16_bytes p.payload 0 (Bytes.length p.payload)
-  | "checksum_ip", _ -> Packet.ip_checksum p
-  | "rand16", _ -> hash32 [ p.ip_src; p.ip_dst; p.tcp_seq; time; 0x5bd1 ] land 0xffff
-  | "now", _ -> time
-  | "min", [ a; b ] -> min a b
-  | "max", [ a; b ] -> max a b
-  | "lpm_lookup", [ dst ] -> hash32 [ dst; 0x1f2e ] land 0xff
-  | "flow_cache_lookup", [ dst ] -> if hash32 [ dst; 0x77aa ] mod 8 <> 0 then 1 else 0
-  | _ -> failwith (Printf.sprintf "Api.eval_expr: unknown API %s/%d" name (List.length args))
+(** Host evaluation of an expression-level API call, resolved once by
+    name and arity: the result takes the virtual clock (packet sequence
+    number), the packet and exactly [arity] argument values.  An unknown
+    name or arity fails when called, not when resolved. *)
+let expr_fn name arity : int -> Packet.t -> int array -> int =
+  match (name, arity) with
+  | "hash32", _ -> fun _ _ args -> Array.fold_left mix32 seed32 args land 0x3fffffff
+  | "crc32_payload", 2 -> fun _ p args -> crc32_bytes p.payload args.(0) args.(1)
+  | "crc32_payload", _ -> fun _ p _ -> crc32_bytes p.payload 0 (Bytes.length p.payload)
+  | "crc16_payload", 2 -> fun _ p args -> crc16_bytes p.payload args.(0) args.(1)
+  | "crc16_payload", _ -> fun _ p _ -> crc16_bytes p.payload 0 (Bytes.length p.payload)
+  | "checksum_ip", _ -> fun _ p _ -> Packet.ip_checksum p
+  | "rand16", _ ->
+    fun time p _ ->
+      let h = mix32 (mix32 (mix32 (mix32 (mix32 seed32 p.ip_src) p.ip_dst) p.tcp_seq) time) 0x5bd1 in
+      h land 0x3fffffff land 0xffff
+  | "now", _ -> fun time _ _ -> time
+  | "min", 2 -> fun _ _ args -> min args.(0) args.(1)
+  | "max", 2 -> fun _ _ args -> max args.(0) args.(1)
+  | "lpm_lookup", 1 -> fun _ _ args -> mix32 (mix32 seed32 args.(0)) 0x1f2e land 0x3fffffff land 0xff
+  | "flow_cache_lookup", 1 ->
+    fun _ _ args -> if mix32 (mix32 seed32 args.(0)) 0x77aa land 0x3fffffff mod 8 <> 0 then 1 else 0
+  | _ -> fun _ _ _ -> failwith (Printf.sprintf "Api.eval_expr: unknown API %s/%d" name arity)
 
-(** Host execution of a statement-level API call. *)
-let exec_stmt (p : Packet.t) name (args : int list) =
-  match (name, args) with
-  | "checksum_update_ip", _ -> p.ip_csum <- Packet.ip_checksum p
-  | "csum_incr_update", [ old_v; new_v ] ->
-    let delta = (new_v - old_v) land 0xffff in
-    p.ip_csum <- (p.ip_csum + delta) land 0xffff
-  | _ -> failwith (Printf.sprintf "Api.exec_stmt: unknown API %s/%d" name (List.length args))
+(** Host execution of a statement-level API call, resolved once as
+    {!expr_fn} is. *)
+let stmt_fn name arity : Packet.t -> int array -> unit =
+  match (name, arity) with
+  | "checksum_update_ip", _ -> fun p _ -> p.ip_csum <- Packet.ip_checksum p
+  | "csum_incr_update", 2 ->
+    fun p args ->
+      let delta = (args.(1) - args.(0)) land 0xffff in
+      p.ip_csum <- (p.ip_csum + delta) land 0xffff
+  | _ -> fun _ _ -> failwith (Printf.sprintf "Api.exec_stmt: unknown API %s/%d" name arity)
+
+let eval_expr ~time p name args = expr_fn name (List.length args) time p (Array.of_list args)
+let exec_stmt p name args = stmt_fn name (List.length args) p (Array.of_list args)

@@ -37,3 +37,12 @@ val eval_expr : time:int -> Packet.t -> string -> int list -> int
 
 (** Host execution of a statement-level API call. *)
 val exec_stmt : Packet.t -> string -> int list -> unit
+
+(** [expr_fn name arity] is {!eval_expr} for that name and arity,
+    resolved once: it takes the virtual clock, the packet and exactly
+    [arity] argument values, and builds no list.  An unknown name or
+    arity raises {!eval_expr}'s [Failure] when called, not here. *)
+val expr_fn : string -> int -> int -> Packet.t -> int array -> int
+
+(** {!exec_stmt} resolved once, as {!expr_fn} is. *)
+val stmt_fn : string -> int -> Packet.t -> int array -> unit

@@ -154,9 +154,22 @@ let loop_fuel = 100_000
 
 let truth v = v <> 0
 
+(* Evaluate [es] into [buf], left to right.  A call keeps no reference
+   to its arguments, so each call site owns one buffer. *)
+let fill buf es f =
+  for k = 0 to Array.length es - 1 do
+    buf.(k) <- es.(k) f
+  done
+
+let is_hdr = function Ast.Hdr _ -> true | _ -> false
+let hdr_field = function Ast.Hdr h -> h | _ -> invalid_arg "Interp.hdr_field"
+
 (* Each closure keeps the shape of the tree walk it replaces, down to the
    argument positions of the calls it makes, so effects happen in the same
-   order. *)
+   order.  Three shapes every match-action table runs per packet get one
+   closure each instead of a tree of them (superinstructions): a map
+   lookup keyed by header fields only, a branch on a local compared with
+   a constant, and a scalar counter bump [g = g + k]. *)
 let compile (elt : Ast.element) (st : State.t) =
   let stmts = counter () and conds = counter () and reads = counter () and writes = counter () in
   let apis = counter () and map_ops = counter () and locals = counter () in
@@ -228,10 +241,12 @@ let compile (elt : Ast.element) (st : State.t) =
         bump reads r;
         State.vec_length (vec st c)
     | Ast.Api_expr (name, args) ->
-      let a = intern apis name and args = List.map ex args in
+      let a = intern apis name and args = Array.of_list (List.map ex args) in
+      let call = Api.expr_fn name (Array.length args) and buf = Array.make (Array.length args) 0 in
       fun f ->
         bump apis a;
-        Api.eval_expr ~time:f.time f.pkt name (List.map (fun arg -> arg f) args)
+        fill buf args f;
+        call f.time f.pkt buf
   in
   (* the first definition of a name wins, as in a lookup by name *)
   let subs =
@@ -249,6 +264,16 @@ let compile (elt : Ast.element) (st : State.t) =
     | Ast.Let (v, e) ->
       let s = intern locals v and e = ex e in
       fun f -> f.locals.(s) <- e f
+    | Ast.Set_global (v, Ast.Bin (Ast.Add, Ast.Global v', Ast.Int k)) when String.equal v v' ->
+      (* the counter bump: the write is counted before the read, as the
+         general case evaluates it *)
+      let w = write v and c = cell scalars v in
+      let r = intern reads (v, sid) in
+      fun _ ->
+        bump writes w;
+        bump reads r;
+        let cnt = scalar st c in
+        cnt := (!cnt + k) land 0xffffffff
     | Ast.Set_global (v, e) ->
       let w = write v and c = cell scalars v and e = ex e in
       fun f ->
@@ -267,6 +292,21 @@ let compile (elt : Ast.element) (st : State.t) =
         let arr = array st c in
         let j = idx f in
         if j >= 0 && j < Array.length arr then arr.(j) <- v f
+    | Ast.Map_find (m, key, dst) when List.for_all is_hdr key ->
+      (* the match-action lookup: header fields read straight into the key *)
+      let r = read m and a, c = map_api m "map_find" and ops = intern map_ops m in
+      let fields = Array.of_list (List.map hdr_field key) and d = intern locals dst in
+      let buf = Array.make (Array.length fields) 0 in
+      fun f ->
+        bump reads r;
+        bump apis a;
+        let m = map st c in
+        for k = 0 to Array.length fields - 1 do
+          buf.(k) <- Packet.get_field f.pkt fields.(k)
+        done;
+        let outcome = State.lookup m buf in
+        record ops (State.lookup_probes outcome);
+        f.locals.(d) <- (if State.lookup_found outcome then 1 else 0)
     | Ast.Map_find (m, key, dst) ->
       let r = read m and a, c = map_api m "map_find" and ops = intern map_ops m in
       let key = evals key and d = intern locals dst in
@@ -276,9 +316,7 @@ let compile (elt : Ast.element) (st : State.t) =
         bump reads r;
         bump apis a;
         let m = map st c in
-        for k = 0 to Array.length key - 1 do
-          buf.(k) <- key.(k) f
-        done;
+        fill buf key f;
         let outcome = State.lookup m buf in
         record ops (State.lookup_probes outcome);
         f.locals.(d) <- (if State.lookup_found outcome then 1 else 0)
@@ -297,12 +335,16 @@ let compile (elt : Ast.element) (st : State.t) =
     | Ast.Map_insert (m, key, vals) ->
       let w = write m and a, c = map_api m "map_insert" and ops = intern map_ops m in
       let key = evals key and vals = evals vals in
+      (* the map copies what it keeps: one buffer each per statement *)
+      let kbuf = Array.make (Array.length key) 0 and vbuf = Array.make (Array.length vals) 0 in
       fun f ->
         bump writes w;
         bump apis a;
         let m = map st c in
-        let probes = State.insert m (Array.map (fun k -> k f) key) (Array.map (fun v -> v f) vals) in
-        record ops probes
+        (* the values first, as the insert's arguments were evaluated *)
+        fill vbuf vals f;
+        fill kbuf key f;
+        record ops (State.insert m kbuf vbuf)
     | Ast.Map_erase m ->
       let w = write m and a, c = map_api m "map_erase" in
       fun _ ->
@@ -328,6 +370,16 @@ let compile (elt : Ast.element) (st : State.t) =
         bump writes w;
         bump apis a;
         State.vec_set (vec st c) (idx f) (e f)
+    | Ast.If (Ast.Cmp (op, Ast.Local v, Ast.Int n), th, el) -> (
+      (* the action dispatch and hit test: a local against a constant *)
+      let s = intern locals v and th = block th and el = block el in
+      match op with
+      | Ast.Eq -> fun f -> if f.locals.(s) = n then th f else el f
+      | Ast.Ne -> fun f -> if f.locals.(s) <> n then th f else el f
+      | Ast.Lt -> fun f -> if f.locals.(s) < n then th f else el f
+      | Ast.Le -> fun f -> if f.locals.(s) <= n then th f else el f
+      | Ast.Gt -> fun f -> if f.locals.(s) > n then th f else el f
+      | Ast.Ge -> fun f -> if f.locals.(s) >= n then th f else el f)
     | Ast.If (c, th, el) ->
       let c = ex c and th = block th and el = block el in
       fun f -> (if truth (c f) then th else el) f
@@ -363,10 +415,12 @@ let compile (elt : Ast.element) (st : State.t) =
           i := 1 + f.locals.(s)
         done
     | Ast.Api_stmt (name, args) ->
-      let a = intern apis name and args = List.map ex args in
+      let a = intern apis name and args = evals args in
+      let call = Api.stmt_fn name (Array.length args) and buf = Array.make (Array.length args) 0 in
       fun f ->
         bump apis a;
-        Api.exec_stmt f.pkt name (List.map (fun arg -> arg f) args)
+        fill buf args f;
+        call f.pkt buf
     | Ast.Emit port ->
       let a = intern apis "send" in
       fun f ->
@@ -388,11 +442,26 @@ let compile (elt : Ast.element) (st : State.t) =
   and block body =
     let ats = Array.of_list (List.map (fun (s : Ast.stmt) -> intern stmts s.Ast.sid) body) in
     let run = Array.of_list (List.map stmt body) in
-    fun f ->
-      for k = 0 to Array.length run - 1 do
-        bump stmts ats.(k);
-        run.(k) f
-      done
+    (* the branches of a table's hit test and action dispatch hold one
+       or two statements: those run without the loop *)
+    match (ats, run) with
+    | [||], _ -> fun _ -> ()
+    | [| a |], [| r |] ->
+      fun f ->
+        bump stmts a;
+        r f
+    | [| a; b |], [| r; q |] ->
+      fun f ->
+        bump stmts a;
+        r f;
+        bump stmts b;
+        q f
+    | _ ->
+      fun f ->
+        for k = 0 to Array.length run - 1 do
+          bump stmts ats.(k);
+          run.(k) f
+        done
   in
   let handler = block elt.Ast.handler in
   List.iter (fun (_, (run, body)) -> run := block body) subs;
@@ -428,10 +497,16 @@ let create ?(mode = State.Host) elt =
 (* One packet, counted but not flushed; the verdict stays in its slot. *)
 let step t pkt =
   let p = t.prog and f = t.prog.frame in
-  Array.fill f.locals 0 (Array.length f.locals) 0;
+  (* a loop, not [Array.fill]: the frame is a few slots, and the C call
+     cost more than clearing them *)
+  for i = 0 to Array.length f.locals - 1 do
+    f.locals.(i) <- 0
+  done;
   t.profile.packets <- t.profile.packets + 1;
   t.time <- t.time + 1;
-  f.pkt <- pkt;
+  (* [run_copies] hands over the same scratch packet every time: skip
+     the write barrier then *)
+  if f.pkt != pkt then f.pkt <- pkt;
   f.time <- t.time;
   (try p.handler f with Handler_return -> ());
   if f.locals.(p.action) >= 1000 then t.profile.emitted <- t.profile.emitted + 1

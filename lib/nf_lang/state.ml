@@ -24,6 +24,7 @@ type map_state = {
   mutable m_size : int;
   mutable cursor : int;  (** slot of the last successful find/insert *)
   bucket_slots : int;  (** Nic mode: slots per bucket *)
+  buckets : int;  (** Nic mode: bucket count, fixed (NIC maps never grow) *)
 }
 
 type vec_state = {
@@ -43,6 +44,11 @@ type t = {
 }
 
 let nic_bucket_slots = 4
+
+(* [h mod n] for [h >= 0] and [n >= 1], with no division when [n] is a
+   power of two (every P4lite table size is one): a division costs more
+   than the rest of a lookup in an empty bucket. *)
+let[@inline] reduce h n = if n land (n - 1) = 0 then h land (n - 1) else h mod n
 
 let hash_key key =
   let h = ref 0x811c9dc5 in
@@ -68,6 +74,7 @@ let create ?(mode = Host) (decls : Ast.state_decl list) =
       | Ast.Array { name; length; _ } -> Hashtbl.replace t.arrays name (Array.make length 0)
       | Ast.Map { name; val_fields; capacity; _ } ->
         let cap = max 8 capacity in
+        let buckets = max 1 (cap / nic_bucket_slots) in
         Hashtbl.replace t.maps name
           {
             m_name = name;
@@ -77,6 +84,7 @@ let create ?(mode = Host) (decls : Ast.state_decl list) =
             m_size = 0;
             cursor = -1;
             bucket_slots = nic_bucket_slots;
+            buckets;
           }
       | Ast.Vector { name; capacity; _ } ->
         Hashtbl.replace t.vectors name
@@ -110,7 +118,17 @@ let vec_of t name =
   | Some v -> v
   | None -> failwith (Printf.sprintf "State: unknown vector %s" name)
 
-let key_equal a b = Array.length a = Array.length b && Array.for_all2 ( = ) a b
+(* Lookups and inserts scan in loops, not local recursive functions,
+   so a probe allocates no closure. *)
+let key_equal (a : int array) (b : int array) =
+  let n = Array.length a in
+  n = Array.length b
+  &&
+  let i = ref 0 in
+  while !i < n && a.(!i) = b.(!i) do
+    incr i
+  done;
+  !i = n
 
 let field_index m field =
   let rec scan i =
@@ -131,18 +149,20 @@ let lookup_probes r = r lsr 1
 
 let host_find m key =
   let cap = Array.length m.slots in
-  let start = hash_key key mod cap in
-  let rec probe i n =
-    if n > cap then outcome ~found:false n
+  let i = ref (reduce (hash_key key) cap) and n = ref 0 and r = ref (-1) in
+  while !r < 0 do
+    if !n > cap then r := outcome ~found:false !n
     else
-      match m.slots.(i) with
-      | None -> outcome ~found:false (n + 1)
+      match m.slots.(!i) with
+      | None -> r := outcome ~found:false (!n + 1)
       | Some e when e.valid && key_equal e.key key ->
-        m.cursor <- i;
-        outcome ~found:true (n + 1)
-      | Some _ -> probe ((i + 1) mod cap) (n + 1)
-  in
-  probe start 0
+        m.cursor <- !i;
+        r := outcome ~found:true (!n + 1)
+      | Some _ ->
+        i := reduce (!i + 1) cap;
+        incr n
+  done;
+  !r
 
 let host_grow m =
   let old = m.slots in
@@ -155,54 +175,69 @@ let host_grow m =
       | None ->
         m.slots.(i) <- Some e;
         m.m_size <- m.m_size + 1
-      | Some _ -> place ((i + 1) mod cap)
+      | Some _ -> place (reduce (i + 1) cap)
     in
-    place (hash_key e.key mod cap)
+    place (reduce (hash_key e.key) cap)
   in
   Array.iter (function Some e when e.valid -> reinsert e | Some _ | None -> ()) old
+
+(* An insert keeps neither [key] nor [vals]: a new entry holds copies,
+   and an update copies the values into the entry's own array, so the
+   caller may reuse both. *)
+let new_entry key vals = Some { key = Array.copy key; vals = Array.copy vals; valid = true }
+
+let set_vals e vals =
+  if Array.length e.vals = Array.length vals then Array.blit vals 0 e.vals 0 (Array.length vals)
+  else e.vals <- Array.copy vals
 
 let host_insert m key vals =
   if m.m_size * 4 >= Array.length m.slots * 3 then host_grow m;
   let cap = Array.length m.slots in
-  let rec probe i n =
-    match m.slots.(i) with
+  let i = ref (reduce (hash_key key) cap) and n = ref 1 and placed = ref false in
+  while not !placed do
+    match m.slots.(!i) with
     | None ->
-      m.slots.(i) <- Some { key; vals; valid = true };
+      m.slots.(!i) <- new_entry key vals;
       m.m_size <- m.m_size + 1;
-      m.cursor <- i;
-      n + 1
+      m.cursor <- !i;
+      placed := true
     | Some e when e.valid && key_equal e.key key ->
-      e.vals <- vals;
-      m.cursor <- i;
-      n + 1
+      set_vals e vals;
+      m.cursor <- !i;
+      placed := true
     | Some e when not e.valid ->
-      m.slots.(i) <- Some { key; vals; valid = true };
-      m.cursor <- i;
-      n + 1
-    | Some _ -> probe ((i + 1) mod cap) (n + 1)
-  in
-  probe (hash_key key mod cap) 0
+      m.slots.(!i) <- new_entry key vals;
+      m.cursor <- !i;
+      placed := true
+    | Some _ ->
+      i := reduce (!i + 1) cap;
+      incr n
+  done;
+  !n
 
 (* -- Nic (Netronome) semantics: fixed buckets, bounded slots, no growth -- *)
 
-let nic_bucket_count m = max 1 (Array.length m.slots / m.bucket_slots)
-
 let nic_find m key =
-  let bucket = hash_key key mod nic_bucket_count m in
-  let base = bucket * m.bucket_slots in
-  let rec scan s n =
-    if s >= m.bucket_slots then outcome ~found:false n
-    else
-      match m.slots.(base + s) with
-      | Some e when e.valid && key_equal e.key key ->
-        m.cursor <- base + s;
-        outcome ~found:true (n + 1)
-      | Some _ | None -> scan (s + 1) (n + 1)
-  in
-  scan 0 0
+  (* a map with no valid entry misses after scanning a whole bucket,
+     whichever bucket the key hashes to *)
+  if m.m_size = 0 then outcome ~found:false m.bucket_slots
+  else begin
+    let base = reduce (hash_key key) m.buckets * m.bucket_slots in
+    let s = ref 0 and r = ref (-1) in
+    while !r < 0 do
+      if !s >= m.bucket_slots then r := outcome ~found:false !s
+      else
+        match m.slots.(base + !s) with
+        | Some e when e.valid && key_equal e.key key ->
+          m.cursor <- base + !s;
+          r := outcome ~found:true (!s + 1)
+        | Some _ | None -> incr s
+    done;
+    !r
+  end
 
 let nic_insert m key vals =
-  let bucket = hash_key key mod nic_bucket_count m in
+  let bucket = reduce (hash_key key) m.buckets in
   let base = bucket * m.bucket_slots in
   (* First pass: update in place if present; remember first free slot. *)
   let free = ref (-1) in
@@ -213,7 +248,7 @@ let nic_insert m key vals =
       incr probes;
       match m.slots.(base + s) with
       | Some e when e.valid && key_equal e.key key ->
-        e.vals <- vals;
+        set_vals e vals;
         m.cursor <- base + s;
         updated := true
       | Some e when (not e.valid) && !free < 0 -> free := base + s
@@ -222,7 +257,7 @@ let nic_insert m key vals =
     end
   done;
   if (not !updated) && !free >= 0 then begin
-    m.slots.(!free) <- Some { key; vals; valid = true };
+    m.slots.(!free) <- new_entry key vals;
     m.m_size <- m.m_size + 1;
     m.cursor <- !free
   end;

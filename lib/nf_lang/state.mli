@@ -16,6 +16,7 @@ type map_state = {
   mutable m_size : int;
   mutable cursor : int;  (** slot of the last successful find/insert *)
   bucket_slots : int;  (** Nic mode: slots per bucket *)
+  buckets : int;  (** Nic mode: bucket count, fixed (NIC maps never grow) *)
 }
 
 type vec_state = {
@@ -62,7 +63,9 @@ val lookup_found : int -> bool
 val lookup_probes : int -> int
 
 (** [insert m key vals] returns probes; NIC-mode bucket overflow silently
-    drops the insert, as a fixed firmware table would. *)
+    drops the insert, as a fixed firmware table would.  The map keeps no
+    reference to [key] or [vals] (a new entry holds copies, an update
+    copies the values in), so a caller may reuse both arrays. *)
 val insert : map_state -> int array -> int array -> int
 
 (** Read/write a value field at the cursor (0 / no-op when invalid). *)

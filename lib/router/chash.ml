@@ -1,16 +1,8 @@
 (** Consistent-hash ring (see chash.mli). *)
 
-(* FNV-1a/64: tiny, allocation-free, and easy to reimplement
-   independently — the test suite's pin test does exactly that. *)
-let fnv_offset = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
-
-let fnv64 s =
-  let h = ref fnv_offset in
-  String.iter
-    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) fnv_prime)
-    s;
-  !h
+(* FNV-1a/64: tiny, and easy to reimplement independently — the test
+   suite's pin test does exactly that. *)
+let fnv64 = Util.Fnv.fnv1a64
 
 (* splitmix64 finalizer, as in [Serve.Client] / [Obs.Fault]. *)
 let mix64 z =

@@ -75,21 +75,11 @@ let with_lock m f =
    which domain plans the line, so CLARA_JOBS=1 and =4 shadow the same
    requests. *)
 
-let fnv_offset = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
-
-let fnv1a64 s =
-  let h = ref fnv_offset in
-  String.iter
-    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) fnv_prime)
-    s;
-  !h
-
 let should_shadow t ~id ~key =
   if t.q_rate <= 0.0 then false
   else if t.q_rate >= 1.0 then true
   else
-    let h = Int64.to_int (fnv1a64 (id ^ "|" ^ key)) lxor t.q_seed in
+    let h = Int64.to_int (Util.Fnv.fnv1a64 (id ^ "|" ^ key)) lxor t.q_seed in
     Util.Rng.float (Util.Rng.create h) < t.q_rate
 
 (* -- recording -- *)

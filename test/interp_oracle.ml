@@ -3,7 +3,10 @@
    locals in a string-keyed table and bumps each profile table as each
    event happens; the differential suite checks that the resolved
    interpreter produces the same verdicts, the same profile contents in
-   the same table iteration order, and the same exceptions. *)
+   the same table iteration order, and the same exceptions.  Its map
+   operations go through {!State_oracle} and its API calls through the
+   list-matching evaluator below, the forms both had before the
+   interpreter resolved them, so the differential covers them too. *)
 
 open Nf_lang
 open Ast
@@ -24,6 +27,30 @@ let create ?(mode = State.Host) elt =
   { elt; state = State.create ~mode elt.state; profile = Interp.new_profile (); time = 0 }
 
 let loop_fuel = Interp.loop_fuel
+
+let eval_api ~time (p : Packet.t) name (args : int list) =
+  match (name, args) with
+  | "hash32", _ -> Api.hash32 args
+  | "crc32_payload", [ off; len ] -> Api.crc32_bytes p.payload off len
+  | "crc32_payload", _ -> Api.crc32_bytes p.payload 0 (Bytes.length p.payload)
+  | "crc16_payload", [ off; len ] -> Api.crc16_bytes p.payload off len
+  | "crc16_payload", _ -> Api.crc16_bytes p.payload 0 (Bytes.length p.payload)
+  | "checksum_ip", _ -> Packet.ip_checksum p
+  | "rand16", _ -> Api.hash32 [ p.ip_src; p.ip_dst; p.tcp_seq; time; 0x5bd1 ] land 0xffff
+  | "now", _ -> time
+  | "min", [ a; b ] -> min a b
+  | "max", [ a; b ] -> max a b
+  | "lpm_lookup", [ dst ] -> Api.hash32 [ dst; 0x1f2e ] land 0xff
+  | "flow_cache_lookup", [ dst ] -> if Api.hash32 [ dst; 0x77aa ] mod 8 <> 0 then 1 else 0
+  | _ -> failwith (Printf.sprintf "Api.eval_expr: unknown API %s/%d" name (List.length args))
+
+let exec_api (p : Packet.t) name (args : int list) =
+  match (name, args) with
+  | "checksum_update_ip", _ -> p.ip_csum <- Packet.ip_checksum p
+  | "csum_incr_update", [ old_v; new_v ] ->
+    let delta = (new_v - old_v) land 0xffff in
+    p.ip_csum <- (p.ip_csum + delta) land 0xffff
+  | _ -> failwith (Printf.sprintf "Api.exec_stmt: unknown API %s/%d" name (List.length args))
 
 let record_map_op t map probes =
   let ops, total =
@@ -89,7 +116,7 @@ let rec eval t (locals : (string, int) Hashtbl.t) (pkt : Packet.t) ~sid e =
     State.vec_length (State.vec_of t.state name)
   | Api_expr (name, args) ->
     bump t.profile.Interp.api_counts name;
-    Api.eval_expr ~time:t.time pkt name (List.map ev args)
+    eval_api ~time:t.time pkt name (List.map ev args)
 
 and exec t locals pkt (s : stmt) =
   bump t.profile.Interp.stmt_counts s.sid;
@@ -111,7 +138,7 @@ and exec t locals pkt (s : stmt) =
     bump t.profile.Interp.global_reads (map, sid);
     bump t.profile.Interp.api_counts "map_find";
     let m = State.map_of t.state map in
-    let found, probes = State.find m (Array.of_list (List.map ev key)) in
+    let found, probes = State_oracle.find m (Array.of_list (List.map ev key)) in
     record_map_op t map probes;
     Hashtbl.replace locals dst (if found then 1 else 0)
   | Map_read (map, field, dst) ->
@@ -127,7 +154,7 @@ and exec t locals pkt (s : stmt) =
     bump t.profile.Interp.api_counts "map_insert";
     let m = State.map_of t.state map in
     let probes =
-      State.insert m (Array.of_list (List.map ev key)) (Array.of_list (List.map ev vals))
+      State_oracle.insert m (Array.of_list (List.map ev key)) (Array.of_list (List.map ev vals))
     in
     record_map_op t map probes
   | Map_erase map ->
@@ -177,7 +204,7 @@ and exec t locals pkt (s : stmt) =
     done
   | Api_stmt (name, args) ->
     bump t.profile.Interp.api_counts name;
-    Api.exec_stmt pkt name (List.map ev args)
+    exec_api pkt name (List.map ev args)
   | Emit port ->
     bump t.profile.Interp.api_counts "send";
     Hashtbl.replace locals "__action" (1000 + port);

@@ -204,6 +204,78 @@ let test_failures () =
         [ `Run; `Push ])
     (failing_elements ())
 
+(* The shapes the interpreter compiles to one closure each (a lookup
+   keyed by header fields, a branch on a local against a constant, a
+   counter bump), beside near misses that take the general path, maps
+   whose capacities are and are not powers of two, and every resolved
+   API call, in both modes.  [Some true] marks an element that must
+   raise. *)
+let shape_elements () =
+  let open Build in
+  let state =
+    [ scalar "n"; scalar ~init:0xfffffffe "wrap"; scalar "m";
+      map_decl "pow2" ~key_widths:[ 32; 16 ] ~val_fields:[ ("x", 32) ] ~capacity:16;
+      map_decl "odd" ~key_widths:[ 32 ] ~val_fields:[ ("x", 32); ("y", 32) ] ~capacity:10 ]
+  in
+  let el name body = element name ~state body in
+  let bump name = set_g name (g name + i 1) in
+  let branch name cmp = el name [ let_ "x" (hdr Ast.Ip_ttl land i 127); if_ (cmp (l "x") (i 64)) [ bump "n" ] [ bump "m"; drop ] ] in
+  [ (el "counter" [ bump "n"; set_g "wrap" (g "wrap" + i 3); set_g "n" (g "m" + i 1); set_g "m" (g "m" + g "n"); emit 0 ], false);
+    (el "ghost_counter" [ bump "n"; bump "ghost"; emit 0 ], true);
+    (branch "eq" ( = ), false);
+    (branch "ne" ( <> ), false);
+    (branch "lt" ( < ), false);
+    (branch "le" ( <= ), false);
+    (branch "gt" ( > ), false);
+    (branch "ge" ( >= ), false);
+    (el "unset_local" [ if_ (l "never" = i 0) [ bump "n" ] [ drop ]; if_ (i 0 = l "never") [ bump "m" ] []; emit 0 ], false);
+    ( el "hdr_find"
+        [ map_find "pow2" [ hdr Ast.Ip_src; hdr Ast.Tcp_sport ] "f";
+          if_ (l "f" = i 0)
+            [ map_insert "pow2" [ hdr Ast.Ip_src; hdr Ast.Tcp_sport ] [ g "n" ]; bump "n" ]
+            [ map_read "pow2" "x" "v"; map_write "pow2" "x" (l "v" + i 1); when_ (l "v" > i 2) [ map_erase "pow2" ] ];
+          map_find "odd" [ hdr Ast.Ip_dst ] "h";
+          if_ (l "h" <> i 0) [ map_read "odd" "y" "w" ] [ map_insert "odd" [ hdr Ast.Ip_dst ] [ g "m"; hdr Ast.Ip_ttl ]; bump "m" ];
+          map_find "odd" [ hdr Ast.Ip_dst + i 1 ] "k";
+          emit 0 ],
+      false );
+    (el "ghost_hdr_find" [ bump "n"; map_find "ghost" [ hdr Ast.Ip_src; hdr Ast.Ip_dst ] "f"; emit 0 ], true);
+    ( el "apis"
+        [ let_ "a" (api "hash32" [ hdr Ast.Ip_src; g "n"; i 3 ]);
+          let_ "b" (api "hash32" []);
+          let_ "c" (api "crc32_payload" [ i 0; i 8 ] + api "crc32_payload" [] + api "crc16_payload" [ i 2; i 4 ]);
+          let_ "d" (api "crc16_payload" [ i 1 ] + api "checksum_ip" [] + api "rand16" [] + api "now" []);
+          let_ "e" (api "min" [ l "a"; g "m" ] + api "max" [ l "b"; hdr Ast.Ip_ttl ]);
+          let_ "f" (api "lpm_lookup" [ hdr Ast.Ip_dst ] + api "flow_cache_lookup" [ hdr Ast.Ip_dst ]);
+          set_g "n" (l "a" + l "b" + l "c" + l "d" + l "e" + l "f");
+          api_stmt "csum_incr_update" [ hdr Ast.Ip_ttl; l "f" ];
+          api_stmt "checksum_update_ip" [];
+          emit 0 ],
+      false );
+    (el "api_arity" [ bump "n"; let_ "x" (api "min" [ g "n" ]); emit 0 ], true);
+    (* arguments evaluate left to right; an insert's values before its key *)
+    (el "api_arg_order" [ let_ "x" (api "hash32" [ g "n"; g "ghost"; g "m" ]); emit 0 ], true);
+    (el "insert_order" [ map_insert "pow2" [ g "ghost"; g "m" ] [ g "n"; g "wrap" ]; emit 0 ], true);
+    (el "api_stmt_arity" [ bump "n"; api_stmt "csum_incr_update" [ g "n" ]; emit 0 ], true) ]
+
+let test_shapes () =
+  let spec = { Workload.default with Workload.n_packets = 200; n_flows = 24; proto = Workload.Mixed } in
+  List.iter
+    (fun (elt, expect_raise) ->
+      List.iter
+        (fun mode ->
+          List.iter
+            (fun via ->
+              let what = Printf.sprintf "%s/%s" elt.Ast.name (mode_name mode) in
+              let verdicts = agree ~via what mode elt (fun () -> Workload.generate spec) in
+              Alcotest.(check bool)
+                (what ^ ": raises")
+                expect_raise
+                (List.exists (String.starts_with ~prefix:"raise ") verdicts))
+            [ `Run; `Push ])
+        [ State.Nic; State.Host ])
+    (shape_elements ())
+
 (* -- Algo_id equivalence -- *)
 
 let modes : Clara.Algo_id.feature_mode list = [ `Both; `Spe_only; `Manual_only ]
@@ -337,15 +409,18 @@ let test_memo_budget () =
 (* -- minor-heap words per cold analysis -- *)
 
 (* Measured on this fixed set (cmsketch|mixed, wepdecap|small,
-   Mazu-NAT|large and two seeded P4lite programs on mixed): 65,067 words
-   per analysis once the interpreter stopped allocating per packet (one
-   frame, a key buffer per map lookup, no verdict or lookup tuple, one
-   scratch packet instead of a copied trace), down from 105,055 before
-   that, 130,772 when the predictor, accelerator detection and the port
-   each lowered the element again, and 8,553,317 with the tree-walking
-   interpreter and per-key featurization.  The ceiling is 1.25x the
-   current figure. *)
-let minor_words_ceiling = 81_334.0
+   Mazu-NAT|large and two seeded P4lite programs on mixed): 46,752 words
+   per analysis once API calls and map inserts evaluated into one buffer
+   per statement (the map copies only what it keeps), map probes became
+   loops instead of local closures, placement read its costs once and
+   [prepare] stopped printing the element; 65,067 before that, once the
+   interpreter stopped allocating per packet (one frame, a key buffer
+   per map lookup, no verdict or lookup tuple, one scratch packet instead
+   of a copied trace), down from 105,055 before that, 130,772 when the
+   predictor, accelerator detection and the port each lowered the
+   element again, and 8,553,317 with the tree-walking interpreter and
+   per-key featurization.  The ceiling is 1.25x the current figure. *)
+let minor_words_ceiling = 58_440.0
 
 let test_minor_words () =
   let jobs = Util.Pool.jobs () in
@@ -381,7 +456,8 @@ let () =
         [ Alcotest.test_case "corpus keys x modes" `Quick test_corpus_keys;
           Alcotest.test_case "seeded p4lite programs" `Quick test_p4lite_programs;
           Alcotest.test_case "synthesized programs, run and push" `Quick test_synth_programs;
-          Alcotest.test_case "failures" `Quick test_failures ] );
+          Alcotest.test_case "failures" `Quick test_failures;
+          Alcotest.test_case "superinstruction shapes and resolved API calls" `Quick test_shapes ] );
       ( "algo_id",
         [ Alcotest.test_case "model bytes" `Quick test_algo_train_bytes;
           Alcotest.test_case "detect and class features" `Quick test_algo_detect_and_features;

@@ -1,5 +1,6 @@
 (** Tests for the 0/1 ILP branch-and-bound solver, including an exactness
-    property against brute-force enumeration. *)
+    property against brute-force enumeration and a differential property
+    against the closure-reading solver it replaced ({!Ilp_oracle}). *)
 
 let mk ~n_items ~n_bins ~cost ~size ~capacity =
   { Ilp.n_items; n_bins; cost; size; capacity }
@@ -111,6 +112,59 @@ let prop_solution_respects_capacity =
             !used <= caps.(b))
           (Array.init n_bins (fun b -> b)))
 
+(* Seeded problems in four cost families: distinct floats, all zero (every
+   assignment ties, as when a profile never touches the state), small
+   integers (many ties) and integers with forbidden bins.  Capacities are
+   drawn tight enough that some problems are infeasible. *)
+let seeded_problem ~n_items ~n_bins seed =
+  let rng = Util.Rng.create seed in
+  let family = Util.Rng.int rng 4 in
+  let cost _ _ =
+    match family with
+    | 0 -> Util.Rng.float_range rng 0.0 50.0
+    | 1 -> 0.0
+    | 2 -> float_of_int (Util.Rng.int rng 3)
+    | _ -> if Util.Rng.int rng 4 = 0 then infinity else float_of_int (Util.Rng.int rng 4)
+  in
+  let costs = Array.init n_items (fun i -> Array.init n_bins (fun b -> cost i b)) in
+  let sizes = Array.init n_items (fun _ -> 1 + Util.Rng.int rng 6) in
+  let caps = Array.init n_bins (fun _ -> Util.Rng.int rng 14) in
+  ( family,
+    mk ~n_items ~n_bins
+      ~cost:(fun i b -> costs.(i).(b))
+      ~size:(fun i -> sizes.(i))
+      ~capacity:(fun b -> caps.(b)) )
+
+let same_solution a b =
+  match (a, b) with
+  | None, None -> true
+  | Some x, Some y ->
+    x.Ilp.assignment = y.Ilp.assignment
+    && Int64.equal (Int64.bits_of_float x.Ilp.objective) (Int64.bits_of_float y.Ilp.objective)
+  | Some _, None | None, Some _ -> false
+
+let prop_solve_matches_oracle =
+  QCheck.Test.make ~name:"array solver returns the closure solver's assignment, bit for bit" ~count:600
+    QCheck.(triple (int_range 1 8) (int_range 1 5) (int_range 0 1_000_000))
+    (fun (n_items, n_bins, seed) ->
+      let _, p = seeded_problem ~n_items ~n_bins seed in
+      same_solution (Ilp.solve p) (Ilp_oracle.solve p))
+
+(* The generator reaches every case the property is meant to cover. *)
+let test_oracle_coverage () =
+  let infeasible = ref 0 and tied = ref 0 and forbidden = ref 0 in
+  for seed = 0 to 399 do
+    let family, p = seeded_problem ~n_items:(1 + (seed mod 8)) ~n_bins:(1 + (seed mod 5)) seed in
+    let solved = Ilp.solve p in
+    Alcotest.(check bool) (Printf.sprintf "seed %d agrees" seed) true (same_solution solved (Ilp_oracle.solve p));
+    match solved with
+    | None -> incr infeasible
+    | Some _ -> if family = 1 || family = 2 then incr tied else if family = 3 then incr forbidden
+  done;
+  Alcotest.(check bool) (Printf.sprintf "%d infeasible problems" !infeasible) true (!infeasible >= 20);
+  Alcotest.(check bool) (Printf.sprintf "%d solved tied-cost problems" !tied) true (!tied >= 50);
+  Alcotest.(check bool) (Printf.sprintf "%d solved problems with forbidden bins" !forbidden) true (!forbidden >= 20)
+
 let () =
   Alcotest.run "ilp"
     [ ( "solve",
@@ -122,4 +176,8 @@ let () =
           Alcotest.test_case "enumerate counts" `Quick test_enumerate_counts ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_solve_matches_enumeration; prop_solution_respects_capacity ] ) ]
+          [ prop_solve_matches_enumeration; prop_solution_respects_capacity ] );
+      ( "oracle",
+        Alcotest.test_case "seeded problems cover ties, forbidden bins, infeasibility" `Quick
+          test_oracle_coverage
+        :: List.map QCheck_alcotest.to_alcotest [ prop_solve_matches_oracle ] ) ]
